@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -292,17 +291,6 @@ def _seed_path(base: str, seed: int) -> str:
 # subcommands
 
 
-def _sim_params(args) -> SimParams:
-    return SimParams(
-        horizon=args.horizon,
-        step=args.step,
-        integrator=args.integrator,
-        convergence_tol=args.tol,
-        convergence_window=args.window,
-        seed=args.seed,
-    )
-
-
 def cmd_simulate(args) -> int:
     game = _resolve_game(args.game)
     protocol = PROTOCOLS[args.protocol]()
@@ -313,16 +301,15 @@ def cmd_simulate(args) -> int:
         seeds = list(_parse_seed_range(args.seeds))
     else:
         seeds = [args.seed]
+    params = SimParams(
+        horizon=args.horizon,
+        step=args.step,
+        integrator=args.integrator,
+        convergence_tol=args.tol,
+        convergence_window=args.window,
+    )
 
     def run_one(seed: int) -> dict:
-        params = SimParams(
-            horizon=args.horizon,
-            step=args.step,
-            integrator=args.integrator,
-            convergence_tol=args.tol,
-            convergence_window=args.window,
-            seed=seed,
-        )
         x0, mu0, used_seed = _initial_conditions(game, args.x0, args.mu0, seed)
         traj = dynamics.integrate(game, protocol, x0, mu0, params)
         report = equilibrium.in_equilibria_set(
@@ -332,14 +319,8 @@ def cmd_simulate(args) -> int:
         write_trajectory_csv(path, game, traj, args.record_every)
         return _summary(args.game, traj, report, path, used_seed)
 
-    if len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(seeds))) as pool:
-            futures = [pool.submit(run_one, seed) for seed in seeds]
-            summaries = [f.result() for f in futures]
-        print(_dump_json(summaries), end="")
-    else:
-        summaries = [run_one(seeds[0])]
-        print(_dump_json(summaries[0]), end="")
+    summaries = [run_one(seed) for seed in seeds]
+    print(_dump_json(summaries if len(seeds) > 1 else summaries[0]), end="")
 
     return _EXIT_OK if all(s["converged"] for s in summaries) else _EXIT_NO_CONVERGENCE
 
@@ -459,7 +440,7 @@ def cmd_repro(args) -> int:
         x0 = PrimalState(np.full(game.n, game.primal_mass / game.n), game.primal_mass)
     mu0 = _null_dual(game)
 
-    params = SimParams(horizon=args.horizon, step=args.step, seed=args.seed)
+    params = SimParams(horizon=args.horizon, step=args.step)
     traj = dynamics.integrate(game, protocol, x0, mu0, params)
     report = equilibrium.in_equilibria_set(game, traj.final_primal, traj.final_dual, tol=REPORT_TOL)
     audit = monotonicity_audit(game, protocol, protocol, traj, audit_tol=AUDIT_TOL)

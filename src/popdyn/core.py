@@ -11,7 +11,8 @@ build on.
 
 Conventions used throughout:
 
-* states are 1-d float arrays; batch variants take one row per state;
+* states are 1-d float arrays; batch variants take a stack with one row
+  per state and return one row (or entry) per state;
 * the dual vector has length ``q + 1`` and index 0 is the null strategy;
 * a constraint is satisfied when its value is ``<= 0``.
 """
@@ -203,6 +204,9 @@ class QuadraticConstraint:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * (self.Q @ x) + self.a
 
+    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
+        return 2.0 * (X @ self.Q) + self.a
+
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * np.array(self.Q)
 
@@ -240,6 +244,9 @@ class QuadraticPotential:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.quad @ x + self.linear
+
+    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
+        return X @ self.quad.T + self.linear
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return np.array(self.quad)
@@ -282,6 +289,10 @@ class CongestionPotential:
         load = self.incidence @ x
         return -(self.incidence.T @ (self.weights * load))
 
+    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
+        load = X @ self.incidence.T
+        return -((self.weights * load) @ self.incidence)
+
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return -(self.incidence.T * self.weights) @ self.incidence
 
@@ -302,6 +313,9 @@ class CallablePotential:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.grad(x), dtype=float)
+
+    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self.gradient(row) for row in X]).reshape(X.shape)
 
     def hessian(self, x: np.ndarray) -> Optional[np.ndarray]:
         if self.hess is None:
@@ -332,6 +346,9 @@ class MatrixFitness:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
+    def batch(self, X: np.ndarray) -> np.ndarray:
+        return X @ self.matrix.T
+
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return np.array(self.matrix)
 
@@ -344,6 +361,9 @@ class PotentialFitness:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.rule.gradient(x)
+
+    def batch(self, X: np.ndarray) -> np.ndarray:
+        return self.rule.gradient_batch(X)
 
     def jacobian(self, x: np.ndarray) -> Optional[np.ndarray]:
         return self.rule.hessian(x)
@@ -358,6 +378,9 @@ class CallableFitness:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(x), dtype=float)
+
+    def batch(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self(row) for row in X]).reshape(X.shape)
 
     def jacobian(self, x: np.ndarray) -> Optional[np.ndarray]:
         if self.jac is None:
@@ -469,7 +492,7 @@ class GameSpec:
         for _ in range(3):
             x = _uniform_simplex(rng, self.n, self.primal_mass)
             fx = np.asarray(self.fitness(x), dtype=float)
-            num = _fd_gradient(self.potential.value, x)
+            num = _central_differences(self.potential.value, x)
             if np.max(np.abs(num - fx)) > 1e-4:
                 raise ConfigurationError(
                     "potential gradient disagrees with fitness "
@@ -481,13 +504,20 @@ class GameSpec:
         return len(self.constraints)
 
 
-def _fd_gradient(func: Callable[[np.ndarray], float], x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    grad = np.empty(x.size)
+def _central_differences(func: Callable[[np.ndarray], object], x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """Central differences of ``func`` at ``x``; entry or row ``i`` is the partial along ``x_i``.
+
+    A scalar ``func`` gives the gradient, a vector ``func`` the transposed
+    Jacobian.
+    """
+    rows = []
     for i in range(x.size):
         step = np.zeros(x.size)
         step[i] = h
-        grad[i] = (func(x + step) - func(x - step)) / (2.0 * h)
-    return grad
+        hi = np.asarray(func(x + step), dtype=float)
+        lo = np.asarray(func(x - step), dtype=float)
+        rows.append((hi - lo) / (2.0 * h))
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +578,16 @@ def constraint_values(game: GameSpec, x: PrimalState) -> np.ndarray:
     return _constraint_values_raw(game, _check_primal(game, x))
 
 
+def _constraint_values_batch(game: GameSpec, X: np.ndarray) -> np.ndarray:
+    """Constraint values for a ``(S, n)`` stack of states, shape ``(S, q + 1)``."""
+    vals = np.zeros((X.shape[0], game.q + 1))
+    if game._aff_idx.size:
+        vals[:, game._aff_idx] = X @ game._aff_rows.T - game._aff_b
+    for k, con in game._quads:
+        vals[:, k] = con.value_batch(X)
+    return vals
+
+
 def _constraint_jacobian_raw(game: GameSpec, xv: np.ndarray) -> np.ndarray:
     if not game._quads:
         return game._jac_static
@@ -574,6 +614,16 @@ def _payoff_raw(game: GameSpec, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
     return f
 
 
+def _payoff_batch(game: GameSpec, X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Constraint-discounted payoffs for stacks ``X`` ``(S, n)`` and ``M`` ``(S, q + 1)``."""
+    F = np.asarray(game.fitness.batch(X), dtype=float)
+    if game._aff_idx.size:
+        F = F - M[:, game._aff_idx] @ game._aff_rows
+    for k, con in game._quads:
+        F = F - M[:, k, None] * con.gradient_batch(X)
+    return F
+
+
 def primal_dual_payoff(game: GameSpec, x: PrimalState, mu: DualState) -> np.ndarray:
     """Constraint-discounted payoffs ``f_i(x) - sum_k mu_k dg_k/dx_i``.
 
@@ -598,14 +648,7 @@ def _fitness_jacobian_raw(game: GameSpec, xv: np.ndarray) -> np.ndarray:
                 f"fitness jacobian has shape {jac.shape}, expected {(game.n, game.n)}"
             )
         return jac
-    cols = np.empty((game.n, game.n))
-    for i in range(game.n):
-        step = np.zeros(game.n)
-        step[i] = FD_STEP
-        hi = np.asarray(game.fitness(xv + step), dtype=float)
-        lo = np.asarray(game.fitness(xv - step), dtype=float)
-        cols[:, i] = (hi - lo) / (2.0 * FD_STEP)
-    return cols
+    return np.ascontiguousarray(_central_differences(game.fitness, xv).T)
 
 
 def _payoff_jacobian_raw(game: GameSpec, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ Each strategy ``i`` gains mass from every strategy ``j`` at rate
 revision protocol and ``F`` the relevant payoff vector: the
 constraint-discounted payoff for the playing population and the constraint
 values for the pricing population.  The ``integrate`` routine advances both
-populations together with a fixed-step scheme and records the diagnostics
-downstream layers need (potential, constraint values, Lyapunov value, field
-norms).
+populations together with a fixed-step scheme.  Its step loop records only
+the states and the two field norms; the diagnostics downstream layers need
+(potential, constraint values, Lyapunov value) are filled after the loop in
+one batched pass over the recorded states.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ logger = logging.getLogger(__name__)
 REPAIR_WARN = 1e-6
 # mass drift below this is left alone to keep untouched coordinates bitwise stable
 REPAIR_DRIFT = 1e-12
+# elements of the largest gap tensor per chunk of the diagnostics pass
+DIAGNOSTICS_CHUNK = 1 << 16
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -135,7 +138,6 @@ class SimParams:
     integrator: str = "euler"
     convergence_tol: float = 1e-6
     convergence_window: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if not self.step > 0:
@@ -233,19 +235,13 @@ def sample_simplex(n: int, mass: float, seed: int) -> PrimalState:
     return PrimalState(core._uniform_simplex(rng, n, mass), mass)
 
 
-class _RepairStats:
-    __slots__ = ("count", "largest")
-
-    def __init__(self):
-        self.count = 0
-        self.largest = 0.0
-
-
-def _repair(vec: np.ndarray, mass: float, stats: _RepairStats) -> Optional[np.ndarray]:
+def _repair(vec: np.ndarray, mass: float) -> tuple[Optional[np.ndarray], float]:
     """Clip negatives, then rescale onto the mass simplex if drifted.
 
-    Returns ``None`` when clipping leaves no mass at all, which only happens
-    when the step blew the whole state out of the orthant.
+    Returns the repaired vector and the size of the repair (clipped mass or
+    mass drift, whichever is larger).  The vector is ``None`` when clipping
+    leaves no mass at all, which only happens when the step blew the whole
+    state out of the orthant.
     """
     size = 0.0
     neg = vec < 0.0
@@ -254,15 +250,37 @@ def _repair(vec: np.ndarray, mass: float, stats: _RepairStats) -> Optional[np.nd
         vec = np.where(neg, 0.0, vec)
     total = float(vec.sum())
     if total <= 0.0:
-        return None
+        return None, size
     drift = abs(total - mass)
     if drift > REPAIR_DRIFT:
         vec = vec * (mass / total)
         size = max(size, drift)
-    if size > REPAIR_WARN:
-        stats.count += 1
-        stats.largest = max(stats.largest, size)
-    return vec
+    return vec, size
+
+
+def _diagnostics(game: GameSpec, protocol: Protocol, primal: np.ndarray, dual: np.ndarray):
+    """Potential, constraint values and ``V`` at every recorded state.
+
+    Runs over row chunks so the ``(rows, n, n)`` gap tensor stays near
+    ``DIAGNOSTICS_CHUNK`` elements however long the trajectory is.
+    """
+    # break the import cycle: lyapunov builds on this module's protocols
+    from .lyapunov import _value_batch
+
+    T = primal.shape[0]
+    pot = np.full(T, np.nan)
+    cons = np.empty((T, game.q + 1))
+    lyap = np.empty(T)
+    rows = max(1, DIAGNOSTICS_CHUNK // max(game.n, game.q + 1) ** 2)
+    for lo in range(0, T, rows):
+        sl = slice(lo, lo + rows)
+        X, M = primal[sl], dual[sl]
+        if game.potential is not None:
+            pot[sl] = game.potential.value_batch(X)
+        cons[sl] = core._constraint_values_batch(game, X)
+        F = core._payoff_batch(game, X, M)
+        lyap[sl] = _value_batch(protocol, protocol, X, M, F, cons[sl])
+    return pot, cons, lyap
 
 
 def integrate(
@@ -277,14 +295,18 @@ def integrate(
     Uses forward Euler or classic RK4 at fixed step ``params.step``; recorded
     times are ``k * step`` exactly as computed by that product.  After each
     step, tiny negativity/mass violations introduced by the scheme are
-    repaired (clip, then rescale); repairs beyond ``REPAIR_WARN`` are counted
-    and reported once per call through the module logger.  Integration stops
-    early once the convergence criterion in ``params`` holds, and raises
-    ``IntegrationDivergedError`` if the state leaves the representable range.
-    """
-    # break the import cycle: lyapunov builds on this module's protocols
-    from .lyapunov import _value_raw as _lyapunov_raw
+    repaired (clip, then rescale); steps whose repair exceeds ``REPAIR_WARN``
+    are counted and reported once per call through the module logger.
+    Integration stops early once the convergence criterion in ``params``
+    holds, and raises ``IntegrationDivergedError`` if the state leaves the
+    representable range.
 
+    The step loop evaluates only the two fields, their norms and the update.
+    Potential, constraint values and ``V`` are filled after the loop in one
+    batched pass over the recorded states; they agree with the scalar
+    ``core.potential``, ``core.constraint_values`` and
+    ``lyapunov.lyapunov_value`` to rounding, not bitwise.
+    """
     xv = np.array(core._check_primal(game, x0))
     muv = np.array(core._check_dual(game, mu0))
     h = params.step
@@ -294,13 +316,11 @@ def integrate(
     times = np.empty(T)
     primal = np.empty((T, game.n))
     dual = np.empty((T, game.q + 1))
-    pot = np.full(T, np.nan)
-    cons = np.empty((T, game.q + 1))
-    lyap = np.empty(T)
     xnorm = np.empty(T)
     munorm = np.empty(T)
 
-    stats = _RepairStats()
+    repaired = 0
+    largest = 0.0
     quiet = 0
     converged = False
     recorded = 0
@@ -308,21 +328,17 @@ def integrate(
     for k in range(T):
         fx = _primal_field_raw(game, protocol, xv, muv)
         fmu = _dual_field_raw(game, protocol, xv, muv)
-        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fmu))):
+        if not (np.isfinite(fx).all() and np.isfinite(fmu).all()):
             raise IntegrationDivergedError(k)
 
         times[k] = k * h
         primal[k] = xv
         dual[k] = muv
-        if game.potential is not None:
-            pot[k] = game.potential.value(xv)
-        cons[k] = core._constraint_values_raw(game, xv)
-        lyap[k] = _lyapunov_raw(game, protocol, protocol, xv, muv)
-        xnorm[k] = np.max(np.abs(fx))
-        munorm[k] = np.max(np.abs(fmu))
+        xnorm[k] = fx_norm = np.abs(fx).max()
+        munorm[k] = fmu_norm = np.abs(fmu).max()
         recorded = k + 1
 
-        if xnorm[k] + munorm[k] < params.convergence_tol:
+        if fx_norm + fmu_norm < params.convergence_tol:
             quiet += 1
             if quiet >= params.convergence_window:
                 converged = True
@@ -337,30 +353,35 @@ def integrate(
             muv_new = muv + h * fmu
         else:
             xv_new, muv_new = _rk4_step(game, protocol, xv, muv, h, fx, fmu)
-        if not (np.all(np.isfinite(xv_new)) and np.all(np.isfinite(muv_new))):
+        if not (np.isfinite(xv_new).all() and np.isfinite(muv_new).all()):
             raise IntegrationDivergedError(k + 1)
-        xv = _repair(xv_new, game.primal_mass, stats)
-        muv = _repair(muv_new, game.dual_mass, stats)
+        xv, x_size = _repair(xv_new, game.primal_mass)
+        muv, mu_size = _repair(muv_new, game.dual_mass)
         if xv is None or muv is None:
             raise IntegrationDivergedError(k + 1)
+        size = max(x_size, mu_size)
+        if size > REPAIR_WARN:
+            repaired += 1
+            largest = max(largest, size)
 
-    if stats.count:
+    if repaired:
         logger.warning(
             "simplex repair exceeded %g on %d of %d steps (largest %.3g)",
             REPAIR_WARN,
-            stats.count,
+            repaired,
             recorded - 1,
-            stats.largest,
+            largest,
         )
 
     sl = slice(0, recorded)
+    pot, cons, lyap = _diagnostics(game, protocol, primal[sl], dual[sl])
     return Trajectory(
         times=times[sl],
         primal=primal[sl],
         dual=dual[sl],
-        potential=pot[sl],
-        constraints=cons[sl],
-        lyapunov=lyap[sl],
+        potential=pot,
+        constraints=cons,
+        lyapunov=lyap,
         primal_field_norm=xnorm[sl],
         dual_field_norm=munorm[sl],
         converged=converged,

@@ -152,8 +152,28 @@ def test_simulate_seed_fanout(out_root, capsys):
     summaries = json.loads(out)
     assert [s["seed"] for s in summaries] == [0, 1, 2]
     assert all(s["converged"] for s in summaries)
-    for seed in (0, 1, 2):
-        assert (out_root / f"fan-seed{seed}.csv").exists()
+    # each fanned-out seed reproduces its single-seed run exactly
+    for seed, summary in zip((0, 1, 2), summaries):
+        single_path = out_root / f"single-{seed}.csv"
+        code, out, _ = run_cli(
+            [
+                "simulate",
+                "--game",
+                "paper-congestion",
+                "--seed",
+                str(seed),
+                "--out",
+                str(single_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        fan_path = out_root / f"fan-seed{seed}.csv"
+        assert fan_path.read_bytes() == single_path.read_bytes()
+        single = json.loads(out)
+        assert summary["out"] == str(fan_path)
+        assert single["out"] == str(single_path)
+        assert {**summary, "out": None} == {**single, "out": None}
 
 
 def test_simulate_is_deterministic(out_root, capsys):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import popdyn as pd
+from popdyn import dynamics
 from popdyn.dynamics import REPAIR_WARN
+from popdyn.lyapunov import _value_raw
 
 from conftest import null_dual, random_simplex
 
@@ -276,3 +278,140 @@ def test_clean_runs_emit_no_repair_warning(rps, smith, caplog):
             pd.SimParams(horizon=2.0, step=0.01),
         )
     assert not [r for r in caplog.records if "repair" in r.getMessage()]
+
+
+def test_repair_warning_counts_repaired_steps(rps, smith, caplog):
+    # at h = 0.5 the Euler step leaves the simplex on some steps only; the
+    # warning's second argument must be the number of those steps, recounted
+    # here from the recorded states through the public fields
+    h = 0.5
+    with caplog.at_level(logging.WARNING, logger="popdyn.dynamics"):
+        traj = pd.integrate(
+            rps,
+            smith,
+            pd.sample_simplex(3, 1.0, seed=1),
+            null_dual(rps),
+            pd.SimParams(horizon=100.0, step=h),
+        )
+    repairs = [r for r in caplog.records if "repair" in r.getMessage()]
+    assert len(repairs) == 1
+
+    def repair_size(raw, mass):
+        return max(float(-raw[raw < 0].sum()), abs(float(np.maximum(raw, 0.0).sum()) - mass))
+
+    expected = 0
+    for k in range(len(traj) - 1):
+        x, mu = traj.state_at(k)
+        size_x = repair_size(x.x + h * pd.primal_field(rps, smith, x, mu), rps.primal_mass)
+        size_mu = repair_size(mu.mu + h * pd.dual_field(rps, smith, x, mu), rps.dual_mass)
+        expected += max(size_x, size_mu) > REPAIR_WARN
+    assert 0 < expected < len(traj) - 1
+    assert repairs[0].args[1] == expected
+    assert repairs[0].args[2] == len(traj) - 1
+
+
+# --- batched diagnostics ---
+
+
+def assert_diagnostics_match_scalar(game, protocol, traj):
+    """Recorded V, p and g agree row by row with the scalar evaluators."""
+    scalar_v = np.array(
+        [_value_raw(game, protocol, protocol, x, mu) for x, mu in zip(traj.primal, traj.dual)]
+    )
+    assert np.all(np.abs(traj.lyapunov - scalar_v) <= 1e-12 * np.maximum(1.0, np.abs(scalar_v)))
+    assert traj.lyapunov.min() >= 0.0
+    for i in range(len(traj)):
+        x, _ = traj.state_at(i)
+        g = pd.constraint_values(game, x)
+        assert np.all(np.abs(traj.constraints[i] - g) <= 1e-12 * np.maximum(1.0, np.abs(g)))
+        if game.potential is None:
+            assert np.isnan(traj.potential[i])
+        else:
+            p = pd.potential(game, x)
+            assert abs(traj.potential[i] - p) <= 1e-12 * max(1.0, abs(p))
+
+
+def test_diagnostics_match_scalar_on_builtin_games(congestion, congestion_run, rps, rps_run, smith):
+    # the congestion run spans several chunks of the diagnostics pass
+    rows = dynamics.DIAGNOSTICS_CHUNK // max(congestion.n, congestion.q + 1) ** 2
+    assert len(congestion_run) > 2 * rows
+    assert_diagnostics_match_scalar(congestion, smith, congestion_run)
+    assert_diagnostics_match_scalar(rps, smith, rps_run)
+
+
+def _mixed_constraint_game():
+    # concave quadratic potential under one affine and one quadratic cap
+    return pd.build_quadratic_potential(
+        -np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.5]]),
+        np.array([1.0, 0.2, 0.6]),
+        (
+            pd.AffineConstraint(np.array([1.0, 0.0, 0.0]), 0.3),
+            pd.QuadraticConstraint(np.diag([1.0, 1.0, 0.0]), np.array([0.0, 0.1, 0.0]), 0.2),
+        ),
+        dual_mass=3.0,
+    )
+
+
+def _callable_game():
+    # gradient of p(x) = -0.5 |x - t|^2 through callables only
+    target = np.array([0.6, 0.3, 0.1])
+    return pd.GameSpec(
+        n=3,
+        primal_mass=1.0,
+        dual_mass=2.0,
+        fitness=pd.CallableFitness(lambda x: target - x),
+        constraints=(pd.AffineConstraint(np.array([1.0, 0.0, 0.0]), 0.4),),
+        potential=pd.CallablePotential(
+            func=lambda x: -0.5 * float((x - target) @ (x - target)),
+            grad=lambda x: target - x,
+        ),
+    )
+
+
+def _callable_potential_game():
+    # vector fitness from the potential's gradient callable
+    rule = pd.CallablePotential(func=lambda x: -float(x @ x), grad=lambda x: -2.0 * x)
+    return pd.GameSpec(
+        n=3,
+        primal_mass=1.0,
+        dual_mass=2.0,
+        fitness=pd.PotentialFitness(rule),
+        constraints=(pd.QuadraticConstraint(np.eye(3), np.zeros(3), 0.5),),
+        potential=rule,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_game", [_mixed_constraint_game, _callable_game, _callable_potential_game]
+)
+def test_diagnostics_match_scalar_across_chunks(make_game, smith, monkeypatch):
+    # a tiny chunk puts many chunk boundaries inside a short run
+    monkeypatch.setattr(dynamics, "DIAGNOSTICS_CHUNK", 50)
+    game = make_game()
+    mu0 = pd.DualState(np.full(game.q + 1, game.dual_mass / (game.q + 1)), game.dual_mass)
+    traj = pd.integrate(
+        game, smith, pd.sample_simplex(3, 1.0, seed=4), mu0, pd.SimParams(horizon=3.0, step=0.01)
+    )
+    assert_diagnostics_match_scalar(game, smith, traj)
+
+
+def test_diagnostics_use_quadrature_without_antiderivative(rps, smith, monkeypatch):
+    monkeypatch.setattr(dynamics, "DIAGNOSTICS_CHUNK", 50)
+    numeric = pd.Protocol(name="smith-numeric", value=smith.value)
+    traj = pd.integrate(
+        rps,
+        numeric,
+        pd.sample_simplex(3, 1.0, seed=6),
+        null_dual(rps),
+        pd.SimParams(horizon=0.5, step=0.01),
+    )
+    assert_diagnostics_match_scalar(rps, numeric, traj)
+    closed = pd.integrate(
+        rps,
+        smith,
+        pd.sample_simplex(3, 1.0, seed=6),
+        null_dual(rps),
+        pd.SimParams(horizon=0.5, step=0.01),
+    )
+    assert np.array_equal(closed.primal, traj.primal)
+    assert np.max(np.abs(closed.lyapunov - traj.lyapunov)) <= 1e-9

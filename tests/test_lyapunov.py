@@ -158,8 +158,10 @@ def test_audit_confirms_decrease_on_converged_run(congestion, congestion_run, sm
     assert audit.fraction_nonincreasing == 1.0
     assert audit.max_increase <= 1e-8
     assert audit.nonnegativity_ok
-    # recomputed values cross-check the recorded channel
-    assert np.array_equal(audit.values, congestion_run.lyapunov)
+    # the scalar audit cross-checks the batched pass that recorded V; the
+    # two sum in different orders, so they agree to rounding, not bitwise
+    bound = 1e-12 * np.maximum(1.0, np.abs(audit.values))
+    assert np.all(np.abs(audit.values - congestion_run.lyapunov) <= bound)
 
 
 def test_audit_flags_a_constructed_increase(rps, smith):
