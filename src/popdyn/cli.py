@@ -191,23 +191,20 @@ def _null_dual(game: GameSpec) -> DualState:
     return DualState(mu, game.dual_mass)
 
 
-def _default_primal(game: GameSpec, seed: int) -> PrimalState:
-    # the rps benchmark starts at the barycenter by convention; everything
-    # else draws a seeded uniform start
-    if game.name == "paper-rps":
-        return PrimalState(np.full(game.n, game.primal_mass / game.n), game.primal_mass)
-    return dynamics.sample_simplex(game.n, game.primal_mass, seed)
+def _default_primal(game: GameSpec, seed: int) -> tuple[PrimalState, int | None]:
+    """Returns ``(x0, used_seed)``: the game's fixed start with seed None, else a seeded draw."""
+    if game.start is not None:
+        return game.start, None
+    return dynamics.sample_simplex(game.n, game.primal_mass, seed), seed
 
 
 def _initial_conditions(game: GameSpec, x0_flag, mu0_flag, seed: int):
     """Returns ``(x0, mu0, used_seed)``; the seed is None unless drawn from."""
-    used_seed = None
     if x0_flag is not None:
         x0 = PrimalState(_parse_vector(x0_flag, "--x0"), game.primal_mass)
+        used_seed = None
     else:
-        x0 = _default_primal(game, seed)
-        if game.name != "paper-rps":
-            used_seed = seed
+        x0, used_seed = _default_primal(game, seed)
     if mu0_flag is not None:
         mu0 = DualState(_parse_vector(mu0_flag, "--mu0"), game.dual_mass)
     else:
@@ -432,12 +429,8 @@ def cmd_repro(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     protocol = PROTOCOLS["smith"]()
-    if args.experiment == "congestion":
-        game = games.paper_congestion()
-        x0 = dynamics.sample_simplex(game.n, game.primal_mass, args.seed)
-    else:
-        game = games.paper_rps()
-        x0 = PrimalState(np.full(game.n, game.primal_mass / game.n), game.primal_mass)
+    game = games.paper_congestion() if args.experiment == "congestion" else games.paper_rps()
+    x0, _ = _default_primal(game, args.seed)
     mu0 = _null_dual(game)
 
     params = SimParams(horizon=args.horizon, step=args.step)

@@ -416,6 +416,9 @@ class GameSpec:
         cross-checked against the fitness at a few sampled states.
     name : str
         Optional label used in logs and CLI output.
+    start : PrimalState, optional
+        Fixed start of the playing population, used by the CLI in place of
+        a seeded random draw; must match ``n`` and ``primal_mass``.
     """
 
     n: int
@@ -425,6 +428,7 @@ class GameSpec:
     constraints: tuple = ()
     potential: Optional[PotentialRule] = None
     name: str = ""
+    start: Optional[PrimalState] = None
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
@@ -437,6 +441,13 @@ class GameSpec:
         object.__setattr__(self, "primal_mass", float(self.primal_mass))
         object.__setattr__(self, "dual_mass", float(self.dual_mass))
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if self.start is not None and (
+            self.start.n != self.n or self.start.mass != self.primal_mass
+        ):
+            raise ConfigurationError(
+                f"start has {self.start.n} strategies and mass {self.start.mass:.12g}, "
+                f"expected {self.n} and {self.primal_mass:.12g}"
+            )
         for k, con in enumerate(self.constraints, start=1):
             if con.dimension != self.n:
                 raise ConfigurationError(
@@ -471,6 +482,16 @@ class GameSpec:
         if not quads:
             jac.flags.writeable = False
         object.__setattr__(self, "_jac_static", jac)
+        # the dynamics step the joint state (x, mu): entries of its gap matrix
+        # that pair the two populations are masked out, and norms and repair
+        # reduce over the two blocks starting at these offsets
+        size = self.n + self.q + 1
+        mask = np.zeros((size, size), dtype=bool)
+        mask[: self.n, : self.n] = True
+        mask[self.n :, self.n :] = True
+        mask.flags.writeable = False
+        object.__setattr__(self, "_block_mask", mask)
+        object.__setattr__(self, "_block_starts", _frozen_array([0, self.n], dtype=np.intp))
 
     def _check_shapes_and_potential(self):
         rng = np.random.default_rng(0)

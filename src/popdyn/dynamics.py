@@ -4,16 +4,26 @@ Each strategy ``i`` gains mass from every strategy ``j`` at rate
 ``x_j * rho(F_i - F_j)`` and loses it symmetrically, where ``rho`` is the
 revision protocol and ``F`` the relevant payoff vector: the
 constraint-discounted payoff for the playing population and the constraint
-values for the pricing population.  The ``integrate`` routine advances both
-populations together with a fixed-step scheme.  Its step loop records only
-the states and the two field norms; the diagnostics downstream layers need
-(potential, constraint values, Lyapunov value) are filled after the loop in
-one batched pass over the recorded states.
+values for the pricing population.  Both populations follow the same
+exchange rule, so one kernel evaluates them together on the joint state
+``z = (x, mu)`` of length ``n + q + 1``: one payoff vector ``(F, G)``, one
+gap matrix whose cross-population entries a block mask sets to exact zeros,
+and one net flow.  No mass crosses between the populations, and each keeps
+its own mass.  The per-population fields are slices of that kernel.
+
+``integrate`` advances the joint state with a fixed-step scheme.  Its step
+loop records only the states and the two field norms, which come from one
+segmented maximum over the two blocks; after each update, one segmented
+minimum and one segmented sum decide whether a block needs the simplex
+repair.  The diagnostics downstream layers need (potential, constraint
+values, Lyapunov value) are filled after the loop in one batched pass over
+the recorded states.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -192,27 +202,35 @@ class Trajectory:
         return DualState(self.dual[-1], self.dual_mass)
 
 
-def _exchange_field(protocol: Protocol, shares: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-    """Net mass flow per strategy under pairwise comparison.
+def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarray:
+    """Fields of both populations at the joint state ``z = (x, mu)``.
 
-    ``flow[i, j] = shares_j * rho(payoff_i - payoff_j)`` is the gross inflow
-    from ``j`` to ``i``; the net field is the row sum of ``flow - flow.T``.
-    That difference is exactly antisymmetric in floating point, so the field
-    sums to zero to rounding of the final reduction, and a strategy with zero
-    share only ever gains.
+    ``P = (F(x, mu), G(x))`` stacks the two payoff vectors, and
+    ``flow[i, j] = z_j * rho(P_i - P_j)`` is the gross inflow from ``j`` to
+    ``i``.  Gaps that pair a strategy with a price are masked to exact zeros
+    by ``game._block_mask`` before the protocol sees them, so mass never
+    crosses between the populations.  The net field is the row sum of
+    ``flow - flow.T``; that difference is exactly antisymmetric in floating
+    point, so each block sums to zero to rounding of the final reduction,
+    and a strategy with zero share only ever gains.
     """
-    gaps = payoffs[:, None] - payoffs[None, :]
-    flow = np.asarray(protocol.value(gaps), dtype=float) * shares[None, :]
-    net = flow - flow.T
-    return net.sum(axis=1)
+    n = game.n
+    xv = z[:n]
+    payoffs = np.concatenate(
+        (core._payoff_raw(game, xv, z[n:]), core._constraint_values_raw(game, xv))
+    )
+    mask = game._block_mask
+    gaps = np.subtract(payoffs[:, None], payoffs, out=np.zeros(mask.shape), where=mask)
+    flow = np.asarray(protocol.value(gaps), dtype=float) * z
+    return (flow - flow.T).sum(axis=1)
 
 
 def _primal_field_raw(game: GameSpec, protocol: Protocol, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
-    return _exchange_field(protocol, xv, core._payoff_raw(game, xv, muv))
+    return _joint_field(game, protocol, np.concatenate((xv, muv)))[: game.n]
 
 
 def _dual_field_raw(game: GameSpec, protocol: Protocol, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
-    return _exchange_field(protocol, muv, core._constraint_values_raw(game, xv))
+    return _joint_field(game, protocol, np.concatenate((xv, muv)))[game.n :]
 
 
 def primal_field(game: GameSpec, protocol: Protocol, x: PrimalState, mu: DualState) -> np.ndarray:
@@ -292,29 +310,44 @@ def integrate(
 ) -> Trajectory:
     """Advance both populations from ``(x0, mu0)`` and record every step.
 
-    Uses forward Euler or classic RK4 at fixed step ``params.step``; recorded
-    times are ``k * step`` exactly as computed by that product.  After each
-    step, tiny negativity/mass violations introduced by the scheme are
-    repaired (clip, then rescale); steps whose repair exceeds ``REPAIR_WARN``
-    are counted and reported once per call through the module logger.
-    Integration stops early once the convergence criterion in ``params``
-    holds, and raises ``IntegrationDivergedError`` if the state leaves the
-    representable range.
+    The loop steps the joint state ``z = (x, mu)`` of length ``n + q + 1``
+    with forward Euler or classic RK4 at fixed step ``params.step``; each
+    field evaluation is one call of the joint kernel, whose block mask keeps
+    the two populations' exchanges apart.  Recorded times are ``k * step``
+    exactly as computed by that product.  Both field norms come from one
+    segmented maximum over the two blocks, and their finiteness is the
+    divergence guard before a state is recorded.
 
-    The step loop evaluates only the two fields, their norms and the update.
+    After each update one segmented minimum and one segmented sum check
+    the two blocks.  A block that stayed nonnegative and kept its mass to
+    ``REPAIR_DRIFT`` is taken as is; otherwise the new state is checked
+    for finiteness and each block is repaired (clip negatives, then
+    rescale).  Steps whose repair exceeds ``REPAIR_WARN`` are counted and
+    reported once per call through the module logger.  Integration stops
+    early once the convergence criterion in ``params`` holds, and raises
+    ``IntegrationDivergedError`` if the state leaves the representable
+    range: at step ``k`` for a non-finite field at recorded state ``k``,
+    at step ``k + 1`` for a non-finite update from it.
+
     Potential, constraint values and ``V`` are filled after the loop in one
     batched pass over the recorded states; they agree with the scalar
     ``core.potential``, ``core.constraint_values`` and
     ``lyapunov.lyapunov_value`` to rounding, not bitwise.
     """
-    xv = np.array(core._check_primal(game, x0))
-    muv = np.array(core._check_dual(game, mu0))
+    n = game.n
+    z = np.concatenate((core._check_primal(game, x0), core._check_dual(game, mu0)))
     h = params.step
     nsteps = int(np.floor(params.horizon / h + 1e-9))
     T = nsteps + 1
+    euler = params.integrator == "euler"
+    tol = params.convergence_tol
+    window = params.convergence_window
+    blocks = game._block_starts
+    primal_mass = game.primal_mass
+    dual_mass = game.dual_mass
 
     times = np.empty(T)
-    primal = np.empty((T, game.n))
+    primal = np.empty((T, n))
     dual = np.empty((T, game.q + 1))
     xnorm = np.empty(T)
     munorm = np.empty(T)
@@ -326,21 +359,22 @@ def integrate(
     recorded = 0
 
     for k in range(T):
-        fx = _primal_field_raw(game, protocol, xv, muv)
-        fmu = _dual_field_raw(game, protocol, xv, muv)
-        if not (np.isfinite(fx).all() and np.isfinite(fmu).all()):
+        fz = _joint_field(game, protocol, z)
+        # the maximum propagates NaN, so finite norms mean a finite field
+        fx_norm, fmu_norm = np.maximum.reduceat(np.abs(fz), blocks).tolist()
+        if not (math.isfinite(fx_norm) and math.isfinite(fmu_norm)):
             raise IntegrationDivergedError(k)
 
         times[k] = k * h
-        primal[k] = xv
-        dual[k] = muv
-        xnorm[k] = fx_norm = np.abs(fx).max()
-        munorm[k] = fmu_norm = np.abs(fmu).max()
+        primal[k] = z[:n]
+        dual[k] = z[n:]
+        xnorm[k] = fx_norm
+        munorm[k] = fmu_norm
         recorded = k + 1
 
-        if fx_norm + fmu_norm < params.convergence_tol:
+        if fx_norm + fmu_norm < tol:
             quiet += 1
-            if quiet >= params.convergence_window:
+            if quiet >= window:
                 converged = True
                 break
         else:
@@ -348,17 +382,25 @@ def integrate(
         if k == nsteps:
             break
 
-        if params.integrator == "euler":
-            xv_new = xv + h * fx
-            muv_new = muv + h * fmu
-        else:
-            xv_new, muv_new = _rk4_step(game, protocol, xv, muv, h, fx, fmu)
-        if not (np.isfinite(xv_new).all() and np.isfinite(muv_new).all()):
+        z_new = z + h * fz if euler else _rk4_step(game, protocol, z, h, fz)
+        # fast path: no negative share and no mass drift in either block,
+        # which also rules out inf and NaN, so the state needs no repair
+        x_low, mu_low = np.minimum.reduceat(z_new, blocks).tolist()
+        if x_low >= 0.0 and mu_low >= 0.0:
+            x_total, mu_total = np.add.reduceat(z_new, blocks).tolist()
+            if (
+                abs(x_total - primal_mass) <= REPAIR_DRIFT
+                and abs(mu_total - dual_mass) <= REPAIR_DRIFT
+            ):
+                z = z_new
+                continue
+        if not np.isfinite(z_new).all():
             raise IntegrationDivergedError(k + 1)
-        xv, x_size = _repair(xv_new, game.primal_mass)
-        muv, mu_size = _repair(muv_new, game.dual_mass)
+        xv, x_size = _repair(z_new[:n], primal_mass)
+        muv, mu_size = _repair(z_new[n:], dual_mass)
         if xv is None or muv is None:
             raise IntegrationDivergedError(k + 1)
+        z = np.concatenate((xv, muv))
         size = max(x_size, mu_size)
         if size > REPAIR_WARN:
             repaired += 1
@@ -385,18 +427,13 @@ def integrate(
         primal_field_norm=xnorm[sl],
         dual_field_norm=munorm[sl],
         converged=converged,
-        primal_mass=game.primal_mass,
-        dual_mass=game.dual_mass,
+        primal_mass=primal_mass,
+        dual_mass=dual_mass,
     )
 
 
-def _rk4_step(game, protocol, xv, muv, h, k1x, k1m):
-    k2x = _primal_field_raw(game, protocol, xv + 0.5 * h * k1x, muv + 0.5 * h * k1m)
-    k2m = _dual_field_raw(game, protocol, xv + 0.5 * h * k1x, muv + 0.5 * h * k1m)
-    k3x = _primal_field_raw(game, protocol, xv + 0.5 * h * k2x, muv + 0.5 * h * k2m)
-    k3m = _dual_field_raw(game, protocol, xv + 0.5 * h * k2x, muv + 0.5 * h * k2m)
-    k4x = _primal_field_raw(game, protocol, xv + h * k3x, muv + h * k3m)
-    k4m = _dual_field_raw(game, protocol, xv + h * k3x, muv + h * k3m)
-    xv_new = xv + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    muv_new = muv + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    return xv_new, muv_new
+def _rk4_step(game, protocol, z, h, k1):
+    k2 = _joint_field(game, protocol, z + 0.5 * h * k1)
+    k3 = _joint_field(game, protocol, z + 0.5 * h * k2)
+    k4 = _joint_field(game, protocol, z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -10,7 +10,7 @@ constraint.  Both are also reachable from the CLI through the builtin names
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .core import (
     GameSpec,
     MatrixFitness,
     PotentialFitness,
+    PrimalState,
     QuadraticConstraint,
     QuadraticPotential,
 )
@@ -111,7 +112,11 @@ def build_congestion(
 
 
 def build_rps(
-    primal_mass: float = 1.0, dual_mass: float = 4.0, cap: float = 0.1, name: str = "rps"
+    primal_mass: float = 1.0,
+    dual_mass: float = 4.0,
+    cap: float = 0.1,
+    name: str = "rps",
+    start: Optional[PrimalState] = None,
 ) -> GameSpec:
     """Cyclic three-strategy matrix game with the constraint ``x_1^2 + x_2^2 <= cap``.
 
@@ -119,7 +124,7 @@ def build_rps(
     losing costs, which shifts the unconstrained equilibrium to the
     barycenter; the quadratic cap rules that point out.  No potential exists
     (the matrix has a rotational part), so downstream checks use the
-    stable-game route instead.
+    stable-game route instead.  ``start`` becomes the game's fixed start.
     """
     if not cap > 0:
         raise ConfigurationError("cap must be positive")
@@ -135,6 +140,7 @@ def build_rps(
         constraints=(constraint,),
         potential=None,
         name=name,
+        start=start,
     )
 
 
@@ -203,8 +209,12 @@ def paper_congestion(dual_mass: float = 122.0) -> GameSpec:
 
 
 def paper_rps() -> GameSpec:
-    """The benchmark constrained rock-paper-scissors instance."""
-    return build_rps(primal_mass=1.0, dual_mass=4.0, cap=0.1, name="paper-rps")
+    """The benchmark constrained rock-paper-scissors instance.
+
+    Its runs start at the barycenter, carried as the game's ``start``.
+    """
+    barycenter = PrimalState(np.full(3, 1.0 / 3.0), 1.0)
+    return build_rps(primal_mass=1.0, dual_mass=4.0, cap=0.1, name="paper-rps", start=barycenter)
 
 
 BUILTIN_GAMES = {

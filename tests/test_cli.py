@@ -134,6 +134,37 @@ def test_simulate_explicit_start_vectors(out_root, capsys):
     assert summary["seed"] is None
 
 
+def test_simulate_paper_rps_starts_at_the_barycenter(out_root, capsys):
+    out_path = out_root / "rps.csv"
+    code, out, _ = run_cli(
+        [
+            "simulate",
+            "--game",
+            "paper-rps",
+            "--seed",
+            "7",
+            "--horizon",
+            "0.05",
+            "--out",
+            str(out_path),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert json.loads(out)["seed"] is None
+    _, rows = read_csv_rows(out_path)
+    assert [float(v) for v in rows[0][1:4]] == [1.0 / 3.0] * 3
+
+
+def test_default_start_comes_from_the_game_not_its_name():
+    x0, seed = cli._default_primal(pd.paper_rps(), 3)
+    assert seed is None
+    assert np.array_equal(x0.x, np.full(3, 1.0 / 3.0))
+    x0, seed = cli._default_primal(pd.build_rps(name="paper-rps"), 3)
+    assert seed == 3
+    assert np.array_equal(x0.x, pd.sample_simplex(3, 1.0, 3).x)
+
+
 def test_simulate_seed_fanout(out_root, capsys):
     out_path = out_root / "fan.csv"
     code, out, _ = run_cli(

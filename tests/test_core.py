@@ -183,6 +183,16 @@ def test_game_spec_rejects_potential_fitness_mismatch():
         pd.GameSpec(n=2, primal_mass=1.0, dual_mass=1.0, fitness=wrong, potential=pot)
 
 
+@pytest.mark.parametrize(
+    "start", [pd.PrimalState(np.full(2, 0.5), mass=1.0), pd.PrimalState(np.full(3, 0.5), mass=1.5)]
+)
+def test_game_spec_rejects_start_of_another_population(start):
+    with pytest.raises(pd.ConfigurationError):
+        pd.GameSpec(
+            n=3, primal_mass=1.0, dual_mass=1.0, fitness=pd.MatrixFitness(np.eye(3)), start=start
+        )
+
+
 def test_game_spec_counts_constraints(congestion, rps):
     assert congestion.q == 8
     assert rps.q == 1

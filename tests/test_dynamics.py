@@ -415,3 +415,47 @@ def test_diagnostics_use_quadrature_without_antiderivative(rps, smith, monkeypat
     )
     assert np.array_equal(closed.primal, traj.primal)
     assert np.max(np.abs(closed.lyapunov - traj.lyapunov)) <= 1e-9
+
+
+def test_divergence_in_the_update_is_reported_at_the_next_step(rps, smith):
+    # the field at the start is finite; one step of h = 1e308 overflows the prices
+    x0 = pd.PrimalState(np.array([0.8, 0.1, 0.1]), mass=1.0)
+    mu0 = null_dual(rps)
+    field = pd.dual_field(rps, smith, x0, mu0)
+    assert np.all(np.isfinite(field))
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(mu0.mu + 1e308 * field))
+        with pytest.raises(pd.IntegrationDivergedError) as err:
+            pd.integrate(rps, smith, x0, mu0, pd.SimParams(horizon=1e308, step=1e308))
+    assert err.value.step == 1
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_protocol_sees_only_within_population_gaps(congestion, rps, smith, integrator):
+    for game in (congestion, rps):
+        n, m = game.n, game.q + 1
+        seen = []
+
+        def value(gaps):
+            seen.append(np.array(gaps))
+            return smith.value(gaps)
+
+        recorder = pd.Protocol("recorder", value, smith.antiderivative)
+        traj = pd.integrate(
+            game,
+            recorder,
+            pd.sample_simplex(n, game.primal_mass, seed=2),
+            null_dual(game),
+            pd.SimParams(horizon=2.0, step=0.01, integrator=integrator),
+        )
+        assert len(seen) >= len(traj)
+        for gaps in seen:
+            # a gap matrix is antisymmetric with a zero diagonal; entries
+            # pairing a strategy with a price are exact zeros
+            assert np.array_equal(gaps, -gaps.T)
+            if gaps.shape == (n + m, n + m):
+                assert np.all(gaps[:n, n:] == 0.0) and np.all(gaps[n:, :n] == 0.0)
+            else:
+                assert gaps.shape in ((n, n), (m, m))
+        assert np.max(np.abs(traj.primal.sum(axis=1) - game.primal_mass)) <= 1e-12
+        assert np.max(np.abs(traj.dual.sum(axis=1) - game.dual_mass)) <= 1e-12

@@ -1,0 +1,225 @@
+"""Exchange fields against an independent plain-Python oracle.
+
+The oracle rebuilds both payoff vectors from the game's data and evaluates
+each population's field as the explicit double sum
+
+    xdot_i = sum_j z_j rho(P_i - P_j) - z_i sum_j rho(P_j - P_i)
+
+in Python floats, sharing no code with ``popdyn.dynamics``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import popdyn as pd
+from popdyn import dynamics
+
+from conftest import random_simplex
+
+
+def smith_rate(g):
+    return max(g, 0.0)
+
+
+def smith_integral(g):
+    return 0.5 * max(g, 0.0) ** 2
+
+
+def square_rate(g):
+    return max(g, 0.0) ** 2
+
+
+def square_integral(g):
+    return max(g, 0.0) ** 3 / 3.0
+
+
+# rate rho(g) = max(g, 0)^2 with antiderivative g^3 / 3 for g > 0
+SQUARE = pd.Protocol(
+    "square",
+    lambda g: np.maximum(g, 0.0) ** 2,
+    lambda g: np.maximum(g, 0.0) ** 3 / 3.0,
+)
+SCALAR = {"smith": (smith_rate, smith_integral), "square": (square_rate, square_integral)}
+
+
+def oracle_payoffs(game, x, mu):
+    """``(F, G)`` as lists of floats from the fitness rule and the constraint data."""
+    F = [float(v) for v in game.fitness(np.array(x))]
+    G = [0.0]
+    for k, con in enumerate(game.constraints, start=1):
+        a = con.a.tolist()
+        if isinstance(con, pd.AffineConstraint):
+            value = sum(ai * xi for ai, xi in zip(a, x)) - con.b
+            grad = a
+        else:
+            Q = con.Q.tolist()
+            Qx = [sum(qij * xj for qij, xj in zip(row, x)) for row in Q]
+            quad = sum(xi * qxi for xi, qxi in zip(x, Qx))
+            value = quad + sum(ai * xi for ai, xi in zip(a, x)) - con.c
+            grad = [2.0 * qxi + ai for qxi, ai in zip(Qx, a)]
+        G.append(value)
+        F = [fi - mu[k] * gi for fi, gi in zip(F, grad)]
+    return F, G
+
+
+def oracle_field(rate, shares, payoffs):
+    return [
+        sum(zj * rate(pi - pj) for zj, pj in zip(shares, payoffs))
+        - zi * sum(rate(pj - pi) for pj in payoffs)
+        for zi, pi in zip(shares, payoffs)
+    ]
+
+
+def check_fields(game, protocol, xv, muv):
+    """The joint kernel and both per-population wrappers against the oracle."""
+    rate = SCALAR[protocol.name][0]
+    x, mu = xv.tolist(), muv.tolist()
+    F, G = oracle_payoffs(game, x, mu)
+    expected = {
+        "primal": (oracle_field(rate, x, F), F, game.primal_mass),
+        "dual": (oracle_field(rate, mu, G), G, game.dual_mass),
+    }
+    joint = dynamics._joint_field(game, protocol, np.concatenate((xv, muv)))
+    got = {
+        "primal": (joint[: game.n], dynamics._primal_field_raw(game, protocol, xv, muv)),
+        "dual": (joint[game.n :], dynamics._dual_field_raw(game, protocol, xv, muv)),
+    }
+    for name, (field, payoffs, mass) in expected.items():
+        bound = 1e-12 * max(1.0, max(abs(p) for p in payoffs) * mass)
+        for value in got[name]:
+            assert value.shape == (len(field),)
+            deviation = max(abs(v - e) for v, e in zip(value.tolist(), field))
+            assert deviation <= bound, (name, deviation, bound)
+
+
+def sparse_simplex(rng, dim, mass, empty):
+    # a simplex state with the first ``empty`` coordinates (up to dim - 1) zeroed
+    v = random_simplex(rng, dim, mass)
+    v[: min(empty, dim - 1)] = 0.0
+    return v * (mass / v.sum())
+
+
+@st.composite
+def generated_games(draw):
+    n = draw(st.integers(2, 6))
+    affine = draw(st.integers(0, 3))
+    quadratic = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    constraints = [
+        pd.AffineConstraint(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0))
+        for _ in range(affine)
+    ]
+    for _ in range(quadratic):
+        B = rng.uniform(-1.0, 1.0, (n, draw(st.integers(1, n))))
+        constraints.append(
+            pd.QuadraticConstraint(B @ B.T, rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0))
+        )
+    order = draw(st.permutations(range(len(constraints))))
+    game = pd.GameSpec(
+        n=n,
+        primal_mass=draw(st.floats(0.5, 3.0)),
+        dual_mass=draw(st.floats(0.5, 5.0)),
+        fitness=pd.MatrixFitness(rng.uniform(-2.0, 2.0, (n, n))),
+        constraints=tuple(constraints[i] for i in order),
+    )
+    return game, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    generated=generated_games(),
+    protocol=st.sampled_from([pd.smith_protocol(), SQUARE]),
+    empty=st.integers(0, 3),
+)
+def test_fields_match_oracle_on_generated_games(generated, protocol, empty):
+    game, rng = generated
+    xv = sparse_simplex(rng, game.n, game.primal_mass, empty)
+    muv = sparse_simplex(rng, game.q + 1, game.dual_mass, empty)
+    check_fields(game, protocol, xv, muv)
+
+
+def _callable_fitness_game():
+    target = np.array([0.5, 0.1, 0.3, 0.1])
+    return pd.GameSpec(
+        n=4,
+        primal_mass=2.0,
+        dual_mass=3.0,
+        fitness=pd.CallableFitness(lambda x: np.sin(3.0 * (target - x))),
+        constraints=(
+            pd.AffineConstraint(np.array([1.0, 1.0, 0.0, 0.0]), 0.8),
+            pd.QuadraticConstraint(np.diag([0.0, 1.0, 1.0, 0.0]), np.zeros(4), 0.5),
+        ),
+    )
+
+
+def _unconstrained_game():
+    # q = 0: the pricing population is the null strategy alone
+    return pd.GameSpec(
+        n=3,
+        primal_mass=1.0,
+        dual_mass=2.0,
+        fitness=pd.MatrixFitness(np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])),
+    )
+
+
+def test_fields_match_oracle_on_named_games(congestion, rps):
+    games = (congestion, rps, _callable_fitness_game(), _unconstrained_game())
+    for game in games:
+        rng = np.random.default_rng(game.n + game.q)
+        for protocol in (pd.smith_protocol(), SQUARE):
+            for empty in range(3):
+                for _ in range(20):
+                    xv = sparse_simplex(rng, game.n, game.primal_mass, empty)
+                    muv = sparse_simplex(rng, game.q + 1, game.dual_mass, empty)
+                    check_fields(game, protocol, xv, muv)
+
+
+def test_unconstrained_dual_field_is_exactly_zero():
+    game = _unconstrained_game()
+    rng = np.random.default_rng(3)
+    for protocol in (pd.smith_protocol(), SQUARE):
+        for _ in range(20):
+            xv = random_simplex(rng, 3, 1.0)
+            field = dynamics._dual_field_raw(game, protocol, xv, np.array([2.0]))
+            assert np.array_equal(field, [0.0])
+
+
+def gross_flows(rate, shares, payoffs):
+    # inflow plus outflow per strategy: the scale of the rounding in its net field
+    return [
+        sum(zj * rate(pi - pj) for zj, pj in zip(shares, payoffs))
+        + zi * sum(rate(pj - pi) for pj in payoffs)
+        for zi, pi in zip(shares, payoffs)
+    ]
+
+
+def test_lyapunov_rate_uses_each_population_protocol(congestion, rps):
+    # dV/dt = Gamma_P . xdot + xdot . J xdot + Gamma_Phi . mudot, with the
+    # playing population on one protocol and the pricing one on the other
+    smith = pd.smith_protocol()
+    for game in (congestion, rps, _callable_fitness_game()):
+        rng = np.random.default_rng(7)
+        for primal_protocol, dual_protocol in ((smith, SQUARE), (SQUARE, smith)):
+            primal_rate, primal_integral = SCALAR[primal_protocol.name]
+            dual_rate, dual_integral = SCALAR[dual_protocol.name]
+            for _ in range(20):
+                x = pd.PrimalState(random_simplex(rng, game.n, game.primal_mass), game.primal_mass)
+                mu = pd.DualState(random_simplex(rng, game.q + 1, game.dual_mass), game.dual_mass)
+                xs, ms = x.x.tolist(), mu.mu.tolist()
+                F, G = oracle_payoffs(game, xs, ms)
+                xdot = np.array(oracle_field(primal_rate, xs, F))
+                mudot = np.array(oracle_field(dual_rate, ms, G))
+                gamma_p = np.array([sum(primal_integral(fj - fi) for fj in F) for fi in F])
+                gamma_phi = np.array([sum(dual_integral(gl - gk) for gl in G) for gk in G])
+                jac = pd.primal_dual_payoff_jacobian(game, x, mu)
+                expected = gamma_p @ xdot + xdot @ jac @ xdot + gamma_phi @ mudot
+                gross_x = np.array(gross_flows(primal_rate, xs, F))
+                gross_mu = np.array(gross_flows(dual_rate, ms, G))
+                scale = (
+                    gamma_p @ gross_x
+                    + np.abs(jac).max() * gross_x.sum() ** 2
+                    + np.abs(gamma_phi) @ gross_mu
+                )
+                got = pd.lyapunov_rate(game, primal_protocol, dual_protocol, x, mu)
+                assert abs(got - expected) <= 1e-12 * max(1.0, scale)
