@@ -217,13 +217,6 @@ def _fmt(value: float) -> str:
     return "NaN" if math.isnan(value) else repr(value)
 
 
-def _g_max(game: GameSpec, row: np.ndarray) -> float:
-    # max over the real constraints; NaN when there are none
-    if game.q == 0:
-        return math.nan
-    return float(row[1:].max())
-
-
 def write_trajectory_csv(path: str, game: GameSpec, traj: Trajectory, record_every: int = 1) -> None:
     """Write the recorded trajectory as deterministic CSV.
 
@@ -239,6 +232,11 @@ def write_trajectory_csv(path: str, game: GameSpec, traj: Trajectory, record_eve
         + [f"mu_{k}" for k in range(game.q + 1)]
         + ["V", "p", "g_max", "xdot_norm", "mudot_norm"]
     )
+    # largest value over the real constraints; NaN when there are none
+    if game.q:
+        g_max = traj.constraints[:, 1:].max(axis=1)
+    else:
+        g_max = np.full(len(traj), math.nan)
     rows = list(range(0, len(traj), record_every))
     if rows[-1] != len(traj) - 1:
         rows.append(len(traj) - 1)
@@ -252,7 +250,7 @@ def write_trajectory_csv(path: str, game: GameSpec, traj: Trajectory, record_eve
                 + [
                     _fmt(traj.lyapunov[i]),
                     _fmt(traj.potential[i]),
-                    _fmt(_g_max(game, traj.constraints[i])),
+                    _fmt(g_max[i]),
                     _fmt(traj.primal_field_norm[i]),
                     _fmt(traj.dual_field_norm[i]),
                 ]
@@ -291,7 +289,6 @@ def _seed_path(base: str, seed: int) -> str:
 def cmd_simulate(args) -> int:
     game = _resolve_game(args.game)
     protocol = PROTOCOLS[args.protocol]()
-    dynamics.validate_protocol(protocol)
     out_base = args.out or os.path.join(_out_root(), "trajectory.csv")
 
     if args.seeds is not None:

@@ -9,6 +9,14 @@ whose payoff is identically zero.  This module holds the instance data
 evaluation operations that the dynamics, Lyapunov, and equilibrium layers
 build on.
 
+Two evaluation routes exist.  The public evaluators (``primal_dual_payoff``,
+``constraint_values``, ``constraint_jacobian``) and their batch variants go
+through the fitness rule and the constraint objects; they are the
+reference.  The step kernel and the scalar Lyapunov value instead use the
+payoff operator each ``GameSpec`` builds once on construction: both payoff
+vectors at the joint state ``z = (x, mu)`` as one polynomial of degree at
+most two, ``P(z) = (T x + L) z + c`` (see ``_joint_payoff``).
+
 Conventions used throughout:
 
 * states are 1-d float arrays; batch variants take a stack with one row
@@ -251,6 +259,10 @@ class QuadraticPotential:
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return np.array(self.quad)
 
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient as ``(J, offset)`` with ``grad p(x) = J x + offset``."""
+        return self.quad, self.linear
+
 
 @dataclass(frozen=True, eq=False)
 class CongestionPotential:
@@ -294,7 +306,11 @@ class CongestionPotential:
         return -((self.weights * load) @ self.incidence)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        return -(self.incidence.T * self.weights) @ self.incidence
+        return self.affine()[0]
+
+    def affine(self) -> tuple[np.ndarray, float]:
+        """The gradient as ``(J, offset)`` with ``grad p(x) = J x + offset``."""
+        return -(self.incidence.T * self.weights) @ self.incidence, 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,6 +337,10 @@ class CallablePotential:
         if self.hess is None:
             return None
         return np.asarray(self.hess(x), dtype=float)
+
+    def affine(self) -> None:
+        """No affine form is known for an arbitrary gradient."""
+        return None
 
 
 PotentialRule = Union[QuadraticPotential, CongestionPotential, CallablePotential]
@@ -352,6 +372,10 @@ class MatrixFitness:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return np.array(self.matrix)
 
+    def affine(self) -> tuple[np.ndarray, float]:
+        """The rule as ``(J, offset)`` with ``f(x) = J x + offset``."""
+        return self.matrix, 0.0
+
 
 @dataclass(frozen=True, eq=False)
 class PotentialFitness:
@@ -367,6 +391,10 @@ class PotentialFitness:
 
     def jacobian(self, x: np.ndarray) -> Optional[np.ndarray]:
         return self.rule.hessian(x)
+
+    def affine(self) -> Optional[tuple]:
+        """The rule as ``(J, offset)`` when the potential is quadratic, else ``None``."""
+        return self.rule.affine()
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,6 +414,10 @@ class CallableFitness:
         if self.jac is None:
             return None
         return np.asarray(self.jac(x), dtype=float)
+
+    def affine(self) -> None:
+        """No affine form is known for an arbitrary vector field."""
+        return None
 
 
 FitnessRule = Union[MatrixFitness, PotentialFitness, CallableFitness]
@@ -453,12 +485,12 @@ class GameSpec:
                 raise ConfigurationError(
                     f"constraint {k} has dimension {con.dimension}, expected {self.n}"
                 )
-        self._build_constraint_cache()
         self._check_shapes_and_potential()
+        self._build_constraint_cache()
 
     def _build_constraint_cache(self):
         # split into a stacked affine block and a list of quadratics so the
-        # per-step evaluations in the dynamics reduce to a few numpy calls
+        # rule-based evaluators and their batch variants reduce to a few numpy calls
         aff_idx, aff_rows, aff_b = [], [], []
         quads = []
         for k, con in enumerate(self.constraints, start=1):
@@ -492,6 +524,29 @@ class GameSpec:
         mask.flags.writeable = False
         object.__setattr__(self, "_block_mask", mask)
         object.__setattr__(self, "_block_starts", _frozen_array([0, self.n], dtype=np.intp))
+        # the joint payoff operator P(z) = (T x + L) z + c; see _joint_payoff
+        n = self.n
+        linear = np.zeros((size, size))
+        offset = np.zeros(size)
+        affine = self.fitness.affine()
+        if affine is not None:
+            linear[:n, :n], offset[:n] = affine
+        bilinear = np.zeros((size, size, n)) if quads else None
+        for k, con in enumerate(self.constraints, start=n + 1):
+            linear[:n, k] = -con.a
+            linear[k, :n] = con.a
+            if isinstance(con, AffineConstraint):
+                offset[k] = -con.b
+            else:
+                offset[k] = -con.c
+                bilinear[:n, k] = -2.0 * con.Q
+                bilinear[k, :n] = con.Q
+        object.__setattr__(self, "_payoff_linear", _frozen_array(linear))
+        object.__setattr__(self, "_payoff_offset", _frozen_array(offset))
+        object.__setattr__(
+            self, "_payoff_bilinear", None if bilinear is None else _frozen_array(bilinear)
+        )
+        object.__setattr__(self, "_fitness_affine", affine is not None)
 
     def _check_shapes_and_potential(self):
         rng = np.random.default_rng(0)
@@ -633,6 +688,38 @@ def _payoff_raw(game: GameSpec, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
         jac = _constraint_jacobian_raw(game, xv)
         return f - jac[1:].T @ muv[1:]
     return f
+
+
+def _joint_payoff(game: GameSpec, z: np.ndarray) -> np.ndarray:
+    """Both payoff vectors ``P = (F(x, mu), G(x))`` at the joint state ``z = (x, mu)``.
+
+    With ``N = n + q + 1`` the game carries, built once on construction,
+
+        P(z) = (T x + L) z + c
+
+    for an affine fitness rule ``f(x) = J x + f_0``.  ``L`` is ``(N, N)``:
+    its x-block is ``J``, column ``n + k`` of the F rows holds ``-a_k`` and
+    row ``n + k`` of the G block holds ``a_k``, the linear part of
+    constraint ``k``.  ``c`` holds ``f_0``, then ``0`` for the null
+    strategy and ``-b_k`` or ``-c_k``.  The bilinear tensor ``T`` of shape
+    ``(N, N, n)`` (``N^2 n 8`` bytes) exists only when a quadratic
+    constraint does: ``T[:n, n + k] = -2 Q_k`` prices its gradient and
+    ``T[n + k, :n] = Q_k`` gives its value.  It is contracted with ``x``
+    only.  When the fitness rule has no affine form, ``J`` and ``f_0`` are
+    zero and ``f(x)`` is added to the F block.
+
+    Agrees with ``primal_dual_payoff`` and ``constraint_values``, the
+    rule-based reference, to rounding; the summation order differs.
+    """
+    n = game.n
+    T = game._payoff_bilinear
+    if T is None:
+        P = game._payoff_linear @ z + game._payoff_offset
+    else:
+        P = (T @ z[:n] + game._payoff_linear) @ z + game._payoff_offset
+    if not game._fitness_affine:
+        P[:n] += np.asarray(game.fitness(z[:n]), dtype=float)
+    return P
 
 
 def _payoff_batch(game: GameSpec, X: np.ndarray, M: np.ndarray) -> np.ndarray:

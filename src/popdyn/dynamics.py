@@ -6,9 +6,10 @@ revision protocol and ``F`` the relevant payoff vector: the
 constraint-discounted payoff for the playing population and the constraint
 values for the pricing population.  Both populations follow the same
 exchange rule, so one kernel evaluates them together on the joint state
-``z = (x, mu)`` of length ``n + q + 1``: one payoff vector ``(F, G)``, one
-gap matrix whose cross-population entries a block mask sets to exact zeros,
-and one net flow.  No mass crosses between the populations, and each keeps
+``z = (x, mu)`` of length ``n + q + 1``: one payoff vector ``(F, G)`` from
+the game's precomputed payoff operator (``core._joint_payoff``), one gap
+matrix whose cross-population entries a block mask sets to exact zeros, and
+one net flow.  No mass crosses between the populations, and each keeps
 its own mass.  The per-population fields are slices of that kernel.
 
 ``integrate`` advances the joint state with a fixed-step scheme.  Its step
@@ -85,9 +86,6 @@ def smith_protocol() -> Protocol:
     return _SMITH
 
 
-PROTOCOLS = {"smith": smith_protocol}
-
-
 def validate_protocol(
     protocol: Protocol,
     lo: float = -10.0,
@@ -134,10 +132,28 @@ def validate_protocol(
             )
 
 
+PROTOCOLS: dict[str, Callable[[], Protocol]] = {}
+
+
+def register_protocol(name: str, factory: Callable[[], Protocol]) -> None:
+    """Check ``factory()`` with ``validate_protocol``, then add ``factory`` to ``PROTOCOLS``.
+
+    Validation runs here, once per registration, so callers that look a
+    protocol up in ``PROTOCOLS`` need not repeat it.  An invalid protocol
+    raises ``ConfigurationError`` and is not added.
+    """
+    validate_protocol(factory())
+    PROTOCOLS[name] = factory
+
+
+register_protocol("smith", smith_protocol)
+
+
 @dataclass(frozen=True, eq=False)
 class SimParams:
     """Fixed-step integration parameters.
 
+    ``horizon`` must be at least one ``step`` and ``horizon / step`` finite.
     Convergence is declared once the sum of the two field infinity norms
     stays below ``convergence_tol`` for ``convergence_window`` consecutive
     recorded steps.
@@ -154,6 +170,11 @@ class SimParams:
             raise ConfigurationError("step must be positive")
         if not self.horizon >= self.step:
             raise ConfigurationError("horizon must be at least one step")
+        # also rejects an infinite horizon or step
+        if not math.isfinite(self.horizon / self.step):
+            raise ConfigurationError(
+                f"horizon / step = {self.horizon:g} / {self.step:g} is not a finite step count"
+            )
         if self.integrator not in ("euler", "rk4"):
             raise ConfigurationError(f"unknown integrator {self.integrator!r}")
         if not self.convergence_tol > 0:
@@ -205,7 +226,8 @@ class Trajectory:
 def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarray:
     """Fields of both populations at the joint state ``z = (x, mu)``.
 
-    ``P = (F(x, mu), G(x))`` stacks the two payoff vectors, and
+    ``P = (F(x, mu), G(x))`` stacks the two payoff vectors, evaluated by
+    the game's payoff operator ``core._joint_payoff``, and
     ``flow[i, j] = z_j * rho(P_i - P_j)`` is the gross inflow from ``j`` to
     ``i``.  Gaps that pair a strategy with a price are masked to exact zeros
     by ``game._block_mask`` before the protocol sees them, so mass never
@@ -214,14 +236,18 @@ def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarra
     point, so each block sums to zero to rounding of the final reduction,
     and a strategy with zero share only ever gains.
     """
-    n = game.n
-    xv = z[:n]
-    payoffs = np.concatenate(
-        (core._payoff_raw(game, xv, z[n:]), core._constraint_values_raw(game, xv))
-    )
+    return _exchange(game, protocol, z, core._joint_payoff(game, z))
+
+
+def _masked_gaps(game: GameSpec, payoffs: np.ndarray) -> np.ndarray:
+    """``gaps[i, j] = payoffs[i] - payoffs[j]`` within each population, exact zeros across."""
     mask = game._block_mask
-    gaps = np.subtract(payoffs[:, None], payoffs, out=np.zeros(mask.shape), where=mask)
-    flow = np.asarray(protocol.value(gaps), dtype=float) * z
+    return np.subtract(payoffs[:, None], payoffs, out=np.zeros(mask.shape), where=mask)
+
+
+def _exchange(game: GameSpec, protocol: Protocol, z: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+    """Net fields of both populations at ``z`` for known joint payoffs."""
+    flow = np.asarray(protocol.value(_masked_gaps(game, payoffs)), dtype=float) * z
     return (flow - flow.T).sum(axis=1)
 
 
@@ -346,11 +372,14 @@ def integrate(
     primal_mass = game.primal_mass
     dual_mass = game.dual_mass
 
-    times = np.empty(T)
-    primal = np.empty((T, n))
-    dual = np.empty((T, game.q + 1))
-    xnorm = np.empty(T)
-    munorm = np.empty(T)
+    try:
+        times = np.empty(T)
+        primal = np.empty((T, n))
+        dual = np.empty((T, game.q + 1))
+        xnorm = np.empty(T)
+        munorm = np.empty(T)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"cannot hold {T:.3g} recorded states: {exc}") from None
 
     repaired = 0
     largest = 0.0

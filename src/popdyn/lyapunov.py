@@ -105,11 +105,16 @@ def _value_raw(
     xv: np.ndarray,
     muv: np.ndarray,
 ) -> float:
-    F = core._payoff_raw(game, xv, muv)
-    G = core._constraint_values_raw(game, xv)
-    P = _gap_integral_matrix(primal_protocol, F)
-    Phi = _gap_integral_matrix(dual_protocol, G)
-    return float(xv @ P.sum(axis=1) + muv @ Phi.sum(axis=1))
+    z = np.concatenate((xv, muv))
+    P = core._joint_payoff(game, z)
+    if primal_protocol is dual_protocol and primal_protocol.antiderivative is not None:
+        # one gap matrix for both populations: the masked cross-population
+        # gaps are 0, and the antiderivative from 0 vanishes there
+        gaps = dynamics._masked_gaps(game, P).T
+        return float(z @ np.asarray(primal_protocol.antiderivative(gaps), dtype=float).sum(axis=1))
+    gamma_p = _gap_integral_matrix(primal_protocol, P[: game.n]).sum(axis=1)
+    gamma_phi = _gap_integral_matrix(dual_protocol, P[game.n :]).sum(axis=1)
+    return float(xv @ gamma_p + muv @ gamma_phi)
 
 
 def _gap_integral_rowsums(protocol: Protocol, payoffs: np.ndarray) -> np.ndarray:
@@ -174,12 +179,15 @@ def lyapunov_rate(
     """
     xv = core._check_primal(game, x)
     muv = core._check_dual(game, mu)
-    F = core._payoff_raw(game, xv, muv)
-    G = core._constraint_values_raw(game, xv)
-    gamma_p = _gap_integral_matrix(primal_protocol, F).sum(axis=1)
-    gamma_phi = _gap_integral_matrix(dual_protocol, G).sum(axis=1)
-    xdot = dynamics._primal_field_raw(game, primal_protocol, xv, muv)
-    mudot = dynamics._dual_field_raw(game, dual_protocol, xv, muv)
+    n = game.n
+    z = np.concatenate((xv, muv))
+    P = core._joint_payoff(game, z)
+    gamma_p = _gap_integral_matrix(primal_protocol, P[:n]).sum(axis=1)
+    gamma_phi = _gap_integral_matrix(dual_protocol, P[n:]).sum(axis=1)
+    zdot = dynamics._exchange(game, primal_protocol, z, P)
+    if dual_protocol is not primal_protocol:
+        zdot[n:] = dynamics._exchange(game, dual_protocol, z, P)[n:]
+    xdot, mudot = zdot[:n], zdot[n:]
     jac = core._payoff_jacobian_raw(game, xv, muv)
     return float(gamma_p @ xdot + xdot @ jac @ xdot + gamma_phi @ mudot)
 

@@ -60,7 +60,55 @@ def test_bad_step_is_a_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "horizon, step", [("1e308", "1e-300"), ("inf", "1"), ("inf", "inf"), ("1e300", "1")]
+)
+def test_unusable_step_count_is_a_usage_error(horizon, step, capsys):
+    argv = ["simulate", "--game", "paper-rps", "--horizon", horizon, "--step", step]
+    code, _, err = run_cli(argv, capsys)
+    assert code == cli._EXIT_USAGE
+    assert err.startswith("error: ")
+
+
 # --- simulate ---
+
+
+def test_simulate_does_not_revalidate_registered_protocols(out_root, monkeypatch, capsys):
+    def refuse(protocol):
+        raise AssertionError("validate_protocol ran per call")
+
+    monkeypatch.setattr(pd.dynamics, "validate_protocol", refuse)
+    code, _, _ = run_cli(["simulate", "--game", "paper-rps", "--horizon", "1"], capsys)
+    assert code == 2
+
+
+def test_csv_g_max_is_the_largest_constraint_value(out_root, capsys):
+    # both caps stay slack, so g_max is negative and must not see the null strategy's 0
+    spec = {
+        "n": 2,
+        "primal_mass": 1.0,
+        "dual_mass": 1.0,
+        "fitness": {"type": "linear", "matrix": [[-1.0, 0.0], [0.0, -1.0]]},
+        "constraints": [
+            {"type": "affine", "a": [1.0, 0.0], "b": 2.0},
+            {"type": "affine", "a": [0.0, 1.0], "b": 3.0},
+        ],
+    }
+    out_path = out_root / "traj.csv"
+    for q in (2, 0):
+        spec["constraints"] = spec["constraints"][:q]
+        path = out_root / f"slack{q}.json"
+        path.write_text(json.dumps(spec))
+        argv = ["simulate", "--game", str(path), "--horizon", "1", "--out", str(out_path)]
+        run_cli(argv, capsys)
+        header, rows = read_csv_rows(out_path)
+        got = [row[header.index("g_max")] for row in rows]
+        if q == 0:
+            assert set(got) == {"NaN"}
+            continue
+        for row, g_max in zip(rows, got):
+            x1, x2 = float(row[1]), float(row[2])
+            assert abs(float(g_max) - max(x1 - 2.0, x2 - 3.0)) <= 1e-15
 
 
 def test_simulate_short_run_reports_no_convergence(out_root, capsys):

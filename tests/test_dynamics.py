@@ -28,6 +28,24 @@ def test_protocol_registry_contains_smith():
     assert pd.PROTOCOLS["smith"]().name == "smith"
 
 
+def test_register_protocol_validates_once_on_registration(monkeypatch, smith):
+    registry = {}
+    monkeypatch.setattr(dynamics, "PROTOCOLS", registry)
+    calls = []
+    monkeypatch.setattr(dynamics, "validate_protocol", lambda p: calls.append(p.name))
+    pd.register_protocol("twin", lambda: smith)
+    assert calls == ["smith"] and registry["twin"]() is smith
+
+
+def test_register_protocol_rejects_an_invalid_protocol(monkeypatch):
+    registry = {}
+    monkeypatch.setattr(dynamics, "PROTOCOLS", registry)
+    bad = pd.Protocol(name="bad", value=lambda a: np.ones_like(a))
+    with pytest.raises(pd.ConfigurationError):
+        pd.register_protocol("bad", lambda: bad)
+    assert registry == {}
+
+
 def test_validate_protocol_accepts_smith(smith):
     pd.validate_protocol(smith)
 
@@ -80,11 +98,23 @@ def test_sim_params_defaults():
         {"horizon": 10.0, "integrator": "heun"},
         {"horizon": 10.0, "convergence_tol": 0.0},
         {"horizon": 10.0, "convergence_window": 0},
+        {"horizon": 1e308, "step": 1e-300},  # the step count overflows to inf
+        {"horizon": float("inf"), "step": 1.0},
+        {"horizon": float("inf"), "step": float("inf")},
+        {"horizon": float("nan"), "step": 1.0},
+        {"horizon": 10.0, "step": float("nan")},
     ],
 )
 def test_sim_params_rejects_bad_values(kwargs):
     with pytest.raises(pd.ConfigurationError):
         pd.SimParams(**kwargs)
+
+
+def test_integrate_rejects_a_step_count_it_cannot_record(rps, smith):
+    # finite, but far past the largest array numpy can shape; nothing is allocated
+    params = pd.SimParams(horizon=1e300, step=1.0)
+    with pytest.raises(pd.ConfigurationError, match="recorded states"):
+        pd.integrate(rps, smith, rps.start, null_dual(rps), params)
 
 
 def test_sample_simplex_is_deterministic_per_seed():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import popdyn as pd
-from popdyn import dynamics
+from popdyn import core, dynamics
 
 from conftest import random_simplex
 
@@ -100,8 +100,21 @@ def sparse_simplex(rng, dim, mass, empty):
     return v * (mass / v.sum())
 
 
+def generated_fitness(kind, rng, n):
+    """``(fitness, potential)``: a matrix, a concave quadratic potential, or a callable."""
+    if kind == "matrix":
+        return pd.MatrixFitness(rng.uniform(-2.0, 2.0, (n, n))), None
+    if kind == "potential":
+        B = rng.uniform(-1.0, 1.0, (n, n))
+        # a nonzero offset exercises the operator's constant term
+        game = pd.build_quadratic_potential(-B @ B.T, rng.uniform(-1.0, 1.0, n))
+        return game.fitness, game.potential
+    W, d = rng.uniform(-2.0, 2.0, (n, n)), rng.uniform(-1.0, 1.0, n)
+    return pd.CallableFitness(lambda x: np.sin(W @ x) + d), None
+
+
 @st.composite
-def generated_games(draw):
+def generated_games(draw, kinds=("matrix",)):
     n = draw(st.integers(2, 6))
     affine = draw(st.integers(0, 3))
     quadratic = draw(st.integers(0, 2))
@@ -116,12 +129,16 @@ def generated_games(draw):
             pd.QuadraticConstraint(B @ B.T, rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0))
         )
     order = draw(st.permutations(range(len(constraints))))
+    primal_mass = draw(st.floats(0.5, 3.0))
+    dual_mass = draw(st.floats(0.5, 5.0))
+    fitness, potential = generated_fitness(draw(st.sampled_from(kinds)), rng, n)
     game = pd.GameSpec(
         n=n,
-        primal_mass=draw(st.floats(0.5, 3.0)),
-        dual_mass=draw(st.floats(0.5, 5.0)),
-        fitness=pd.MatrixFitness(rng.uniform(-2.0, 2.0, (n, n))),
+        primal_mass=primal_mass,
+        dual_mass=dual_mass,
+        fitness=fitness,
         constraints=tuple(constraints[i] for i in order),
+        potential=potential,
     )
     return game, rng
 
@@ -223,3 +240,93 @@ def test_lyapunov_rate_uses_each_population_protocol(congestion, rps):
                 )
                 got = pd.lyapunov_rate(game, primal_protocol, dual_protocol, x, mu)
                 assert abs(got - expected) <= 1e-12 * max(1.0, scale)
+
+
+def check_joint_payoff(game, xv, muv):
+    """``core._joint_payoff`` against the rule-based public evaluators."""
+    x = pd.PrimalState(xv, game.primal_mass)
+    mu = pd.DualState(muv, game.dual_mass)
+    expected = np.concatenate((pd.primal_dual_payoff(game, x, mu), pd.constraint_values(game, x)))
+    got = core._joint_payoff(game, np.concatenate((xv, muv)))
+    assert got.shape == expected.shape
+    deviation = np.max(np.abs(got - expected))
+    assert deviation <= 1e-12 * max(1.0, np.max(np.abs(expected))), deviation
+    quadratic = any(isinstance(con, pd.QuadraticConstraint) for con in game.constraints)
+    assert (game._payoff_bilinear is None) == (not quadratic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    generated=generated_games(kinds=("matrix", "potential", "callable")),
+    empty=st.integers(0, 3),
+)
+def test_joint_payoff_matches_rule_evaluators_on_generated_games(generated, empty):
+    game, rng = generated
+    for _ in range(5):
+        xv = sparse_simplex(rng, game.n, game.primal_mass, empty)
+        muv = sparse_simplex(rng, game.q + 1, game.dual_mass, empty)
+        check_joint_payoff(game, xv, muv)
+
+
+def _quadratic_potential_game():
+    # concave potential with a nonzero linear term, one affine and one quadratic cap
+    return pd.build_quadratic_potential(
+        -np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+        np.array([0.3, -0.1, 0.2]),
+        (
+            pd.AffineConstraint(np.array([1.0, 0.0, 1.0]), 0.7),
+            pd.QuadraticConstraint(np.diag([1.0, 2.0, 0.0]), np.array([0.1, 0.0, 0.0]), 0.4),
+        ),
+        dual_mass=3.0,
+    )
+
+
+def test_joint_payoff_matches_rule_evaluators_on_named_games(congestion, rps):
+    games = (
+        congestion,
+        rps,
+        _quadratic_potential_game(),
+        _callable_fitness_game(),
+        _unconstrained_game(),
+    )
+    for game in games:
+        rng = np.random.default_rng(game.n + game.q)
+        for empty in range(3):
+            for _ in range(20):
+                xv = sparse_simplex(rng, game.n, game.primal_mass, empty)
+                muv = sparse_simplex(rng, game.q + 1, game.dual_mass, empty)
+                check_joint_payoff(game, xv, muv)
+    assert congestion._payoff_bilinear is None
+    assert rps._payoff_bilinear.shape == (5, 5, 3)
+    # the null strategy's payoff is exactly zero, with and without constraints
+    for game in (congestion, rps, _unconstrained_game()):
+        z = np.concatenate((np.full(game.n, game.primal_mass / game.n), null_prices(game)))
+        assert core._joint_payoff(game, z)[game.n] == 0.0
+
+
+def null_prices(game):
+    mu = np.zeros(game.q + 1)
+    mu[0] = game.dual_mass
+    return mu
+
+
+def test_lyapunov_value_matches_oracle_for_each_protocol_pair(congestion, rps):
+    # V = sum_i x_i sum_j A_rho(F_j - F_i) + sum_k mu_k sum_l A_phi(G_l - G_k), with
+    # one protocol for both populations (one joint gap matrix) and with two
+    smith = pd.smith_protocol()
+    pairs = ((smith, smith), (SQUARE, SQUARE), (smith, SQUARE), (SQUARE, smith))
+    for game in (congestion, rps, _callable_fitness_game(), _unconstrained_game()):
+        rng = np.random.default_rng(11)
+        for primal_protocol, dual_protocol in pairs:
+            primal_integral = SCALAR[primal_protocol.name][1]
+            dual_integral = SCALAR[dual_protocol.name][1]
+            for _ in range(20):
+                x = pd.PrimalState(random_simplex(rng, game.n, game.primal_mass), game.primal_mass)
+                mu = pd.DualState(random_simplex(rng, game.q + 1, game.dual_mass), game.dual_mass)
+                xs, ms = x.x.tolist(), mu.mu.tolist()
+                F, G = oracle_payoffs(game, xs, ms)
+                expected = sum(
+                    xi * sum(primal_integral(fj - fi) for fj in F) for xi, fi in zip(xs, F)
+                ) + sum(mk * sum(dual_integral(gl - gk) for gl in G) for mk, gk in zip(ms, G))
+                got = pd.lyapunov_value(game, primal_protocol, dual_protocol, x, mu)
+                assert abs(got - expected) <= 1e-12 * max(1.0, expected), (got, expected)
