@@ -328,8 +328,11 @@ def cmd_verify(args) -> int:
             raise ConfigurationError(f"{args.state}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict) or "x" not in data or "mu" not in data:
         raise ConfigurationError(f'{args.state}: expected an object with "x" and "mu"')
-    x = PrimalState(np.asarray(data["x"], dtype=float), game.primal_mass)
-    mu = DualState(np.asarray(data["mu"], dtype=float), game.dual_mass)
+    try:
+        x = PrimalState(np.asarray(data["x"], dtype=float), game.primal_mass)
+        mu = DualState(np.asarray(data["mu"], dtype=float), game.dual_mass)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f'{args.state}: invalid "x" or "mu" ({exc})') from exc
     core._check_primal(game, x)
     core._check_dual(game, mu)
     report = equilibrium.in_equilibria_set(game, x, mu, tol=args.tol)

@@ -9,18 +9,18 @@ whose payoff is identically zero.  This module holds the instance data
 evaluation operations that the dynamics, Lyapunov, and equilibrium layers
 build on.
 
-Two evaluation routes exist.  The public evaluators (``primal_dual_payoff``,
-``constraint_values``, ``constraint_jacobian``) and their batch variants go
+The dynamics evaluate payoffs through one route, the payoff operator each
+``GameSpec`` builds once on construction: both payoff vectors at the joint
+state ``z = (x, mu)`` as one polynomial of degree at most two,
+``P(z) = (T x + L) z + c``, evaluated at one state by ``_joint_payoff`` and
+on a stack of states by ``_joint_payoff_stack``.  The public evaluators
+(``primal_dual_payoff``, ``constraint_values``, ``constraint_jacobian``) go
 through the fitness rule and the constraint objects; they are the
-reference.  The step kernel and the scalar Lyapunov value instead use the
-payoff operator each ``GameSpec`` builds once on construction: both payoff
-vectors at the joint state ``z = (x, mu)`` as one polynomial of degree at
-most two, ``P(z) = (T x + L) z + c`` (see ``_joint_payoff``).
+reference the operator is tested against.
 
 Conventions used throughout:
 
-* states are 1-d float arrays; batch variants take a stack with one row
-  per state and return one row (or entry) per state;
+* states are 1-d float arrays; a ``value_batch`` takes one state per row;
 * the dual vector has length ``q + 1`` and index 0 is the null strategy;
 * a constraint is satisfied when its value is ``<= 0``.
 """
@@ -212,9 +212,6 @@ class QuadraticConstraint:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * (self.Q @ x) + self.a
 
-    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        return 2.0 * (X @ self.Q) + self.a
-
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * np.array(self.Q)
 
@@ -252,9 +249,6 @@ class QuadraticPotential:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.quad @ x + self.linear
-
-    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.quad.T + self.linear
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return np.array(self.quad)
@@ -301,10 +295,6 @@ class CongestionPotential:
         load = self.incidence @ x
         return -(self.incidence.T @ (self.weights * load))
 
-    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        load = X @ self.incidence.T
-        return -((self.weights * load) @ self.incidence)
-
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return self.affine()[0]
 
@@ -329,9 +319,6 @@ class CallablePotential:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.grad(x), dtype=float)
-
-    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.gradient(row) for row in X]).reshape(X.shape)
 
     def hessian(self, x: np.ndarray) -> Optional[np.ndarray]:
         if self.hess is None:
@@ -366,9 +353,6 @@ class MatrixFitness:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.matrix.T
-
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return np.array(self.matrix)
 
@@ -385,9 +369,6 @@ class PotentialFitness:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.rule.gradient(x)
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        return self.rule.gradient_batch(X)
 
     def jacobian(self, x: np.ndarray) -> Optional[np.ndarray]:
         return self.rule.hessian(x)
@@ -406,9 +387,6 @@ class CallableFitness:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(x), dtype=float)
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self(row) for row in X]).reshape(X.shape)
 
     def jacobian(self, x: np.ndarray) -> Optional[np.ndarray]:
         if self.jac is None:
@@ -490,7 +468,7 @@ class GameSpec:
 
     def _build_constraint_cache(self):
         # split into a stacked affine block and a list of quadratics so the
-        # rule-based evaluators and their batch variants reduce to a few numpy calls
+        # rule-based evaluators reduce to a few numpy calls
         aff_idx, aff_rows, aff_b = [], [], []
         quads = []
         for k, con in enumerate(self.constraints, start=1):
@@ -654,16 +632,6 @@ def constraint_values(game: GameSpec, x: PrimalState) -> np.ndarray:
     return _constraint_values_raw(game, _check_primal(game, x))
 
 
-def _constraint_values_batch(game: GameSpec, X: np.ndarray) -> np.ndarray:
-    """Constraint values for a ``(S, n)`` stack of states, shape ``(S, q + 1)``."""
-    vals = np.zeros((X.shape[0], game.q + 1))
-    if game._aff_idx.size:
-        vals[:, game._aff_idx] = X @ game._aff_rows.T - game._aff_b
-    for k, con in game._quads:
-        vals[:, k] = con.value_batch(X)
-    return vals
-
-
 def _constraint_jacobian_raw(game: GameSpec, xv: np.ndarray) -> np.ndarray:
     if not game._quads:
         return game._jac_static
@@ -722,14 +690,22 @@ def _joint_payoff(game: GameSpec, z: np.ndarray) -> np.ndarray:
     return P
 
 
-def _payoff_batch(game: GameSpec, X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Constraint-discounted payoffs for stacks ``X`` ``(S, n)`` and ``M`` ``(S, q + 1)``."""
-    F = np.asarray(game.fitness.batch(X), dtype=float)
-    if game._aff_idx.size:
-        F = F - M[:, game._aff_idx] @ game._aff_rows
-    for k, con in game._quads:
-        F = F - M[:, k, None] * con.gradient_batch(X)
-    return F
+def _joint_payoff_stack(game: GameSpec, Z: np.ndarray) -> np.ndarray:
+    """``_joint_payoff`` for each row of an ``(S, N)`` stack ``Z``, to rounding.
+
+    ``T`` is contracted with each row's ``x`` in one matrix product, then
+    with ``z``; a single three-operand ``einsum`` is several times slower.
+    """
+    n = game.n
+    P = Z @ game._payoff_linear.T + game._payoff_offset
+    T = game._payoff_bilinear
+    if T is not None:
+        S, N = Z.shape
+        TX = (Z[:, :n] @ T.reshape(N * N, n).T).reshape(S, N, N)
+        P += np.einsum("sij,sj->si", TX, Z)
+    if not game._fitness_affine:
+        P[:, :n] += np.array([game.fitness(x) for x in Z[:, :n]], dtype=float)
+    return P
 
 
 def primal_dual_payoff(game: GameSpec, x: PrimalState, mu: DualState) -> np.ndarray:

@@ -18,7 +18,7 @@ segmented maximum over the two blocks; after each update, one segmented
 minimum and one segmented sum decide whether a block needs the simplex
 repair.  The diagnostics downstream layers need (potential, constraint
 values, Lyapunov value) are filled after the loop in one batched pass over
-the recorded states.
+the recorded states, through the same payoff operator.
 """
 
 from __future__ import annotations
@@ -305,13 +305,15 @@ def _repair(vec: np.ndarray, mass: float) -> tuple[Optional[np.ndarray], float]:
 def _diagnostics(game: GameSpec, protocol: Protocol, primal: np.ndarray, dual: np.ndarray):
     """Potential, constraint values and ``V`` at every recorded state.
 
-    Runs over row chunks so the ``(rows, n, n)`` gap tensor stays near
-    ``DIAGNOSTICS_CHUNK`` elements however long the trajectory is.
+    One payoff operator call per chunk of rows gives ``V`` and, as its G
+    block, the constraint values; the chunks keep the ``(rows, n, n)`` gap
+    tensor near ``DIAGNOSTICS_CHUNK`` elements however long the trajectory is.
     """
     # break the import cycle: lyapunov builds on this module's protocols
     from .lyapunov import _value_batch
 
     T = primal.shape[0]
+    n = game.n
     pot = np.full(T, np.nan)
     cons = np.empty((T, game.q + 1))
     lyap = np.empty(T)
@@ -321,9 +323,9 @@ def _diagnostics(game: GameSpec, protocol: Protocol, primal: np.ndarray, dual: n
         X, M = primal[sl], dual[sl]
         if game.potential is not None:
             pot[sl] = game.potential.value_batch(X)
-        cons[sl] = core._constraint_values_batch(game, X)
-        F = core._payoff_batch(game, X, M)
-        lyap[sl] = _value_batch(protocol, protocol, X, M, F, cons[sl])
+        P = core._joint_payoff_stack(game, np.concatenate((X, M), axis=1))
+        cons[sl] = P[:, n:]
+        lyap[sl] = _value_batch(protocol, protocol, X, M, P[:, :n], P[:, n:])
     return pot, cons, lyap
 
 
@@ -356,9 +358,10 @@ def integrate(
     at step ``k + 1`` for a non-finite update from it.
 
     Potential, constraint values and ``V`` are filled after the loop in one
-    batched pass over the recorded states; they agree with the scalar
-    ``core.potential``, ``core.constraint_values`` and
-    ``lyapunov.lyapunov_value`` to rounding, not bitwise.
+    batched pass over the recorded states, the latter two through the step
+    kernel's payoff operator; they agree with the scalar ``core.potential``,
+    ``core.constraint_values`` and ``lyapunov.lyapunov_value`` to rounding,
+    not bitwise.
     """
     n = game.n
     z = np.concatenate((core._check_primal(game, x0), core._check_dual(game, mu0)))

@@ -191,8 +191,10 @@ def dual_mass_bound(game: GameSpec, slater: SlaterPoint, p_star_upper: float) ->
     Any dual mass at or above the returned value keeps the optimal prices
     inside the dual simplex.  ``p_star_upper`` must be a certified upper
     bound on the constrained optimum, e.g. 0 for a nonpositive potential or
-    the oracle's value plus its gap.
+    the oracle's value plus its gap, and finite.
     """
+    if not math.isfinite(p_star_upper):
+        raise ConfigurationError(f"p_star_upper must be finite, got {p_star_upper!r}")
     if not slater.margin > 0:
         raise SlaterViolationError("Slater margin must be positive")
     p_tilde = core.potential(game, slater.point)

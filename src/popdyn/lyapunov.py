@@ -225,8 +225,8 @@ def monotonicity_audit(
 
     The values are recomputed one state at a time with the scalar
     ``_value_raw`` rather than read back from the trajectory, whose ``V``
-    comes from the batched pass in ``integrate``.  The audit is therefore a
-    cross-check of a second implementation as well as of the recording.
+    comes from the batched pass in ``integrate``: the audit cross-checks the
+    one-state and stack forms of the payoff operator and the recording.
     """
     T = len(trajectory)
     values = np.empty(T)

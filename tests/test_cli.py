@@ -347,6 +347,17 @@ def test_verify_missing_state_file(out_root, capsys):
     assert err
 
 
+@pytest.mark.parametrize("value", [["a", "b", "c", "d"], {"a": 1.0}])
+def test_verify_rejects_non_numeric_state(out_root, capsys, value):
+    path = out_root / "state.json"
+    path.write_text(json.dumps({"x": value, "mu": [122.0] + [0.0] * 8}))
+    code, _, err = run_cli(
+        ["verify", "--game", "paper-congestion", "--state", str(path)], capsys
+    )
+    assert code == 1
+    assert err.startswith("error: ") and str(path) in err
+
+
 # --- bound ---
 
 
@@ -382,6 +393,25 @@ def test_bound_defaults_to_the_oracle_upper_bound(capsys):
     assert payload["p_star_upper"] == pytest.approx(-8.909, abs=1e-2)
     assert payload["bound"] < 121.875
     assert payload["sufficient"] is True
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bound_rejects_non_finite_p_star_upper(capsys, value):
+    code, out, err = run_cli(
+        [
+            "bound",
+            "--game",
+            "paper-congestion",
+            "--slater",
+            "0.25,0.25,0.25,0.25",
+            "--p-star-upper",
+            value,
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "p_star_upper must be finite" in err
 
 
 def test_bound_rejects_infeasible_interior_point(capsys):

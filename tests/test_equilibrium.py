@@ -139,6 +139,13 @@ def test_dual_mass_bound_rejects_underestimated_optimum(congestion):
         pd.dual_mass_bound(congestion, sp, p_star_upper=-13.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dual_mass_bound_rejects_non_finite_optimum_bound(congestion, value):
+    sp = pd.slater_point(congestion, pd.PrimalState(np.full(4, 0.25), mass=1.0))
+    with pytest.raises(pd.ConfigurationError, match="finite"):
+        pd.dual_mass_bound(congestion, sp, p_star_upper=value)
+
+
 def test_dual_mass_bound_is_zero_without_constraints():
     game = zero_potential_game()
     sp = pd.slater_point(game, pd.PrimalState(np.full(3, 1.0 / 3.0), mass=1.0))

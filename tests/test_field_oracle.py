@@ -242,15 +242,30 @@ def test_lyapunov_rate_uses_each_population_protocol(congestion, rps):
                 assert abs(got - expected) <= 1e-12 * max(1.0, scale)
 
 
-def check_joint_payoff(game, xv, muv):
-    """``core._joint_payoff`` against the rule-based public evaluators."""
-    x = pd.PrimalState(xv, game.primal_mass)
-    mu = pd.DualState(muv, game.dual_mass)
-    expected = np.concatenate((pd.primal_dual_payoff(game, x, mu), pd.constraint_values(game, x)))
-    got = core._joint_payoff(game, np.concatenate((xv, muv)))
-    assert got.shape == expected.shape
-    deviation = np.max(np.abs(got - expected))
-    assert deviation <= 1e-12 * max(1.0, np.max(np.abs(expected))), deviation
+def check_joint_payoff(game, states):
+    """``core._joint_payoff`` and its stack form against the rule-based public evaluators.
+
+    ``states`` is a list of ``(xv, muv)`` pairs; the stack form evaluates
+    them all at once, and each of its rows is held to both the 1-d operator
+    and the rule-based reference.
+    """
+    Z = np.array([np.concatenate((xv, muv)) for xv, muv in states])
+    stacked = core._joint_payoff_stack(game, Z)
+    assert stacked.shape == Z.shape
+    # the recorded constraint values take column n, the null strategy's, as is
+    assert np.all(stacked[:, game.n] == 0.0)
+    for (xv, muv), z, row in zip(states, Z, stacked):
+        x = pd.PrimalState(xv, game.primal_mass)
+        mu = pd.DualState(muv, game.dual_mass)
+        expected = np.concatenate(
+            (pd.primal_dual_payoff(game, x, mu), pd.constraint_values(game, x))
+        )
+        got = core._joint_payoff(game, z)
+        bound = 1e-12 * max(1.0, np.max(np.abs(expected)))
+        for value, reference in ((got, expected), (row, expected), (row, got)):
+            assert value.shape == reference.shape
+            deviation = np.max(np.abs(value - reference))
+            assert deviation <= bound, deviation
     quadratic = any(isinstance(con, pd.QuadraticConstraint) for con in game.constraints)
     assert (game._payoff_bilinear is None) == (not quadratic)
 
@@ -262,10 +277,14 @@ def check_joint_payoff(game, xv, muv):
 )
 def test_joint_payoff_matches_rule_evaluators_on_generated_games(generated, empty):
     game, rng = generated
-    for _ in range(5):
-        xv = sparse_simplex(rng, game.n, game.primal_mass, empty)
-        muv = sparse_simplex(rng, game.q + 1, game.dual_mass, empty)
-        check_joint_payoff(game, xv, muv)
+    states = [
+        (
+            sparse_simplex(rng, game.n, game.primal_mass, empty),
+            sparse_simplex(rng, game.q + 1, game.dual_mass, empty),
+        )
+        for _ in range(5)
+    ]
+    check_joint_payoff(game, states)
 
 
 def _quadratic_potential_game():
@@ -292,10 +311,14 @@ def test_joint_payoff_matches_rule_evaluators_on_named_games(congestion, rps):
     for game in games:
         rng = np.random.default_rng(game.n + game.q)
         for empty in range(3):
-            for _ in range(20):
-                xv = sparse_simplex(rng, game.n, game.primal_mass, empty)
-                muv = sparse_simplex(rng, game.q + 1, game.dual_mass, empty)
-                check_joint_payoff(game, xv, muv)
+            states = [
+                (
+                    sparse_simplex(rng, game.n, game.primal_mass, empty),
+                    sparse_simplex(rng, game.q + 1, game.dual_mass, empty),
+                )
+                for _ in range(20)
+            ]
+            check_joint_payoff(game, states)
     assert congestion._payoff_bilinear is None
     assert rps._payoff_bilinear.shape == (5, 5, 3)
     # the null strategy's payoff is exactly zero, with and without constraints
