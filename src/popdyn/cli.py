@@ -291,7 +291,13 @@ def cmd_simulate(args) -> int:
     protocol = PROTOCOLS[args.protocol]()
     out_base = args.out or os.path.join(_out_root(), "trajectory.csv")
 
+    if args.record_every < 1:
+        raise _CliError("--record-every must be at least 1")
     if args.seeds is not None:
+        # a fixed start draws nothing from the seed, so every seed would run the same
+        if args.x0 is not None or game.start is not None:
+            fixed_by = "--x0" if args.x0 is not None else f"game {args.game!r}"
+            raise _CliError(f"--seeds would be ignored: {fixed_by} fixes the start")
         seeds = list(_parse_seed_range(args.seeds))
     else:
         seeds = [args.seed]
@@ -425,6 +431,8 @@ def _repro_checks_rps(game, traj, report, audit) -> list:
 
 
 def cmd_repro(args) -> int:
+    if args.record_every < 1:
+        raise _CliError("--record-every must be at least 1")
     out_dir = args.out_dir or os.path.join(_out_root(), f"repro-{args.experiment}")
     os.makedirs(out_dir, exist_ok=True)
 

@@ -39,7 +39,7 @@ logger = logging.getLogger(__name__)
 REPAIR_WARN = 1e-6
 # mass drift below this is left alone to keep untouched coordinates bitwise stable
 REPAIR_DRIFT = 1e-12
-# elements of the largest gap tensor per chunk of the diagnostics pass
+# elements of the largest gap tensor per chunk of the diagnostics pass and the decrease audit
 DIAGNOSTICS_CHUNK = 1 << 16
 
 
@@ -239,15 +239,12 @@ def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarra
     return _exchange(game, protocol, z, core._joint_payoff(game, z))
 
 
-def _masked_gaps(game: GameSpec, payoffs: np.ndarray) -> np.ndarray:
-    """``gaps[i, j] = payoffs[i] - payoffs[j]`` within each population, exact zeros across."""
-    mask = game._block_mask
-    return np.subtract(payoffs[:, None], payoffs, out=np.zeros(mask.shape), where=mask)
-
-
 def _exchange(game: GameSpec, protocol: Protocol, z: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
     """Net fields of both populations at ``z`` for known joint payoffs."""
-    flow = np.asarray(protocol.value(_masked_gaps(game, payoffs)), dtype=float) * z
+    mask = game._block_mask
+    # gaps[i, j] = payoffs[i] - payoffs[j] within each population, exact zeros across
+    gaps = np.subtract(payoffs[:, None], payoffs, out=np.zeros(mask.shape), where=mask)
+    flow = np.asarray(protocol.value(gaps), dtype=float) * z
     return (flow - flow.T).sum(axis=1)
 
 
@@ -302,12 +299,25 @@ def _repair(vec: np.ndarray, mass: float) -> tuple[Optional[np.ndarray], float]:
     return vec, size
 
 
+def _payoff_chunks(game: GameSpec, primal: np.ndarray, dual: np.ndarray):
+    """Yield ``(rows, X, M, P)`` per row chunk: its slice, states and joint payoffs.
+
+    One ``core._joint_payoff_stack`` call per chunk; the chunks keep the
+    ``(rows, n, n)`` gap tensor of ``V`` near ``DIAGNOSTICS_CHUNK`` elements.
+    """
+    rows = max(1, DIAGNOSTICS_CHUNK // max(game.n, game.q + 1) ** 2)
+    for lo in range(0, primal.shape[0], rows):
+        sl = slice(lo, lo + rows)
+        X, M = primal[sl], dual[sl]
+        yield sl, X, M, core._joint_payoff_stack(game, np.concatenate((X, M), axis=1))
+
+
 def _diagnostics(game: GameSpec, protocol: Protocol, primal: np.ndarray, dual: np.ndarray):
     """Potential, constraint values and ``V`` at every recorded state.
 
-    One payoff operator call per chunk of rows gives ``V`` and, as its G
-    block, the constraint values; the chunks keep the ``(rows, n, n)`` gap
-    tensor near ``DIAGNOSTICS_CHUNK`` elements however long the trajectory is.
+    Each chunk of ``_payoff_chunks`` gives ``V`` and, as the G block of its
+    payoffs, the constraint values; ``lyapunov.monotonicity_audit`` walks
+    the same chunks for ``V`` alone.
     """
     # break the import cycle: lyapunov builds on this module's protocols
     from .lyapunov import _value_batch
@@ -317,13 +327,9 @@ def _diagnostics(game: GameSpec, protocol: Protocol, primal: np.ndarray, dual: n
     pot = np.full(T, np.nan)
     cons = np.empty((T, game.q + 1))
     lyap = np.empty(T)
-    rows = max(1, DIAGNOSTICS_CHUNK // max(game.n, game.q + 1) ** 2)
-    for lo in range(0, T, rows):
-        sl = slice(lo, lo + rows)
-        X, M = primal[sl], dual[sl]
+    for sl, X, M, P in _payoff_chunks(game, primal, dual):
         if game.potential is not None:
             pot[sl] = game.potential.value_batch(X)
-        P = core._joint_payoff_stack(game, np.concatenate((X, M), axis=1))
         cons[sl] = P[:, n:]
         lyap[sl] = _value_batch(protocol, protocol, X, M, P[:, :n], P[:, n:])
     return pot, cons, lyap

@@ -70,8 +70,7 @@ class OracleSolution(NamedTuple):
 class EquilibriumReport:
     """Residual diagnostics for a candidate state pair.
 
-    All residuals are nonnegative.  ``saddle_violation`` is ``None`` unless
-    a saddle check was folded in.  The verdict depends on the two Nash
+    All residuals are nonnegative.  The verdict depends on the two Nash
     residuals alone; feasibility and complementarity are diagnostics.
     """
 
@@ -79,7 +78,6 @@ class EquilibriumReport:
     dual_nash_residual: float
     feasibility_residual: float
     complementarity_residual: float
-    saddle_violation: Optional[float]
     verdict: str
 
     @property
@@ -92,7 +90,6 @@ class EquilibriumReport:
             "dual_nash_residual": self.dual_nash_residual,
             "feasibility_residual": self.feasibility_residual,
             "complementarity_residual": self.complementarity_residual,
-            "saddle_violation": self.saddle_violation,
             "verdict": self.verdict,
         }
 
@@ -158,7 +155,6 @@ def in_equilibria_set(
         dual_nash_residual=dual.residual,
         feasibility_residual=feasibility,
         complementarity_residual=comp,
-        saddle_violation=None,
         verdict=verdict,
     )
 

@@ -10,6 +10,10 @@ zero.  ``V`` is nonnegative everywhere and vanishes exactly on states where
 no revision opportunity exists.  Protocols that carry a closed-form
 antiderivative use it; otherwise each entry falls back to adaptive Simpson
 quadrature of the rate.
+
+``V`` has one formula, ``_value_batch``, on stacks of states: ``integrate``
+records it, ``monotonicity_audit`` evaluates it over the same row chunks
+(``dynamics._payoff_chunks``) and ``lyapunov_value`` on a one-row stack.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import core, dynamics
-from .core import DualState, GameSpec, PrimalState
+from .core import ConfigurationError, DualState, GameSpec, PrimalState
 from .dynamics import Protocol, Trajectory
 
 QUADRATURE_TOL = 1e-10
@@ -76,54 +80,29 @@ def _simpson(func, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def _scalar_rate(protocol: Protocol) -> Callable[[float], float]:
-    return lambda t: float(protocol.value(np.asarray(t, dtype=float)))
-
-
-def _gap_integral_matrix(protocol: Protocol, payoffs: np.ndarray) -> np.ndarray:
-    """Matrix ``M[i, j] = integral of the rate from 0 to payoffs_j - payoffs_i``."""
-    gaps = payoffs[None, :] - payoffs[:, None]
-    if protocol.antiderivative is not None:
-        return np.asarray(protocol.antiderivative(gaps), dtype=float)
-    rate = _scalar_rate(protocol)
-    out = np.empty_like(gaps)
-    for i in range(gaps.shape[0]):
-        for j in range(gaps.shape[1]):
-            try:
-                out[i, j] = adaptive_simpson(rate, 0.0, float(gaps[i, j]))
-            except QuadratureError as exc:
-                raise QuadratureError(
-                    f"protocol {protocol.name!r}, payoff pair ({i}, {j}): {exc}"
-                ) from exc
-    return out
-
-
-def _value_raw(
-    game: GameSpec,
-    primal_protocol: Protocol,
-    dual_protocol: Protocol,
-    xv: np.ndarray,
-    muv: np.ndarray,
-) -> float:
-    z = np.concatenate((xv, muv))
-    P = core._joint_payoff(game, z)
-    if primal_protocol is dual_protocol and primal_protocol.antiderivative is not None:
-        # one gap matrix for both populations: the masked cross-population
-        # gaps are 0, and the antiderivative from 0 vanishes there
-        gaps = dynamics._masked_gaps(game, P).T
-        return float(z @ np.asarray(primal_protocol.antiderivative(gaps), dtype=float).sum(axis=1))
-    gamma_p = _gap_integral_matrix(primal_protocol, P[: game.n]).sum(axis=1)
-    gamma_phi = _gap_integral_matrix(dual_protocol, P[game.n :]).sum(axis=1)
-    return float(xv @ gamma_p + muv @ gamma_phi)
-
-
 def _gap_integral_rowsums(protocol: Protocol, payoffs: np.ndarray) -> np.ndarray:
-    """Row sums of ``_gap_integral_matrix`` for each row of an ``(S, m)`` payoff stack."""
-    if protocol.antiderivative is None:
-        rows = [_gap_integral_matrix(protocol, row).sum(axis=1) for row in payoffs]
-        return np.array(rows).reshape(payoffs.shape)
+    """``Gamma[s, i] = sum_j`` of the rate's integral from 0 to ``payoffs[s, j] - payoffs[s, i]``.
+
+    ``payoffs`` is an ``(S, m)`` stack.  The protocol's antiderivative gives
+    every entry at once; without one, each entry is integrated by
+    ``adaptive_simpson``, and a failure names the protocol and the pair.
+    """
     gaps = payoffs[:, None, :] - payoffs[:, :, None]
-    return np.asarray(protocol.antiderivative(gaps), dtype=float).sum(axis=2)
+    if protocol.antiderivative is not None:
+        return np.asarray(protocol.antiderivative(gaps), dtype=float).sum(axis=2)
+
+    def rate(t):
+        return float(protocol.value(np.asarray(t, dtype=float)))
+
+    out = np.empty_like(gaps)
+    for s, i, j in np.ndindex(*gaps.shape):
+        try:
+            out[s, i, j] = adaptive_simpson(rate, 0.0, float(gaps[s, i, j]))
+        except QuadratureError as exc:
+            raise QuadratureError(
+                f"protocol {protocol.name!r}, payoff pair ({i}, {j}): {exc}"
+            ) from exc
+    return out.sum(axis=2)
 
 
 def _value_batch(
@@ -136,11 +115,25 @@ def _value_batch(
 ) -> np.ndarray:
     """``V`` for state stacks ``X``, ``M`` whose payoffs ``F`` and constraint values ``G`` are known.
 
-    Agrees with ``_value_raw`` row by row to rounding; the summation order
-    differs, so the last bits may too.
+    The one formula for ``V`` in the package: the recorded trajectory, the
+    decrease audit and ``lyapunov_value`` (on one-row stacks) all call it.
     """
     primal = np.einsum("si,si->s", X, _gap_integral_rowsums(primal_protocol, F))
     return primal + np.einsum("sk,sk->s", M, _gap_integral_rowsums(dual_protocol, G))
+
+
+def _value_raw(
+    game: GameSpec,
+    primal_protocol: Protocol,
+    dual_protocol: Protocol,
+    xv: np.ndarray,
+    muv: np.ndarray,
+) -> float:
+    """``V`` at one validated state pair: ``_value_batch`` on one-row stacks."""
+    P = core._joint_payoff(game, np.concatenate((xv, muv)))[None, :]
+    n = game.n
+    V = _value_batch(primal_protocol, dual_protocol, xv[None, :], muv[None, :], P[:, :n], P[:, n:])
+    return float(V[0])
 
 
 def lyapunov_value(
@@ -170,7 +163,7 @@ def lyapunov_rate(
     """Time derivative of ``V`` along the coupled dynamics.
 
     Assembled from the decomposition that drives the decrease argument:
-    with ``Gamma`` the row sums of the two gap-integral matrices,
+    with ``Gamma`` the two populations' gap-integral row sums,
 
         dV/dt = Gamma_P . xdot + xdot . Df_mu(x) xdot + Gamma_Phi . mudot.
 
@@ -182,8 +175,8 @@ def lyapunov_rate(
     n = game.n
     z = np.concatenate((xv, muv))
     P = core._joint_payoff(game, z)
-    gamma_p = _gap_integral_matrix(primal_protocol, P[:n]).sum(axis=1)
-    gamma_phi = _gap_integral_matrix(dual_protocol, P[n:]).sum(axis=1)
+    gamma_p = _gap_integral_rowsums(primal_protocol, P[None, :n])[0]
+    gamma_phi = _gap_integral_rowsums(dual_protocol, P[None, n:])[0]
     zdot = dynamics._exchange(game, primal_protocol, z, P)
     if dual_protocol is not primal_protocol:
         zdot[n:] = dynamics._exchange(game, dual_protocol, z, P)[n:]
@@ -221,30 +214,25 @@ def monotonicity_audit(
     trajectory: Trajectory,
     audit_tol: float = 1e-8,
 ) -> LyapunovAudit:
-    """Recompute ``V`` at every recorded state and audit its decrease.
+    """Evaluate ``V`` at every recorded state and audit its decrease.
 
-    The values are recomputed one state at a time with the scalar
-    ``_value_raw`` rather than read back from the trajectory, whose ``V``
-    comes from the batched pass in ``integrate``: the audit cross-checks the
-    one-state and stack forms of the payoff operator and the recording.
+    ``V`` comes from ``_value_batch`` over the same row chunks and payoff
+    stacks that fill ``Trajectory.lyapunov``, so with the protocol
+    ``integrate`` used for both populations the values equal the recorded
+    ones bitwise; with other protocols the audit evaluates their ``V``.  A
+    transition counts as a violation when ``V`` rises by more than
+    ``audit_tol``, which must be finite and nonnegative.
     """
-    T = len(trajectory)
-    values = np.empty(T)
-    for i in range(T):
-        values[i] = _value_raw(
-            game, primal_protocol, dual_protocol, trajectory.primal[i], trajectory.dual[i]
-        )
-    if T > 1:
-        diffs = np.diff(values)
-        max_increase = float(diffs.max())
-        violations = tuple(int(i) for i in np.flatnonzero(diffs > audit_tol))
-    else:
-        max_increase = 0.0
-        violations = ()
-    nonneg = bool(np.all(values >= -1e-12))
+    if not 0.0 <= audit_tol < np.inf:
+        raise ConfigurationError(f"audit tolerance must be in [0, inf), got {audit_tol!r}")
+    n = game.n
+    values = np.empty(len(trajectory))
+    for sl, X, M, P in dynamics._payoff_chunks(game, trajectory.primal, trajectory.dual):
+        values[sl] = _value_batch(primal_protocol, dual_protocol, X, M, P[:, :n], P[:, n:])
+    diffs = np.diff(values)
     return LyapunovAudit(
         values=values,
-        max_increase=max_increase,
-        violation_steps=violations,
-        nonnegativity_ok=nonneg,
+        max_increase=float(diffs.max()) if diffs.size else 0.0,
+        violation_steps=tuple(int(i) for i in np.flatnonzero(diffs > audit_tol)),
+        nonnegativity_ok=bool(np.all(values >= -1e-12)),
     )

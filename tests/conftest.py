@@ -32,6 +32,69 @@ def read_csv_rows(path):
     return header, rows
 
 
+# plain-Python scalar rates and their integrals from 0, sharing no code with popdyn
+
+
+def smith_rate(g):
+    return max(g, 0.0)
+
+
+def smith_integral(g):
+    return 0.5 * max(g, 0.0) ** 2
+
+
+def square_rate(g):
+    return max(g, 0.0) ** 2
+
+
+def square_integral(g):
+    return max(g, 0.0) ** 3 / 3.0
+
+
+# rate rho(g) = max(g, 0)^2 with antiderivative g^3 / 3 for g > 0
+SQUARE = pd.Protocol(
+    "square",
+    lambda g: np.maximum(g, 0.0) ** 2,
+    lambda g: np.maximum(g, 0.0) ** 3 / 3.0,
+)
+SCALAR = {"smith": (smith_rate, smith_integral), "square": (square_rate, square_integral)}
+
+
+def oracle_payoffs(game, x, mu):
+    """``(F, G)`` as lists of floats from the fitness rule and the constraint data."""
+    F = [float(v) for v in game.fitness(np.array(x))]
+    G = [0.0]
+    for k, con in enumerate(game.constraints, start=1):
+        a = con.a.tolist()
+        if isinstance(con, pd.AffineConstraint):
+            value = sum(ai * xi for ai, xi in zip(a, x)) - con.b
+            grad = a
+        else:
+            Q = con.Q.tolist()
+            Qx = [sum(qij * xj for qij, xj in zip(row, x)) for row in Q]
+            quad = sum(xi * qxi for xi, qxi in zip(x, Qx))
+            value = quad + sum(ai * xi for ai, xi in zip(a, x)) - con.c
+            grad = [2.0 * qxi + ai for qxi, ai in zip(Qx, a)]
+        G.append(value)
+        F = [fi - mu[k] * gi for fi, gi in zip(F, grad)]
+    return F, G
+
+
+def oracle_value(game, primal_protocol, dual_protocol, xv, muv):
+    """``V = sum_i x_i sum_j A_rho(F_j - F_i) + sum_k mu_k sum_l A_phi(G_l - G_k)`` as a double sum.
+
+    The integrals come from ``SCALAR`` by protocol name, the payoffs from
+    ``oracle_payoffs``.
+    """
+    primal_integral = SCALAR[primal_protocol.name][1]
+    dual_integral = SCALAR[dual_protocol.name][1]
+    xs, ms = xv.tolist(), muv.tolist()
+    F, G = oracle_payoffs(game, xs, ms)
+    return sum(xi * sum(primal_integral(fj - fi) for fj in F) for xi, fi in zip(xs, F)) + sum(
+        mk * sum(dual_integral(gl - gk) for gl in G) for mk, gk in zip(ms, G)
+    )
+
+
 @pytest.fixture(scope="session")
 def smith():
     return pd.smith_protocol()

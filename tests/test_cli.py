@@ -255,6 +255,59 @@ def test_simulate_seed_fanout(out_root, capsys):
         assert {**summary, "out": None} == {**single, "out": None}
 
 
+@pytest.fixture
+def no_integration(monkeypatch):
+    # fails any command that gets as far as integrating
+    calls = []
+
+    def integrate(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(pd.dynamics, "integrate", integrate)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "extra, reason",
+    [
+        (["--game", "paper-rps"], "game 'paper-rps' fixes the start"),
+        (["--game", "paper-congestion", "--x0", "0.25,0.25,0.25,0.25"], "--x0 fixes the start"),
+    ],
+)
+def test_simulate_seeds_with_a_fixed_start_is_a_usage_error(
+    extra, reason, out_root, no_integration, capsys
+):
+    # every seed would run the same integration and write the same file
+    out_path = out_root / "fan.csv"
+    code, out, err = run_cli(["simulate", *extra, "--seeds", "0..2", "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --seeds would be ignored")
+    assert reason in err
+    assert no_integration == []
+    assert list(out_root.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--game", "paper-congestion"],
+        ["repro", "congestion"],
+        ["repro", "rps"],
+    ],
+)
+def test_record_every_is_checked_before_integrating(argv, out_root, no_integration, capsys):
+    code, out, err = run_cli([*argv, "--record-every", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "--record-every" in err
+    assert no_integration == []
+    # repro leaves no empty output directory behind
+    assert list(out_root.iterdir()) == []
+
+
 def test_simulate_is_deterministic(out_root, capsys):
     args = [
         "simulate",

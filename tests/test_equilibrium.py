@@ -64,7 +64,7 @@ def test_converged_endpoint_is_in_the_set(congestion, congestion_run):
     assert report.dual_nash_residual <= 1e-3
     assert report.feasibility_residual <= 1e-3
     assert report.complementarity_residual <= 1e-3
-    assert report.saddle_violation is None
+    assert not hasattr(report, "saddle_violation")
 
 
 def test_random_state_is_not_in_the_set(congestion):
@@ -99,7 +99,6 @@ def test_report_serializes_in_stable_order(congestion, congestion_run):
         "dual_nash_residual",
         "feasibility_residual",
         "complementarity_residual",
-        "saddle_violation",
         "verdict",
     ]
 

@@ -15,52 +15,7 @@ from hypothesis import strategies as st
 import popdyn as pd
 from popdyn import core, dynamics
 
-from conftest import random_simplex
-
-
-def smith_rate(g):
-    return max(g, 0.0)
-
-
-def smith_integral(g):
-    return 0.5 * max(g, 0.0) ** 2
-
-
-def square_rate(g):
-    return max(g, 0.0) ** 2
-
-
-def square_integral(g):
-    return max(g, 0.0) ** 3 / 3.0
-
-
-# rate rho(g) = max(g, 0)^2 with antiderivative g^3 / 3 for g > 0
-SQUARE = pd.Protocol(
-    "square",
-    lambda g: np.maximum(g, 0.0) ** 2,
-    lambda g: np.maximum(g, 0.0) ** 3 / 3.0,
-)
-SCALAR = {"smith": (smith_rate, smith_integral), "square": (square_rate, square_integral)}
-
-
-def oracle_payoffs(game, x, mu):
-    """``(F, G)`` as lists of floats from the fitness rule and the constraint data."""
-    F = [float(v) for v in game.fitness(np.array(x))]
-    G = [0.0]
-    for k, con in enumerate(game.constraints, start=1):
-        a = con.a.tolist()
-        if isinstance(con, pd.AffineConstraint):
-            value = sum(ai * xi for ai, xi in zip(a, x)) - con.b
-            grad = a
-        else:
-            Q = con.Q.tolist()
-            Qx = [sum(qij * xj for qij, xj in zip(row, x)) for row in Q]
-            quad = sum(xi * qxi for xi, qxi in zip(x, Qx))
-            value = quad + sum(ai * xi for ai, xi in zip(a, x)) - con.c
-            grad = [2.0 * qxi + ai for qxi, ai in zip(Qx, a)]
-        G.append(value)
-        F = [fi - mu[k] * gi for fi, gi in zip(F, grad)]
-    return F, G
+from conftest import SCALAR, SQUARE, oracle_payoffs, oracle_value, random_simplex
 
 
 def oracle_field(rate, shares, payoffs):
@@ -341,15 +296,9 @@ def test_lyapunov_value_matches_oracle_for_each_protocol_pair(congestion, rps):
     for game in (congestion, rps, _callable_fitness_game(), _unconstrained_game()):
         rng = np.random.default_rng(11)
         for primal_protocol, dual_protocol in pairs:
-            primal_integral = SCALAR[primal_protocol.name][1]
-            dual_integral = SCALAR[dual_protocol.name][1]
             for _ in range(20):
                 x = pd.PrimalState(random_simplex(rng, game.n, game.primal_mass), game.primal_mass)
                 mu = pd.DualState(random_simplex(rng, game.q + 1, game.dual_mass), game.dual_mass)
-                xs, ms = x.x.tolist(), mu.mu.tolist()
-                F, G = oracle_payoffs(game, xs, ms)
-                expected = sum(
-                    xi * sum(primal_integral(fj - fi) for fj in F) for xi, fi in zip(xs, F)
-                ) + sum(mk * sum(dual_integral(gl - gk) for gl in G) for mk, gk in zip(ms, G))
+                expected = oracle_value(game, primal_protocol, dual_protocol, x.x, mu.mu)
                 got = pd.lyapunov_value(game, primal_protocol, dual_protocol, x, mu)
                 assert abs(got - expected) <= 1e-12 * max(1.0, expected), (got, expected)

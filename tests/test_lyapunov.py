@@ -8,7 +8,7 @@ import pytest
 import popdyn as pd
 from popdyn.lyapunov import adaptive_simpson
 
-from conftest import null_dual, random_simplex
+from conftest import SQUARE, null_dual, oracle_value, random_simplex
 
 
 # --- adaptive quadrature ---
@@ -158,13 +158,43 @@ def test_audit_confirms_decrease_on_converged_run(congestion, congestion_run, sm
     assert audit.fraction_nonincreasing == 1.0
     assert audit.max_increase <= 1e-8
     assert audit.nonnegativity_ok
-    # the scalar audit cross-checks the batched pass that recorded V; the
-    # two sum in different orders, so they agree to rounding, not bitwise
-    bound = 1e-12 * np.maximum(1.0, np.abs(audit.values))
-    assert np.all(np.abs(audit.values - congestion_run.lyapunov) <= bound)
+    # with the recording's protocol the audit evaluates V over the same
+    # chunks and payoff stacks as the recording, so it reads the same bits
+    assert np.array_equal(audit.values, congestion_run.lyapunov)
+    # and a sample of rows against the plain-Python double sum
+    for i in np.linspace(0, len(congestion_run) - 1, 50).astype(int):
+        expected = oracle_value(
+            congestion, smith, smith, congestion_run.primal[i], congestion_run.dual[i]
+        )
+        assert abs(audit.values[i] - expected) <= 1e-12 * max(1.0, abs(expected)), i
 
 
-def test_audit_flags_a_constructed_increase(rps, smith):
+def test_audit_evaluates_each_population_protocol_across_chunks(
+    congestion, rps, smith, monkeypatch
+):
+    # a tiny chunk splits the short runs into many chunks; the audit then
+    # evaluates V for protocols other than the recording's, per population
+    monkeypatch.setattr(pd.dynamics, "DIAGNOSTICS_CHUNK", 50)
+    numeric = pd.Protocol(name="smith-numeric", value=smith.value)
+    pairs = ((smith, SQUARE), (SQUARE, smith), (numeric, numeric), (SQUARE, numeric))
+    starts = (
+        (rps, pd.PrimalState(np.full(3, 1.0 / 3.0), 1.0)),
+        (congestion, pd.sample_simplex(congestion.n, congestion.primal_mass, seed=2)),
+    )
+    for game, x0 in starts:
+        traj = pd.integrate(game, smith, x0, null_dual(game), pd.SimParams(horizon=0.5, step=0.01))
+        assert np.array_equal(pd.monotonicity_audit(game, smith, smith, traj).values, traj.lyapunov)
+        for primal_protocol, dual_protocol in pairs:
+            audit = pd.monotonicity_audit(game, primal_protocol, dual_protocol, traj)
+            assert audit.values.shape == (len(traj),)
+            for i in range(len(traj)):
+                x, mu = traj.state_at(i)
+                expected = pd.lyapunov_value(game, primal_protocol, dual_protocol, x, mu)
+                bound = 1e-12 * max(1.0, abs(expected))
+                assert abs(audit.values[i] - expected) <= bound, (primal_protocol.name, i)
+
+
+def _jump_trajectory():
     # two hand-picked states with V jumping from ~0.03 to 74.5: with all
     # prices on the cap, the priced payoffs at the first corner are
     # (-8, 2, -1), so the primal term is max(10,0)^2/2 + max(7,0)^2/2
@@ -172,7 +202,7 @@ def test_audit_flags_a_constructed_increase(rps, smith):
     lo_mu = np.array([4.0, 0.0])
     hi_x = np.array([1.0, 0.0, 0.0])
     hi_mu = np.array([0.0, 4.0])
-    traj = pd.Trajectory(
+    return pd.Trajectory(
         times=np.array([0.0, 0.01]),
         primal=np.array([lo_x, hi_x]),
         dual=np.array([lo_mu, hi_mu]),
@@ -185,7 +215,17 @@ def test_audit_flags_a_constructed_increase(rps, smith):
         primal_mass=1.0,
         dual_mass=4.0,
     )
-    audit = pd.monotonicity_audit(rps, smith, smith, traj)
+
+
+def test_audit_flags_a_constructed_increase(rps, smith):
+    audit = pd.monotonicity_audit(rps, smith, smith, _jump_trajectory())
     assert audit.violation_steps == (0,)
     assert audit.fraction_nonincreasing == 0.0
     assert audit.max_increase == pytest.approx(74.5 - 4.0 * (11.0 / 90.0) ** 2 / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("audit_tol", [math.nan, math.inf, -1.0])
+def test_audit_rejects_a_tolerance_outside_zero_to_infinity(rps, smith, audit_tol):
+    # NaN and +inf would pass any jump; a negative tolerance flags flat steps
+    with pytest.raises(pd.ConfigurationError, match="audit tolerance"):
+        pd.monotonicity_audit(rps, smith, smith, _jump_trajectory(), audit_tol=audit_tol)
