@@ -34,8 +34,6 @@ from .lyapunov import QuadratureError, monotonicity_audit
 AUDIT_TOL = 1e-8
 AUDIT_FRACTION = 0.999
 REPORT_TOL = 1e-3
-ORACLE_RESOLUTION = 200
-ORACLE_REFINE_ITERS = 2000
 RPS_TARGET = (0.313, 0.044, 0.643)
 
 _EXIT_OK = 0
@@ -350,13 +348,12 @@ def cmd_bound(args) -> int:
     game = _resolve_game(args.game)
     x = PrimalState(_parse_vector(args.slater, "--slater"), game.primal_mass)
     slater = equilibrium.slater_point(game, x)
+    optimum = None
     if args.p_star_upper is not None:
         p_upper = args.p_star_upper
     else:
-        solution = equilibrium.oracle_solve(
-            game, resolution=ORACLE_RESOLUTION, refine_iters=ORACLE_REFINE_ITERS, seed=0
-        )
-        p_upper = solution.value + solution.gap
+        optimum = equilibrium.optimum_solve(game)
+        p_upper = optimum.upper
     bound = equilibrium.dual_mass_bound(game, slater, p_upper)
     out = {
         "bound": bound,
@@ -365,23 +362,23 @@ def cmd_bound(args) -> int:
         "margin": slater.margin,
         "p_star_upper": p_upper,
     }
+    if optimum is not None:
+        out["optimum_dual_mass"] = float(optimum.multipliers.sum())
     print(_dump_json(out), end="")
     return _EXIT_OK
 
 
 def _repro_checks_congestion(game, traj, report, audit) -> list:
-    solution = equilibrium.oracle_solve(
-        game, resolution=ORACLE_RESOLUTION, refine_iters=ORACLE_REFINE_ITERS, seed=0
-    )
+    optimum = equilibrium.optimum_solve(game)
     g_end = traj.constraints[-1][1:].max()
-    deviation = float(np.max(np.abs(traj.primal[-1] - solution.point.x)))
+    deviation = float(np.max(np.abs(traj.primal[-1] - optimum.point.x)))
     return [
         ("converged", traj.converged, f"converged={traj.converged} at t={traj.times[-1]:.2f}"),
         ("endpoint_feasible", g_end <= 1e-3, f"max_k g_k = {g_end:.3e} (limit 1e-3)"),
         (
             "oracle_match",
             deviation <= 1e-2,
-            f"|x - x_oracle|_inf = {deviation:.3e} (limit 1e-2)",
+            f"|x - x_opt|_inf = {deviation:.3e} (limit 1e-2)",
         ),
         ("equilibrium_verdict", report.in_set, f"verdict={report.verdict} at tol {REPORT_TOL}"),
         (
@@ -433,6 +430,7 @@ def _repro_checks_rps(game, traj, report, audit) -> list:
 def cmd_repro(args) -> int:
     if args.record_every < 1:
         raise _CliError("--record-every must be at least 1")
+    params = SimParams(horizon=args.horizon, step=args.step)
     out_dir = args.out_dir or os.path.join(_out_root(), f"repro-{args.experiment}")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -441,7 +439,6 @@ def cmd_repro(args) -> int:
     x0, _ = _default_primal(game, args.seed)
     mu0 = _null_dual(game)
 
-    params = SimParams(horizon=args.horizon, step=args.step)
     traj = dynamics.integrate(game, protocol, x0, mu0, params)
     report = equilibrium.in_equilibria_set(game, traj.final_primal, traj.final_dual, tol=REPORT_TOL)
     audit = monotonicity_audit(game, protocol, protocol, traj, audit_tol=AUDIT_TOL)
@@ -521,7 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--p-star-upper",
         type=float,
         default=None,
-        help="certified upper bound on the optimum (default: oracle value + gap)",
+        help="certified upper bound on the optimum (default: the interior-point "
+        "solver's weak-duality bound)",
     )
     bnd.set_defaults(handler=cmd_bound)
 

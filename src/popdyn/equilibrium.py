@@ -1,12 +1,18 @@
-"""Equilibrium tests, the dual-mass bound, and an independent grid oracle.
+"""Equilibrium tests, the dual-mass bound, and two optimum solvers.
 
 Membership in the equilibria set is two coupled Nash conditions: every used
 primal strategy earns the maximal constraint-discounted payoff, and every
 carried constraint price sits on a maximal constraint value (the null
-constraint's value 0 included).  The oracle solves the underlying program
-``max p(x)  s.t.  g_k(x) <= 0`` by feasible-grid enumeration plus projected
-random refinement, sharing no code path with the dynamics or the payoff
-gradients it is used to validate.
+constraint's value 0 included).
+
+Both solvers maximize the underlying program ``max p(x)  s.t.  g_k(x) <= 0``
+over the mass-``m`` simplex through the rule objects' ``value``,
+``gradient`` and ``hessian`` alone, sharing no code path with the dynamics
+or the payoff operator they are used to validate.  ``optimum_solve`` is a
+primal-dual interior-point method whose answer carries a weak-duality
+upper bound on the optimum that holds whatever the solver did; the CLI uses
+it.  ``oracle_solve`` enumerates a feasible grid and refines it by random
+search; it stays as a solver-free cross-check for the tests.
 """
 
 from __future__ import annotations
@@ -32,6 +38,17 @@ DEFAULT_NASH_TOL = 1e-9
 FEAS_EPS = 1e-12
 # cap on the phase-1 grid size of the oracle
 MAX_GRID_POINTS = 4_000_000
+# optimum_solve: iteration cap, fraction of the step to the boundary taken,
+# the stopping target, the accepted residual and relative certificate gap,
+# and the slack on a constant, negative semidefinite potential Hessian
+OPTIMUM_MAX_ITERS = 100
+OPTIMUM_STEP_FRACTION = 0.995
+OPTIMUM_STOP_TOL = 1e-13
+OPTIMUM_FEAS_TOL = 1e-10
+OPTIMUM_GAP_TOL = 1e-9
+OPTIMUM_HESS_TOL = 1e-10
+# relative float error allowed for in the certificate (about 450 ulps)
+OPTIMUM_ROUNDING = 1e-13
 
 
 class SlaterViolationError(ValueError):
@@ -47,7 +64,7 @@ class SlaterViolationError(ValueError):
 
 
 class InfeasibleInstanceError(RuntimeError):
-    """Raised when the oracle's grid contains no feasible point."""
+    """Raised when a solver finds no feasible point of the constrained program."""
 
 
 class NashCheck(NamedTuple):
@@ -64,6 +81,21 @@ class OracleSolution(NamedTuple):
     point: PrimalState
     value: float
     gap: float
+
+
+class CertifiedOptimum(NamedTuple):
+    """Solution of ``max p(x) s.t. g(x) <= 0`` with a certified upper bound.
+
+    ``value`` is ``p(point)``; ``upper`` bounds the optimum from above for
+    any correct ``multipliers`` and wrong ones alike (see
+    ``optimum_solve``); ``multipliers`` are the constraint prices
+    ``lambda_1..lambda_q``, whose sum is the dual mass the optimum needs.
+    """
+
+    point: PrimalState
+    value: float
+    upper: float
+    multipliers: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +219,7 @@ def dual_mass_bound(game: GameSpec, slater: SlaterPoint, p_star_upper: float) ->
     Any dual mass at or above the returned value keeps the optimal prices
     inside the dual simplex.  ``p_star_upper`` must be a certified upper
     bound on the constrained optimum, e.g. 0 for a nonpositive potential or
-    the oracle's value plus its gap, and finite.
+    ``optimum_solve(game).upper``, and finite.
     """
     if not math.isfinite(p_star_upper):
         raise ConfigurationError(f"p_star_upper must be finite, got {p_star_upper!r}")
@@ -202,6 +234,165 @@ def dual_mass_bound(game: GameSpec, slater: SlaterPoint, p_star_upper: float) ->
     if math.isinf(slater.margin):
         return 0.0
     return (p_star_upper - p_tilde) / slater.margin
+
+
+# ---------------------------------------------------------------------------
+# interior-point optimum with a weak-duality certificate
+
+
+def optimum_solve(game: GameSpec) -> CertifiedOptimum:
+    """Maximize the potential over the feasible simplex, with a certified bound.
+
+    A primal-dual interior-point method (Mehrotra predictor-corrector) on
+    ``min -p(x)  s.t.  g(x) + s = 0,  sum(x) = m,  x, s >= 0`` started from
+    the barycenter, which need not be feasible.  Each iteration solves one
+    ``(n+q+1) x (n+q+1)`` Newton system in ``(dx, dlambda, dnu)`` built from
+    the potential's Hessian plus ``sum_k lambda_k * hess g_k``; keeping
+    ``dlambda`` in the system, instead of eliminating it through the
+    ``lambda_k / s_k`` weights that blow up on active constraints, keeps the
+    certificate gap near rounding level.
+
+    The bound does not trust the solver: for any ``lambda >= 0`` the
+    function ``phi = p - lambda . g`` is concave and at least ``p`` on the
+    feasible set, so its linearization at any ``x_hat`` maximized over the
+    simplex gives ``p* <= phi(x_hat) + m * max_i dphi_i(x_hat) - dphi(x_hat) . x_hat``.
+    That bound plus an allowance for float rounding is ``upper``.
+
+    Raises ``UnsupportedOperationError`` without a potential,
+    ``ConfigurationError`` for a potential whose Hessian is unknown,
+    non-constant or not negative semidefinite, ``InfeasibleInstanceError``
+    when the final point violates a constraint or the mass by more than
+    ``OPTIMUM_FEAS_TOL``, and ``ConfigurationError`` when ``upper - value``
+    exceeds ``OPTIMUM_GAP_TOL * max(1, |value|)``.
+    """
+    rule = game.potential
+    if rule is None:
+        raise UnsupportedOperationError("optimum solver needs a potential to maximize")
+    n, m, q = game.n, game.primal_mass, game.q
+    x = np.full(n, m / n)
+    hess_p = _constant_concave_hessian(rule, n, m)
+    hess_g = np.array([con.hessian(x) for con in game.constraints]).reshape(q, n, n)
+    g, jac = _constraint_data(game, x)
+    s = np.maximum(-g, 1.0)
+    lam = np.ones(q)
+    z = np.ones(n)
+    nu = 0.0
+    value, bound, rounding, infeasibility = _certificate(game, x, lam, g, jac)
+    iters = 0
+    # on an infeasible instance the prices overflow; the finiteness test
+    # below ends the loop and the residual test after it reports the instance
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while iters < OPTIMUM_MAX_ITERS and (
+            infeasibility > OPTIMUM_STOP_TOL
+            or bound - value > OPTIMUM_STOP_TOL * max(1.0, abs(value))
+        ):
+            iters += 1
+            r_d = -rule.gradient(x) + jac.T @ lam - z - nu
+            r_p = g + s
+            r_e = x.sum() - m
+            mu = (s @ lam + x @ z) / (q + n)
+            kkt = np.zeros((n + q + 1, n + q + 1))
+            kkt[:n, :n] = -hess_p + np.tensordot(lam, hess_g, 1) + np.diag(z / x)
+            kkt[:n, n:-1] = jac.T
+            kkt[n:-1, :n] = jac
+            kkt[n:-1, n:-1] = np.diag(-s / lam)
+            kkt[:n, -1] = -1.0
+            kkt[-1, :n] = 1.0
+
+            def newton(r_s, r_x):
+                rhs = np.concatenate([-r_d - r_x / x, r_s / lam - r_p, [-r_e]])
+                sol = np.linalg.solve(kkt, rhs)
+                dx, dl = sol[:n], sol[n:-1]
+                return dx, -(r_s + s * dl) / lam, dl, -(r_x + z * dx) / x, sol[-1]
+
+            v = np.concatenate([x, s, lam, z])
+            try:
+                aff = newton(s * lam, x * z)
+                dv = np.concatenate(aff[:4])
+                xa, sa, la, za = np.split(v + _max_step(v, dv) * dv, np.cumsum([n, q, q]))
+                sigma = ((sa @ la + xa @ za) / (q + n) / mu) ** 3
+                *step, dnu = newton(
+                    s * lam + aff[1] * aff[2] - sigma * mu, x * z + aff[0] * aff[3] - sigma * mu
+                )
+            except np.linalg.LinAlgError:
+                break
+            dv = np.concatenate(step)
+            if not (np.isfinite(dv).all() and np.isfinite(dnu)):
+                break
+            alpha = OPTIMUM_STEP_FRACTION * _max_step(v, dv)
+            v += alpha * dv
+            nu += alpha * dnu
+            x, s, lam, z = np.split(v, np.cumsum([n, q, q]))
+            g, jac = _constraint_data(game, x)
+            value, bound, rounding, infeasibility = _certificate(game, x, lam, g, jac)
+
+    # a value above the bound shows x is slightly infeasible; the larger one still bounds p*
+    upper = max(bound + rounding, value)
+    if not infeasibility <= OPTIMUM_FEAS_TOL:
+        raise InfeasibleInstanceError(
+            f"no feasible point found: constraint or mass residual {infeasibility:.3g} "
+            f"after {iters} interior-point iterations (tolerance {OPTIMUM_FEAS_TOL:g})"
+        )
+    if not upper - value <= OPTIMUM_GAP_TOL * max(1.0, abs(value)):
+        raise ConfigurationError(
+            f"optimum not certified: upper - value = {upper - value:.3g} at value {value:.12g} "
+            f"after {iters} interior-point iterations (tolerance {OPTIMUM_GAP_TOL:g} relative)"
+        )
+    return CertifiedOptimum(PrimalState(x, m), value, upper, lam)
+
+
+def _constant_concave_hessian(rule, n: int, m: float) -> np.ndarray:
+    """The potential's Hessian, checked constant over the simplex vertices and NSD."""
+    hess = rule.hessian(np.full(n, m / n))
+    if hess is None:
+        raise ConfigurationError("optimum solver needs the potential's Hessian; none is given")
+    hess = np.asarray(hess, dtype=float)
+    scale = max(1.0, float(np.abs(hess).max()))
+    for i in range(n):
+        vertex = np.zeros(n)
+        vertex[i] = m
+        drift = float(np.abs(np.asarray(rule.hessian(vertex), dtype=float) - hess).max())
+        if drift > OPTIMUM_HESS_TOL * scale:
+            raise ConfigurationError(
+                f"potential Hessian is not constant: it moves by {drift:.3g} "
+                f"between the barycenter and vertex {i}"
+            )
+    top = float(np.linalg.eigvalsh(0.5 * (hess + hess.T)).max())
+    if top > OPTIMUM_HESS_TOL * scale:
+        raise ConfigurationError(
+            f"potential Hessian has positive eigenvalue {top:.3g}; a concave potential is required"
+        )
+    return hess
+
+
+def _constraint_data(game: GameSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint values ``(q,)`` and gradients ``(q, n)`` from the constraint objects."""
+    g = np.array([con.value(x) for con in game.constraints])
+    jac = np.array([con.gradient(x) for con in game.constraints]).reshape(game.q, game.n)
+    return g, jac
+
+
+def _certificate(game: GameSpec, x: np.ndarray, lam: np.ndarray, g, jac) -> tuple:
+    """``(p(x), bound, rounding, infeasibility)`` for ``optimum_solve``.
+
+    ``bound`` is the weak-duality bound in exact arithmetic; ``rounding``
+    covers the float error of evaluating it, so ``bound + rounding >= p*``.
+    """
+    value = game.potential.value(x)
+    grad_p = game.potential.gradient(x)
+    pull = jac.T @ lam
+    grad_phi = grad_p - pull
+    m = game.primal_mass
+    bound = float(value - lam @ g + m * grad_phi.max() - grad_phi @ x)
+    scale = abs(value) + np.abs(lam) @ np.abs(g) + m * (np.abs(grad_p).max() + np.abs(pull).max())
+    infeasibility = max(float(g.max(initial=0.0)), abs(float(x.sum()) - m))
+    return value, bound, OPTIMUM_ROUNDING * float(scale), infeasibility
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest ``a <= 1`` keeping ``v + a * dv`` nonnegative (``v > 0``)."""
+    shrink = dv < 0
+    return min(1.0, float(np.min(-v[shrink] / dv[shrink]))) if shrink.any() else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +438,9 @@ def oracle_solve(
     the largest potential (ties: lexicographically smallest grid vector).
     Phase 2 refines it by mass-preserving random perturbations with a
     geometrically shrinking step, accepting only feasible improvements.  The
-    reported ``gap`` is the potential variation over the final search
-    neighborhood, so ``value + gap`` serves as a locally certified upper
-    bound for consumers such as the dual-mass bound.
+    reported ``gap`` is the potential variation over 64 samples of the final
+    search neighborhood: a heuristic, not a bound on the optimum (for that,
+    use ``optimum_solve(game).upper``).
     """
     if game.potential is None:
         raise UnsupportedOperationError("oracle needs a potential to maximize")

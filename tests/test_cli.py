@@ -442,9 +442,38 @@ def test_bound_defaults_to_the_oracle_upper_bound(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    # the oracle's certified optimum is far below 0, so the bound shrinks
-    assert payload["p_star_upper"] == pytest.approx(-8.909, abs=1e-2)
-    assert payload["bound"] < 121.875
+    # the optimum is p(0.4, 4/53, 6.6/53, 0.4) = -8.909056603773585, and the
+    # certified upper bound sits on it
+    p_star = -8.909056603773585
+    assert p_star <= payload["p_star_upper"] <= p_star + 1e-9
+    # (p* - p(x_tilde)) / margin with p(x_tilde) = -12.1875 and margin 0.1
+    assert payload["bound"] == pytest.approx(32.7844339622641, abs=1e-6)
+    assert payload["optimum_dual_mass"] <= payload["bound"] <= 122.0
+    assert payload["sufficient"] is True
+
+
+def test_bound_solves_games_beyond_the_grid_oracle(out_root, capsys):
+    # eight strategies: past the grid oracle's cap of six
+    n = 8
+    spec = {
+        "n": n,
+        "primal_mass": 1.0,
+        "dual_mass": 10.0,
+        "fitness": {
+            "type": "quadratic_potential",
+            "H": (-np.eye(n)).tolist(),
+            "c": np.linspace(0.0, 1.0, n).tolist(),
+        },
+        "constraints": [{"type": "affine", "a": [0.0] * (n - 2) + [1.0, 1.0], "b": 0.5}],
+    }
+    path = out_root / "wide.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(
+        ["bound", "--game", str(path), "--slater", ",".join(["0.125"] * n)], capsys
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert 0.0 < payload["optimum_dual_mass"] <= payload["bound"]
     assert payload["sufficient"] is True
 
 
@@ -522,6 +551,15 @@ def test_repro_default_output_directory(out_root, capsys):
     code, _, _ = run_cli(["repro", "rps", "--horizon", "1"], capsys)
     assert code == 3
     assert (out_root / "repro-rps" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--step", "--horizon"])
+def test_repro_rejects_bad_step_before_creating_the_output_directory(out_root, capsys, flag):
+    out_dir = out_root / "never"
+    code, _, err = run_cli(["repro", "rps", flag, "0", "--out-dir", str(out_dir)], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out_dir.exists()
 
 
 # --- module entry point ---

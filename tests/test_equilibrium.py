@@ -1,7 +1,14 @@
-"""Nash tests, the equilibria-set report, mass bound, oracle, saddle check."""
+"""Nash tests, the equilibria-set report, mass bound, optimum solvers, saddle check."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import popdyn as pd
 
@@ -150,6 +157,123 @@ def test_dual_mass_bound_is_zero_without_constraints():
     sp = pd.slater_point(game, pd.PrimalState(np.full(3, 1.0 / 3.0), mass=1.0))
     assert sp.margin == np.inf
     assert pd.dual_mass_bound(game, sp, p_star_upper=0.0) == 0.0
+
+
+# --- certified interior-point optimum ---
+
+
+def test_optimum_solve_is_exact_on_the_congestion_benchmark(congestion, congestion_oracle):
+    sol = pd.optimum_solve(congestion)
+    # x_1 and x_4 sit on their 0.4 caps; x_2 + x_3 = 0.2 splits by equal path cost
+    assert np.allclose(sol.point.x, [0.4, 4.0 / 53.0, 6.6 / 53.0, 0.4], rtol=0.0, atol=1e-8)
+    assert sol.value == pytest.approx(-8.909056603773585, abs=1e-8)
+    assert 0.0 <= sol.upper - sol.value <= 1e-9
+    assert np.all(sol.multipliers >= 0.0)
+    assert sol.multipliers.sum() == pytest.approx(12.049056603773585, abs=1e-6)
+    assert congestion_oracle.value <= sol.upper
+
+
+@st.composite
+def planted_programs(draw):
+    """A concave quadratic program on the simplex with a planted Slater point ``y``."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = draw(st.floats(0.5, 3.0))
+    B = rng.uniform(-2.0, 2.0, (n, draw(st.integers(0, n))))
+    y = random_simplex(rng, n, mass)
+    constraints = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = rng.uniform(-1.0, 1.0, n)
+        constraints.append(pd.AffineConstraint(a, a @ y + rng.uniform(0.01, 1.0)))
+    for _ in range(draw(st.integers(0, 2))):
+        C = rng.uniform(-1.0, 1.0, (n, draw(st.integers(1, n))))
+        Q, a = C @ C.T, rng.uniform(-1.0, 1.0, n)
+        constraints.append(pd.QuadraticConstraint(Q, a, y @ Q @ y + a @ y + rng.uniform(0.01, 1.0)))
+    game = pd.build_quadratic_potential(
+        -B @ B.T, rng.uniform(-5.0, 5.0, n), constraints, primal_mass=mass
+    )
+    return game, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_programs())
+def test_optimum_solve_certifies_generated_programs(program):
+    game, y = program
+    sol = pd.optimum_solve(game)
+    assert pd.constraint_values(game, sol.point).max() <= 1e-9
+    assert 0.0 <= sol.upper - sol.value <= 1e-8 * max(1.0, abs(sol.value))
+    assert sol.upper >= game.potential.value(y)
+    assert sol.multipliers.shape == (game.q,) and np.all(sol.multipliers >= 0.0)
+    if game.n <= 4:
+        try:
+            grid = pd.oracle_solve(game, resolution=40, refine_iters=200, seed=0)
+        except pd.InfeasibleInstanceError:
+            return  # the feasible set falls between the grid points
+        assert grid.value <= sol.upper
+
+
+def _potential_game(rule):
+    return pd.GameSpec(
+        n=2, primal_mass=1.0, dual_mass=1.0, fitness=pd.PotentialFitness(rule), potential=rule
+    )
+
+
+@pytest.mark.parametrize(
+    "make_game, error, message",
+    [
+        (pd.paper_rps, pd.UnsupportedOperationError, "potential"),
+        # built directly, past build_quadratic_potential's concavity check
+        (
+            lambda: _potential_game(pd.QuadraticPotential(np.eye(2), np.zeros(2))),
+            pd.ConfigurationError,
+            "positive eigenvalue",
+        ),
+        (
+            lambda: _potential_game(pd.CallablePotential(lambda x: -x @ x, lambda x: -2.0 * x)),
+            pd.ConfigurationError,
+            "Hessian",
+        ),
+        (
+            lambda: _potential_game(
+                pd.CallablePotential(
+                    lambda x: -np.sum(x**4), lambda x: -4.0 * x**3, lambda x: np.diag(-12.0 * x**2)
+                )
+            ),
+            pd.ConfigurationError,
+            "not constant",
+        ),
+        (
+            lambda: pd.build_quadratic_potential(
+                -np.eye(2), np.zeros(2), constraints=(pd.AffineConstraint(np.zeros(2), -1.0),)
+            ),
+            pd.InfeasibleInstanceError,
+            "residual 1 ",
+        ),
+    ],
+    ids=["no-potential", "convex", "no-hessian", "non-constant-hessian", "infeasible"],
+)
+def test_optimum_solve_refuses(make_game, error, message):
+    with pytest.raises(error, match=message):
+        pd.optimum_solve(make_game())
+
+
+def test_optimum_solve_imports_no_scipy(tmp_path):
+    env = os.environ.copy()
+    package_root = str(Path(pd.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    child = (
+        "import sys, popdyn; popdyn.optimum_solve(popdyn.paper_congestion()); "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- grid oracle ---
