@@ -249,8 +249,23 @@ def _potential_game(rule):
             pd.InfeasibleInstanceError,
             "residual 1 ",
         ),
+        # the constraint row equals the mass row, so the Newton system turns singular
+        (
+            lambda: pd.build_quadratic_potential(
+                -np.eye(3), np.zeros(3), constraints=(pd.AffineConstraint(np.ones(3), 0.5),)
+            ),
+            pd.InfeasibleInstanceError,
+            "residual 0.5 ",
+        ),
     ],
-    ids=["no-potential", "convex", "no-hessian", "non-constant-hessian", "infeasible"],
+    ids=[
+        "no-potential",
+        "convex",
+        "no-hessian",
+        "non-constant-hessian",
+        "infeasible",
+        "infeasible-mass",
+    ],
 )
 def test_optimum_solve_refuses(make_game, error, message):
     with pytest.raises(error, match=message):
