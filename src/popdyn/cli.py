@@ -431,13 +431,12 @@ def cmd_repro(args) -> int:
     if args.record_every < 1:
         raise _CliError("--record-every must be at least 1")
     params = SimParams(horizon=args.horizon, step=args.step)
-    out_dir = args.out_dir or os.path.join(_out_root(), f"repro-{args.experiment}")
-    os.makedirs(out_dir, exist_ok=True)
-
     protocol = PROTOCOLS["smith"]()
     game = games.paper_congestion() if args.experiment == "congestion" else games.paper_rps()
     x0, _ = _default_primal(game, args.seed)
     mu0 = _null_dual(game)
+    out_dir = args.out_dir or os.path.join(_out_root(), f"repro-{args.experiment}")
+    os.makedirs(out_dir, exist_ok=True)
 
     traj = dynamics.integrate(game, protocol, x0, mu0, params)
     report = equilibrium.in_equilibria_set(game, traj.final_primal, traj.final_dual, tol=REPORT_TOL)

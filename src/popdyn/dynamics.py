@@ -12,13 +12,19 @@ matrix whose cross-population entries a block mask sets to exact zeros, and
 one net flow.  No mass crosses between the populations, and each keeps
 its own mass.  The per-population fields are slices of that kernel.
 
-``integrate`` advances the joint state with a fixed-step scheme.  Its step
-loop records only the states and the two field norms, which come from one
-segmented maximum over the two blocks; after each update, one segmented
-minimum and one segmented sum decide whether a block needs the simplex
-repair.  The diagnostics downstream layers need (potential, constraint
-values, Lyapunov value) are filled after the loop in one batched pass over
-the recorded states, through the same payoff operator.
+``integrate`` advances the joint state with a fixed-step scheme, in
+speculative blocks of up to ``BLOCK_MAX`` steps.  A step inside a block
+only evaluates the kernel and writes the update as the next row of one
+state buffer.  The block's guards are then checked together: one segmented
+maximum gives both field norms of every row, one segmented minimum and one
+segmented sum tell which updates need the simplex repair, and a scan over
+the rows applies the step-by-step loop's checks in its order (non-finite
+field, convergence, horizon, repair).  The rows before the first row that
+needs more than its update are exactly the step-by-step loop's; the rest
+are discarded, so the output does not depend on the block lengths.  The
+diagnostics downstream layers need (potential, constraint values, Lyapunov
+value) are filled after the loop in one batched pass over the recorded
+states, through the same payoff operator.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ REPAIR_WARN = 1e-6
 REPAIR_DRIFT = 1e-12
 # elements of the largest gap tensor per chunk of the diagnostics pass and the decrease audit
 DIAGNOSTICS_CHUNK = 1 << 16
+# longest speculative block of steps ``integrate`` takes before checking their guards
+BLOCK_MAX = 256
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -155,8 +163,9 @@ class SimParams:
 
     ``horizon`` must be at least one ``step`` and ``horizon / step`` finite.
     Convergence is declared once the sum of the two field infinity norms
-    stays below ``convergence_tol`` for ``convergence_window`` consecutive
-    recorded steps.
+    stays below ``convergence_tol`` (positive and finite) for
+    ``convergence_window`` (an integer, at least 1) consecutive recorded
+    steps.
     """
 
     horizon: float
@@ -177,8 +186,12 @@ class SimParams:
             )
         if self.integrator not in ("euler", "rk4"):
             raise ConfigurationError(f"unknown integrator {self.integrator!r}")
-        if not self.convergence_tol > 0:
-            raise ConfigurationError("convergence tolerance must be positive")
+        if not (self.convergence_tol > 0 and math.isfinite(self.convergence_tol)):
+            raise ConfigurationError("convergence tolerance must be positive and finite")
+        if not isinstance(self.convergence_window, (int, np.integer)):
+            raise ConfigurationError(
+                f"convergence window must be an integer, got {self.convergence_window!r}"
+            )
         if self.convergence_window < 1:
             raise ConfigurationError("convergence window must be at least 1")
 
@@ -190,7 +203,9 @@ class Trajectory:
     ``primal`` has shape ``(T, n)`` and ``dual`` shape ``(T, q + 1)``.
     ``potential`` is NaN throughout when the game carries no potential.
     ``primal_field_norm``/``dual_field_norm`` hold the infinity norms of the
-    two fields evaluated at each recorded state.
+    two fields evaluated at each recorded state.  ``integrate`` returns
+    ``primal`` and ``dual`` as views into one state buffer and the two
+    norms as views into one norm buffer.
     """
 
     times: np.ndarray
@@ -267,11 +282,16 @@ def dual_field(game: GameSpec, protocol: Protocol, x: PrimalState, mu: DualState
 
 
 def sample_simplex(n: int, mass: float, seed: int) -> PrimalState:
-    """Uniform random state on the mass-``mass`` simplex in ``n`` strategies."""
+    """Uniform random state on the mass-``mass`` simplex in ``n`` strategies.
+
+    ``seed`` must be a nonnegative integer.
+    """
     if n < 1:
         raise ConfigurationError("need at least one coordinate")
     if not mass > 0:
         raise ConfigurationError("mass must be positive")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     return PrimalState(core._uniform_simplex(rng, n, mass), mass)
 
@@ -348,20 +368,35 @@ def integrate(
     with forward Euler or classic RK4 at fixed step ``params.step``; each
     field evaluation is one call of the joint kernel, whose block mask keeps
     the two populations' exchanges apart.  Recorded times are ``k * step``
-    exactly as computed by that product.  Both field norms come from one
-    segmented maximum over the two blocks, and their finiteness is the
-    divergence guard before a state is recorded.
+    exactly as computed by that product.
 
-    After each update one segmented minimum and one segmented sum check
-    the two blocks.  A block that stayed nonnegative and kept its mass to
-    ``REPAIR_DRIFT`` is taken as is; otherwise the new state is checked
-    for finiteness and each block is repaired (clip negatives, then
-    rescale).  Steps whose repair exceeds ``REPAIR_WARN`` are counted and
-    reported once per call through the module logger.  Integration stops
-    early once the convergence criterion in ``params`` holds, and raises
-    ``IntegrationDivergedError`` if the state leaves the representable
-    range: at step ``k`` for a non-finite field at recorded state ``k``,
-    at step ``k + 1`` for a non-finite update from it.
+    Steps are taken in speculative blocks.  Inside a block a step only
+    evaluates the field at its state and writes the update as the next
+    row; the guards of all the block's steps are then checked at once, and
+    the block keeps exactly the rows a step-by-step loop would have
+    produced.  A block is at most ``BLOCK_MAX`` steps long: its length
+    doubles after each clean block, restarts at 1 after a repair, stops at
+    the horizon and, once the field has been quiet for ``quiet`` steps,
+    ends ``window - quiet`` steps on, where the streak would converge.
+
+    The checks run row by row in the order of the step-by-step loop.  A
+    non-finite field norm at state ``k`` raises
+    ``IntegrationDivergedError(k)``; otherwise the state is recorded, and
+    convergence (the criterion in ``params``) or the horizon stops the run.
+    The update from state ``k`` is taken as is if both populations stayed
+    nonnegative and kept their mass to ``REPAIR_DRIFT``.  Otherwise it is
+    checked for finiteness (``IntegrationDivergedError(k + 1)``) and each
+    population is repaired (clip negatives, then rescale); the rows the
+    block computed after it are discarded and the next block starts from
+    the repaired state.  Steps whose repair exceeds ``REPAIR_WARN`` are
+    counted and reported once per call through the module logger.
+
+    The loop runs with numpy's floating-point warnings off: the guards above
+    report every non-finite value, and discarded rows must not warn.  An
+    exception from the field or the fitness at a speculative state ends the
+    block there; it propagates only if every earlier row passed its checks
+    without stopping, that is, only if a step-by-step loop would have
+    reached that state, and is dropped with the discarded rows otherwise.
 
     Potential, constraint values and ``V`` are filled after the loop in one
     batched pass over the recorded states, the latter two through the step
@@ -370,7 +405,6 @@ def integrate(
     not bitwise.
     """
     n = game.n
-    z = np.concatenate((core._check_primal(game, x0), core._check_dual(game, mu0)))
     h = params.step
     nsteps = int(np.floor(params.horizon / h + 1e-9))
     T = nsteps + 1
@@ -380,69 +414,98 @@ def integrate(
     blocks = game._block_starts
     primal_mass = game.primal_mass
     dual_mass = game.dual_mass
+    masses = np.array([primal_mass, dual_mass])
 
     try:
-        times = np.empty(T)
-        primal = np.empty((T, n))
-        dual = np.empty((T, game.q + 1))
-        xnorm = np.empty(T)
-        munorm = np.empty(T)
+        # row k + 1 holds the update from row k, so the last step's has a row too
+        states = np.empty((T + 1, n + game.q + 1))
+        norms = np.empty((T, 2))
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"cannot hold {T:.3g} recorded states: {exc}") from None
+    states[0, :n] = core._check_primal(game, x0)
+    states[0, n:] = core._check_dual(game, mu0)
+    fields = np.empty((min(T, BLOCK_MAX), states.shape[1]))
 
     repaired = 0
     largest = 0.0
     quiet = 0
     converged = False
     recorded = 0
+    start = 0
+    size = 1
 
-    for k in range(T):
-        fz = _joint_field(game, protocol, z)
-        # the maximum propagates NaN, so finite norms mean a finite field
-        fx_norm, fmu_norm = np.maximum.reduceat(np.abs(fz), blocks).tolist()
-        if not (math.isfinite(fx_norm) and math.isfinite(fmu_norm)):
-            raise IntegrationDivergedError(k)
+    with np.errstate(all="ignore"):
+        while not recorded:
+            K = min(size, T - start)
+            if quiet:
+                # the running quiet streak converges window - quiet steps on at the earliest
+                K = min(K, window - quiet)
+            evaluated = updated = 0
+            error = None
+            try:
+                for j in range(K):
+                    z = states[start + j]
+                    fields[j] = _joint_field(game, protocol, z)
+                    evaluated += 1
+                    if euler:
+                        np.add(z, h * fields[j], out=states[start + j + 1])
+                    else:
+                        states[start + j + 1] = _rk4_step(game, protocol, z, h, fields[j])
+                    updated += 1
+            except Exception as exc:  # user code in the field; the scan decides if it propagates
+                error = exc
 
-        times[k] = k * h
-        primal[k] = z[:n]
-        dual[k] = z[n:]
-        xnorm[k] = fx_norm
-        munorm[k] = fmu_norm
-        recorded = k + 1
+            rows = slice(start, start + evaluated)
+            # the maximum propagates NaN, so finite norms mean a finite field
+            np.maximum.reduceat(np.abs(fields[:evaluated]), blocks, axis=1, out=norms[rows])
+            # no negative share and no mass drift in either block, which also
+            # rules out inf and NaN: the update needs no repair
+            new = states[start + 1 : start + 1 + updated]
+            low = np.minimum.reduceat(new, blocks, axis=1)
+            drift = np.abs(np.add.reduceat(new, blocks, axis=1) - masses)
+            clean = ((low >= 0.0) & (drift <= REPAIR_DRIFT)).all(axis=1).tolist()
 
-        if fx_norm + fmu_norm < tol:
-            quiet += 1
-            if quiet >= window:
-                converged = True
+            # each row's checks in the order a step-by-step loop makes them
+            for j, (fx_norm, fmu_norm) in enumerate(norms[rows].tolist()):
+                k = start + j
+                if not (math.isfinite(fx_norm) and math.isfinite(fmu_norm)):
+                    raise IntegrationDivergedError(k)
+                if fx_norm + fmu_norm < tol:
+                    quiet += 1
+                    if quiet >= window:
+                        converged = True
+                        recorded = k + 1
+                        break
+                else:
+                    quiet = 0
+                if k == nsteps:
+                    recorded = k + 1
+                    break
+                if j == updated:
+                    raise error  # the update from this row raised
+                if clean[j]:
+                    continue
+                z_new = states[k + 1]
+                if not np.isfinite(z_new).all():
+                    raise IntegrationDivergedError(k + 1)
+                xv, x_size = _repair(z_new[:n], primal_mass)
+                muv, mu_size = _repair(z_new[n:], dual_mass)
+                if xv is None or muv is None:
+                    raise IntegrationDivergedError(k + 1)
+                z_new[:n] = xv
+                z_new[n:] = muv
+                repair = max(x_size, mu_size)
+                if repair > REPAIR_WARN:
+                    repaired += 1
+                    largest = max(largest, repair)
+                # the rows computed from the unrepaired state are discarded
+                start, size = k + 1, 1
                 break
-        else:
-            quiet = 0
-        if k == nsteps:
-            break
-
-        z_new = z + h * fz if euler else _rk4_step(game, protocol, z, h, fz)
-        # fast path: no negative share and no mass drift in either block,
-        # which also rules out inf and NaN, so the state needs no repair
-        x_low, mu_low = np.minimum.reduceat(z_new, blocks).tolist()
-        if x_low >= 0.0 and mu_low >= 0.0:
-            x_total, mu_total = np.add.reduceat(z_new, blocks).tolist()
-            if (
-                abs(x_total - primal_mass) <= REPAIR_DRIFT
-                and abs(mu_total - dual_mass) <= REPAIR_DRIFT
-            ):
-                z = z_new
-                continue
-        if not np.isfinite(z_new).all():
-            raise IntegrationDivergedError(k + 1)
-        xv, x_size = _repair(z_new[:n], primal_mass)
-        muv, mu_size = _repair(z_new[n:], dual_mass)
-        if xv is None or muv is None:
-            raise IntegrationDivergedError(k + 1)
-        z = np.concatenate((xv, muv))
-        size = max(x_size, mu_size)
-        if size > REPAIR_WARN:
-            repaired += 1
-            largest = max(largest, size)
+            else:
+                if error is not None:
+                    raise error  # the field at the row after the last raised
+                start += evaluated
+                size = min(2 * size, BLOCK_MAX)
 
     if repaired:
         logger.warning(
@@ -453,17 +516,20 @@ def integrate(
             largest,
         )
 
-    sl = slice(0, recorded)
-    pot, cons, lyap = _diagnostics(game, protocol, primal[sl], dual[sl])
+    times = np.arange(recorded, dtype=float)
+    times *= h
+    primal = states[:recorded, :n]
+    dual = states[:recorded, n:]
+    pot, cons, lyap = _diagnostics(game, protocol, primal, dual)
     return Trajectory(
-        times=times[sl],
-        primal=primal[sl],
-        dual=dual[sl],
+        times=times,
+        primal=primal,
+        dual=dual,
         potential=pot,
         constraints=cons,
         lyapunov=lyap,
-        primal_field_norm=xnorm[sl],
-        dual_field_norm=munorm[sl],
+        primal_field_norm=norms[:recorded, 0],
+        dual_field_norm=norms[:recorded, 1],
         converged=converged,
         primal_mass=primal_mass,
         dual_mass=dual_mass,

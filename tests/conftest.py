@@ -139,3 +139,91 @@ def rps_run(rps, smith):
 @pytest.fixture(scope="session")
 def congestion_oracle(congestion):
     return pd.oracle_solve(congestion, resolution=200, refine_iters=2000, seed=0)
+
+
+def reference_integrate(game, protocol, x0, mu0, params):
+    """The step-by-step loop that ``integrate`` must reproduce bitwise.
+
+    Each step evaluates the field with the package's kernel, checks both
+    norms, records the state, tests convergence and the horizon, and then
+    either takes the update as is or checks it for finiteness and repairs it
+    with the package's ``_repair``.  Returns the ``Trajectory`` fields as a
+    dict and the arguments of the repair warning (``None`` when no repair
+    exceeded ``REPAIR_WARN``); raises what the loop raises.
+    """
+    from popdyn import dynamics
+
+    n = game.n
+    z = np.concatenate((x0.x, mu0.mu))
+    h = params.step
+    nsteps = int(np.floor(params.horizon / h + 1e-9))
+    times, primal, dual, xnorm, munorm = [], [], [], [], []
+    repaired, largest, quiet, converged = 0, 0.0, 0, False
+    # integrate's own loop runs with warnings off; the guards report non-finite values
+    with np.errstate(all="ignore"):
+        for k in range(nsteps + 1):
+            fz = dynamics._joint_field(game, protocol, z)
+            fx_norm = float(np.abs(fz[:n]).max())
+            fmu_norm = float(np.abs(fz[n:]).max())
+            if not (np.isfinite(fx_norm) and np.isfinite(fmu_norm)):
+                raise pd.IntegrationDivergedError(k)
+            times.append(k * h)
+            primal.append(z[:n].copy())
+            dual.append(z[n:].copy())
+            xnorm.append(fx_norm)
+            munorm.append(fmu_norm)
+            if fx_norm + fmu_norm < params.convergence_tol:
+                quiet += 1
+                if quiet >= params.convergence_window:
+                    converged = True
+                    break
+            else:
+                quiet = 0
+            if k == nsteps:
+                break
+            if params.integrator == "euler":
+                z_new = z + h * fz
+            else:
+                k2 = dynamics._joint_field(game, protocol, z + 0.5 * h * fz)
+                k3 = dynamics._joint_field(game, protocol, z + 0.5 * h * k2)
+                k4 = dynamics._joint_field(game, protocol, z + h * k3)
+                z_new = z + (h / 6.0) * (fz + 2.0 * k2 + 2.0 * k3 + k4)
+            x_low, mu_low = np.minimum.reduceat(z_new, [0, n]).tolist()
+            x_total, mu_total = np.add.reduceat(z_new, [0, n]).tolist()
+            if (
+                x_low >= 0.0
+                and mu_low >= 0.0
+                and abs(x_total - game.primal_mass) <= dynamics.REPAIR_DRIFT
+                and abs(mu_total - game.dual_mass) <= dynamics.REPAIR_DRIFT
+            ):
+                z = z_new
+                continue
+            if not np.isfinite(z_new).all():
+                raise pd.IntegrationDivergedError(k + 1)
+            xv, x_size = dynamics._repair(z_new[:n], game.primal_mass)
+            muv, mu_size = dynamics._repair(z_new[n:], game.dual_mass)
+            if xv is None or muv is None:
+                raise pd.IntegrationDivergedError(k + 1)
+            z = np.concatenate((xv, muv))
+            size = max(x_size, mu_size)
+            if size > dynamics.REPAIR_WARN:
+                repaired += 1
+                largest = max(largest, size)
+
+    primal, dual = np.array(primal), np.array(dual)
+    pot, cons, lyap = dynamics._diagnostics(game, protocol, primal, dual)
+    fields = {
+        "times": np.array(times),
+        "primal": primal,
+        "dual": dual,
+        "potential": pot,
+        "constraints": cons,
+        "lyapunov": lyap,
+        "primal_field_norm": np.array(xnorm),
+        "dual_field_norm": np.array(munorm),
+        "converged": converged,
+        "primal_mass": game.primal_mass,
+        "dual_mass": game.dual_mass,
+    }
+    warning = (dynamics.REPAIR_WARN, repaired, len(times) - 1, largest) if repaired else None
+    return fields, warning

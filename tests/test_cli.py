@@ -562,6 +562,24 @@ def test_repro_rejects_bad_step_before_creating_the_output_directory(out_root, c
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--game", "paper-congestion", "--seed", "-1", "--horizon", "1"],
+        ["simulate", "--game", "paper-congestion", "--seeds=-2..1", "--horizon", "1"],
+        ["repro", "congestion", "--seed", "-2", "--horizon", "1"],
+    ],
+)
+def test_a_negative_seed_is_a_usage_error_that_writes_nothing(argv, out_root, capsys):
+    out_dir = out_root / "never"
+    flag = "--out-dir" if argv[0] == "repro" else "--out"
+    code, out, err = run_cli([*argv, flag, str(out_dir)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "seed" in err
+    assert list(out_root.iterdir()) == []
+
+
 # --- module entry point ---
 
 

@@ -1,5 +1,6 @@
 """Revision protocols, exchange fields, and the fixed-step integrator."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -10,7 +11,7 @@ from popdyn import dynamics
 from popdyn.dynamics import REPAIR_WARN
 from popdyn.lyapunov import _value_raw
 
-from conftest import null_dual, random_simplex
+from conftest import null_dual, random_simplex, reference_integrate
 
 
 # --- protocols ---
@@ -103,6 +104,9 @@ def test_sim_params_defaults():
         {"horizon": float("inf"), "step": float("inf")},
         {"horizon": float("nan"), "step": 1.0},
         {"horizon": 10.0, "step": float("nan")},
+        {"horizon": 10.0, "convergence_tol": float("inf")},
+        {"horizon": 10.0, "convergence_window": 2.5},
+        {"horizon": 10.0, "convergence_window": 100.0},
     ],
 )
 def test_sim_params_rejects_bad_values(kwargs):
@@ -115,6 +119,11 @@ def test_integrate_rejects_a_step_count_it_cannot_record(rps, smith):
     params = pd.SimParams(horizon=1e300, step=1.0)
     with pytest.raises(pd.ConfigurationError, match="recorded states"):
         pd.integrate(rps, smith, rps.start, null_dual(rps), params)
+
+
+def test_sample_simplex_rejects_a_negative_seed():
+    with pytest.raises(pd.ConfigurationError, match="seed"):
+        pd.sample_simplex(3, 1.0, seed=-1)
 
 
 def test_sample_simplex_is_deterministic_per_seed():
@@ -489,3 +498,147 @@ def test_protocol_sees_only_within_population_gaps(congestion, rps, smith, integ
                 assert gaps.shape in ((n, n), (m, m))
         assert np.max(np.abs(traj.primal.sum(axis=1) - game.primal_mass)) <= 1e-12
         assert np.max(np.abs(traj.dual.sum(axis=1) - game.dual_mass)) <= 1e-12
+
+
+# --- block-verified stepping against the step-by-step reference ---
+
+
+def _overflowing_game():
+    return pd.GameSpec(
+        n=3,
+        primal_mass=1.0,
+        dual_mass=1.0,
+        fitness=pd.CallableFitness(lambda x: np.array([1e308, -1e308, 0.0])),
+    )
+
+
+def _refusing_rps(refused):
+    """paper-rps with its payoffs behind a fitness that raises on negative shares."""
+    rps = pd.paper_rps()
+
+    def fitness(x):
+        if (x < 0.0).any():
+            refused.append(x.copy())
+            raise ValueError("negative share")
+        return rps.fitness(x)
+
+    return pd.GameSpec(
+        n=3,
+        primal_mass=rps.primal_mass,
+        dual_mass=rps.dual_mass,
+        fitness=pd.CallableFitness(fitness),
+        constraints=rps.constraints,
+    )
+
+
+def _seeded(seed):
+    return lambda game: pd.sample_simplex(game.n, game.primal_mass, seed=seed)
+
+
+def _barycenter(game):
+    return pd.PrimalState(np.full(game.n, game.primal_mass / game.n), game.primal_mass)
+
+
+REFERENCE_CASES = {
+    "rps-h0.01": (pd.paper_rps, _barycenter, {"horizon": 200.0, "step": 0.01}),
+    "congestion-seed0": (pd.paper_congestion, _seeded(0), {"horizon": 200.0}),
+    # seed 4 takes the repair path once, below REPAIR_WARN
+    "congestion-seed4": (pd.paper_congestion, _seeded(4), {"horizon": 200.0}),
+    # every step repairs
+    "congestion-h0.05": (pd.paper_congestion, _seeded(0), {"horizon": 200.0, "step": 0.05}),
+    # one step clips
+    "congestion-h0.02": (pd.paper_congestion, _seeded(0), {"horizon": 200.0, "step": 0.02}),
+    "congestion-rk4": (pd.paper_congestion, _seeded(0), {"horizon": 200.0, "integrator": "rk4"}),
+    "rps-rk4": (pd.paper_rps, _barycenter, {"horizon": 40.0, "integrator": "rk4"}),
+    "congestion-horizon": (pd.paper_congestion, _seeded(3), {"horizon": 7.3}),
+    # a window longer than any block: the converging streak spans a block boundary
+    "congestion-long-window": (
+        pd.paper_congestion,
+        _seeded(0),
+        {"horizon": 200.0, "convergence_window": 2 * dynamics.BLOCK_MAX + 1},
+    ),
+    "rps-long-window": (
+        pd.paper_rps,
+        _barycenter,
+        {
+            "horizon": 200.0,
+            "step": 0.01,
+            "convergence_tol": 1e-3,
+            "convergence_window": 3 * dynamics.BLOCK_MAX,
+        },
+    ),
+    "rps-h0.5": (pd.paper_rps, _seeded(1), {"horizon": 100.0, "step": 0.5}),
+    # quiet streaks start and break between repairs
+    "rps-h0.5-streaks": (
+        pd.paper_rps,
+        _seeded(1),
+        {"horizon": 100.0, "step": 0.5, "convergence_tol": 0.5, "convergence_window": 20},
+    ),
+    # the field overflows at the start
+    "diverged-field": (_overflowing_game, _barycenter, {"horizon": 1.0}),
+    # the first update overflows the prices
+    "diverged-update": (
+        pd.paper_rps,
+        lambda game: pd.PrimalState(np.array([0.8, 0.1, 0.1]), 1.0),
+        {"horizon": 1e308, "step": 1e308},
+    ),
+}
+
+
+def assert_integrate_matches_reference(game, protocol, x0, params, caplog):
+    mu0 = null_dual(game)
+    try:
+        expected, warning = reference_integrate(game, protocol, x0, mu0, params)
+    except Exception as exc:  # the reference's own failure is the expected outcome
+        with pytest.raises(type(exc)) as err:
+            pd.integrate(game, protocol, x0, mu0, params)
+        assert str(err.value) == str(exc)
+        assert getattr(err.value, "step", None) == getattr(exc, "step", None)
+        return None
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="popdyn.dynamics"):
+        traj = pd.integrate(game, protocol, x0, mu0, params)
+    for field in dataclasses.fields(pd.Trajectory):
+        got, want = getattr(traj, field.name), expected[field.name]
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.dtype == want.dtype, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
+    assert [r.args for r in caplog.records if "repair" in r.getMessage()] == (
+        [warning] if warning else []
+    )
+    return traj
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_integrate_matches_the_step_by_step_reference(case, smith, caplog):
+    build, start, kwargs = REFERENCE_CASES[case]
+    game = build()
+    assert_integrate_matches_reference(game, smith, start(game), pd.SimParams(**kwargs), caplog)
+
+
+def test_a_refused_speculative_state_is_dropped_with_its_block(smith, caplog):
+    # at h = 0.5 Euler steps leave the simplex; the step-by-step loop repairs
+    # them before the fitness sees them, but the block evaluates the field at
+    # the unrepaired state first
+    refused = []
+    game = _refusing_rps(refused)
+    x0 = pd.sample_simplex(3, 1.0, seed=1)
+    params = pd.SimParams(horizon=100.0, step=0.5)
+    reference_integrate(game, smith, x0, null_dual(game), params)
+    assert refused == []
+    traj = assert_integrate_matches_reference(game, smith, x0, params, caplog)
+    assert traj is not None
+    assert refused
+
+
+def test_a_refusal_the_step_by_step_loop_reaches_propagates(smith, caplog):
+    # RK4's intermediate states leave the simplex, so the reference raises too
+    refused = []
+    game = _refusing_rps(refused)
+    x0 = pd.sample_simplex(3, 1.0, seed=1)
+    params = pd.SimParams(horizon=100.0, step=1.0, integrator="rk4")
+    with pytest.raises(ValueError, match="negative share"):
+        reference_integrate(game, smith, x0, null_dual(game), params)
+    assert assert_integrate_matches_reference(game, smith, x0, params, caplog) is None
