@@ -1,9 +1,10 @@
 """Command-line driver: simulate, verify, bound, and repro subcommands.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 simulation reached
-the horizon without converging, 3 verification or reproduction thresholds
-failed.  Output files (trajectory CSV, JSON reports) are byte-deterministic
-for fixed flags and seed.  The environment variable ``POPDYN_OUT_DIR``
+Exit codes: 0 success, 1 usage or configuration error (a step too long to
+keep every share nonnegative is one), 2 simulation reached the horizon
+without converging, 3 verification or reproduction thresholds failed.
+Output files (trajectory CSV, JSON reports) are byte-deterministic for
+fixed flags and seed.  The environment variable ``POPDYN_OUT_DIR``
 supplies the default output root.
 """
 
@@ -13,7 +14,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -173,13 +173,21 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
     return np.array(values)
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed`` and of each ``--seeds`` bound: a nonnegative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _parse_seed_range(text: str) -> range:
-    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
-    if not match:
-        raise ConfigurationError(f"--seeds expects a..b, got {text!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}")
+    lo, hi = _seed(lo), _seed(hi)
     if hi < lo:
-        raise ConfigurationError(f"--seeds range is empty: {text}")
+        raise argparse.ArgumentTypeError(f"range is empty: {text}")
     return range(lo, hi + 1)
 
 
@@ -296,7 +304,7 @@ def cmd_simulate(args) -> int:
         if args.x0 is not None or game.start is not None:
             fixed_by = "--x0" if args.x0 is not None else f"game {args.game!r}"
             raise _CliError(f"--seeds would be ignored: {fixed_by} fixes the start")
-        seeds = list(_parse_seed_range(args.seeds))
+        seeds = list(args.seeds)
     else:
         seeds = [args.seed]
     params = SimParams(
@@ -436,12 +444,12 @@ def cmd_repro(args) -> int:
     x0, _ = _default_primal(game, args.seed)
     mu0 = _null_dual(game)
     out_dir = args.out_dir or os.path.join(_out_root(), f"repro-{args.experiment}")
-    os.makedirs(out_dir, exist_ok=True)
 
     traj = dynamics.integrate(game, protocol, x0, mu0, params)
     report = equilibrium.in_equilibria_set(game, traj.final_primal, traj.final_dual, tol=REPORT_TOL)
     audit = monotonicity_audit(game, protocol, protocol, traj, audit_tol=AUDIT_TOL)
 
+    os.makedirs(out_dir, exist_ok=True)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), game, traj, args.record_every)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(_dump_json(report.as_dict()))
@@ -495,8 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--integrator", default="euler", choices=("euler", "rk4"))
     sim.add_argument("--tol", type=float, default=1e-6, help="convergence tolerance on field norms")
     sim.add_argument("--window", type=int, default=100, help="consecutive quiet steps to converge")
-    sim.add_argument("--seed", type=int, default=0, help="seed for the default random start")
-    sim.add_argument("--seeds", default=None, help="a..b inclusive; one run and file per seed")
+    sim.add_argument("--seed", type=_seed, default=0, help="seed for the default random start")
+    sim.add_argument("--seeds", type=_parse_seed_range, help="a..b inclusive; one run and file per seed")
     sim.add_argument("--x0", default=None, help="explicit start, comma-separated")
     sim.add_argument("--mu0", default=None, help="explicit dual start, comma-separated")
     sim.add_argument("--out", default=None, help="trajectory CSV path")
@@ -524,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("repro", help="run a benchmark experiment and check its thresholds")
     rep.add_argument("experiment", choices=("congestion", "rps"))
-    rep.add_argument("--seed", type=int, default=0, help="seed for the congestion random start")
+    rep.add_argument("--seed", type=_seed, default=0, help="seed for the congestion random start")
     rep.add_argument("--step", type=float, default=0.01)
     rep.add_argument("--horizon", type=float, default=200.0)
     rep.add_argument("--record-every", type=int, default=1)

@@ -493,7 +493,7 @@ class GameSpec:
             jac.flags.writeable = False
         object.__setattr__(self, "_jac_static", jac)
         # the dynamics step the joint state (x, mu): entries of its gap matrix
-        # that pair the two populations are masked out, and norms and repair
+        # that pair the two populations are masked out, and norms and guards
         # reduce over the two blocks starting at these offsets
         size = self.n + self.q + 1
         mask = np.zeros((size, size), dtype=bool)

@@ -7,7 +7,7 @@ constraint-discounted payoff for the playing population and the constraint
 values for the pricing population.  Both populations follow the same
 exchange rule, so one kernel evaluates them together on the joint state
 ``z = (x, mu)`` of length ``n + q + 1``: one payoff vector ``(F, G)`` from
-the game's precomputed payoff operator (``core._joint_payoff``), one gap
+the game's precomputed payoff operator (``core._joint_payoff``), one rate
 matrix whose cross-population entries a block mask sets to exact zeros, and
 one net flow.  No mass crosses between the populations, and each keeps
 its own mass.  The per-population fields are slices of that kernel.
@@ -17,19 +17,21 @@ speculative blocks of up to ``BLOCK_MAX`` steps.  A step inside a block
 only evaluates the kernel and writes the update as the next row of one
 state buffer.  The block's guards are then checked together: one segmented
 maximum gives both field norms of every row, one segmented minimum and one
-segmented sum tell which updates need the simplex repair, and a scan over
-the rows applies the step-by-step loop's checks in its order (non-finite
-field, convergence, horizon, repair).  The rows before the first row that
-needs more than its update are exactly the step-by-step loop's; the rest
-are discarded, so the output does not depend on the block lengths.  The
-diagnostics downstream layers need (potential, constraint values, Lyapunov
-value) are filled after the loop in one batched pass over the recorded
-states, through the same payoff operator.
+segmented sum tell which updates left a simplex, and a scan over the rows
+applies the step-by-step loop's checks in its order (non-finite field,
+convergence, horizon, update).  The flow keeps both populations on their
+simplexes, so an update that takes a share negative is refused with a
+``ConfigurationError`` naming the forward-Euler positivity limit of the
+step; only a mass drift at rounding level is corrected, by rescaling.  The
+rows before the first row that needs more than its update are exactly the
+step-by-step loop's; the rest are discarded, so the output does not depend
+on the block lengths.  The diagnostics downstream layers need (potential,
+constraint values, Lyapunov value) are filled after the loop in one batched
+pass over the recorded states, through the same payoff operator.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -39,10 +41,6 @@ import numpy as np
 from . import core
 from .core import ConfigurationError, DualState, GameSpec, PrimalState
 
-logger = logging.getLogger(__name__)
-
-# a repair (negativity clip or mass rescale) larger than this is reported
-REPAIR_WARN = 1e-6
 # mass drift below this is left alone to keep untouched coordinates bitwise stable
 REPAIR_DRIFT = 1e-12
 # elements of the largest gap tensor per chunk of the diagnostics pass and the decrease audit
@@ -254,12 +252,21 @@ def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarra
     return _exchange(game, protocol, z, core._joint_payoff(game, z))
 
 
-def _exchange(game: GameSpec, protocol: Protocol, z: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-    """Net fields of both populations at ``z`` for known joint payoffs."""
+def _rates(game: GameSpec, protocol: Protocol, payoffs: np.ndarray) -> np.ndarray:
+    """Switch rates ``rho(P_i - P_j)`` within each population, exact zeros across.
+
+    Column ``j`` sums to ``out_j``, the rate at which each unit of ``j``'s
+    mass leaves it.
+    """
     mask = game._block_mask
     # gaps[i, j] = payoffs[i] - payoffs[j] within each population, exact zeros across
     gaps = np.subtract(payoffs[:, None], payoffs, out=np.zeros(mask.shape), where=mask)
-    flow = np.asarray(protocol.value(gaps), dtype=float) * z
+    return np.asarray(protocol.value(gaps), dtype=float)
+
+
+def _exchange(game: GameSpec, protocol: Protocol, z: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+    """Net fields of both populations at ``z`` for known joint payoffs."""
+    flow = _rates(game, protocol, payoffs) * z
     return (flow - flow.T).sum(axis=1)
 
 
@@ -294,29 +301,6 @@ def sample_simplex(n: int, mass: float, seed: int) -> PrimalState:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     return PrimalState(core._uniform_simplex(rng, n, mass), mass)
-
-
-def _repair(vec: np.ndarray, mass: float) -> tuple[Optional[np.ndarray], float]:
-    """Clip negatives, then rescale onto the mass simplex if drifted.
-
-    Returns the repaired vector and the size of the repair (clipped mass or
-    mass drift, whichever is larger).  The vector is ``None`` when clipping
-    leaves no mass at all, which only happens when the step blew the whole
-    state out of the orthant.
-    """
-    size = 0.0
-    neg = vec < 0.0
-    if neg.any():
-        size = float(-vec[neg].sum())
-        vec = np.where(neg, 0.0, vec)
-    total = float(vec.sum())
-    if total <= 0.0:
-        return None, size
-    drift = abs(total - mass)
-    if drift > REPAIR_DRIFT:
-        vec = vec * (mass / total)
-        size = max(size, drift)
-    return vec, size
 
 
 def _payoff_chunks(game: GameSpec, primal: np.ndarray, dual: np.ndarray):
@@ -375,21 +359,25 @@ def integrate(
     row; the guards of all the block's steps are then checked at once, and
     the block keeps exactly the rows a step-by-step loop would have
     produced.  A block is at most ``BLOCK_MAX`` steps long: its length
-    doubles after each clean block, restarts at 1 after a repair, stops at
-    the horizon and, once the field has been quiet for ``quiet`` steps,
-    ends ``window - quiet`` steps on, where the streak would converge.
+    doubles after each clean block, stops at the horizon and, once the
+    field has been quiet for ``quiet`` steps, ends ``window - quiet`` steps
+    on, where the streak would converge.
 
     The checks run row by row in the order of the step-by-step loop.  A
     non-finite field norm at state ``k`` raises
     ``IntegrationDivergedError(k)``; otherwise the state is recorded, and
     convergence (the criterion in ``params``) or the horizon stops the run.
     The update from state ``k`` is taken as is if both populations stayed
-    nonnegative and kept their mass to ``REPAIR_DRIFT``.  Otherwise it is
-    checked for finiteness (``IntegrationDivergedError(k + 1)``) and each
-    population is repaired (clip negatives, then rescale); the rows the
-    block computed after it are discarded and the next block starts from
-    the repaired state.  Steps whose repair exceeds ``REPAIR_WARN`` are
-    counted and reported once per call through the module logger.
+    nonnegative and kept their mass to ``REPAIR_DRIFT``.  Otherwise a
+    non-finite update raises ``IntegrationDivergedError(k + 1)``, and one
+    that takes a share negative raises ``ConfigurationError``: the step is
+    too long for the flow, and the message names ``k``, its time and the
+    forward-Euler positivity limit ``1 / max_j out_j`` at state ``k``,
+    where ``out_j = sum_i rho(P_i - P_j)`` over ``j``'s population (for
+    RK4 a guide, not a bound).  What is left is mass drift at rounding
+    level: each drifted population is rescaled onto its simplex, the rows
+    the block computed after it are discarded, and the next block starts
+    from the rescaled state with the same length.
 
     The loop runs with numpy's floating-point warnings off: the guards above
     report every non-finite value, and discarded rows must not warn.  An
@@ -426,8 +414,6 @@ def integrate(
     states[0, n:] = core._check_dual(game, mu0)
     fields = np.empty((min(T, BLOCK_MAX), states.shape[1]))
 
-    repaired = 0
-    largest = 0.0
     quiet = 0
     converged = False
     recorded = 0
@@ -459,7 +445,7 @@ def integrate(
             # the maximum propagates NaN, so finite norms mean a finite field
             np.maximum.reduceat(np.abs(fields[:evaluated]), blocks, axis=1, out=norms[rows])
             # no negative share and no mass drift in either block, which also
-            # rules out inf and NaN: the update needs no repair
+            # rules out inf and NaN: the update is taken as is
             new = states[start + 1 : start + 1 + updated]
             low = np.minimum.reduceat(new, blocks, axis=1)
             drift = np.abs(np.add.reduceat(new, blocks, axis=1) - masses)
@@ -488,33 +474,28 @@ def integrate(
                 z_new = states[k + 1]
                 if not np.isfinite(z_new).all():
                     raise IntegrationDivergedError(k + 1)
-                xv, x_size = _repair(z_new[:n], primal_mass)
-                muv, mu_size = _repair(z_new[n:], dual_mass)
-                if xv is None or muv is None:
-                    raise IntegrationDivergedError(k + 1)
-                z_new[:n] = xv
-                z_new[n:] = muv
-                repair = max(x_size, mu_size)
-                if repair > REPAIR_WARN:
-                    repaired += 1
-                    largest = max(largest, repair)
-                # the rows computed from the unrepaired state are discarded
-                start, size = k + 1, 1
+                if z_new.min() < 0.0:
+                    # out_j is column j's sum of the rate matrix at state k
+                    out = _rates(game, protocol, core._joint_payoff(game, states[k])).sum(axis=0)
+                    raise ConfigurationError(
+                        f"step {h:g} is too long: the update from step {k} (t = {k * h:g}) "
+                        "takes a share negative; the forward-Euler positivity limit "
+                        f"1 / max_j out_j there is {1.0 / out.max():.3g}"
+                        + ("" if euler else " (a guide for rk4)")
+                    )
+                # mass drift at rounding level: rescale each drifted population
+                for part, mass in ((z_new[:n], primal_mass), (z_new[n:], dual_mass)):
+                    total = float(part.sum())
+                    if abs(total - mass) > REPAIR_DRIFT:
+                        part *= mass / total
+                # the rows computed from the unscaled state are discarded
+                start = k + 1
                 break
             else:
                 if error is not None:
                     raise error  # the field at the row after the last raised
                 start += evaluated
                 size = min(2 * size, BLOCK_MAX)
-
-    if repaired:
-        logger.warning(
-            "simplex repair exceeded %g on %d of %d steps (largest %.3g)",
-            REPAIR_WARN,
-            repaired,
-            recorded - 1,
-            largest,
-        )
 
     times = np.arange(recorded, dtype=float)
     times *= h

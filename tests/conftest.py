@@ -146,19 +146,20 @@ def reference_integrate(game, protocol, x0, mu0, params):
 
     Each step evaluates the field with the package's kernel, checks both
     norms, records the state, tests convergence and the horizon, and then
-    either takes the update as is or checks it for finiteness and repairs it
-    with the package's ``_repair``.  Returns the ``Trajectory`` fields as a
-    dict and the arguments of the repair warning (``None`` when no repair
-    exceeded ``REPAIR_WARN``); raises what the loop raises.
+    either takes the update as is or checks it: a non-finite update
+    diverges, one with a negative share is refused with the positivity
+    limit computed from the package's ``_rates``, and a mass drift is
+    rescaled away.  Returns the ``Trajectory`` fields as a dict; raises
+    what the loop raises.
     """
-    from popdyn import dynamics
+    from popdyn import core, dynamics
 
     n = game.n
     z = np.concatenate((x0.x, mu0.mu))
     h = params.step
     nsteps = int(np.floor(params.horizon / h + 1e-9))
     times, primal, dual, xnorm, munorm = [], [], [], [], []
-    repaired, largest, quiet, converged = 0, 0.0, 0, False
+    quiet, converged = 0, False
     # integrate's own loop runs with warnings off; the guards report non-finite values
     with np.errstate(all="ignore"):
         for k in range(nsteps + 1):
@@ -200,19 +201,25 @@ def reference_integrate(game, protocol, x0, mu0, params):
                 continue
             if not np.isfinite(z_new).all():
                 raise pd.IntegrationDivergedError(k + 1)
-            xv, x_size = dynamics._repair(z_new[:n], game.primal_mass)
-            muv, mu_size = dynamics._repair(z_new[n:], game.dual_mass)
-            if xv is None or muv is None:
-                raise pd.IntegrationDivergedError(k + 1)
+            if min(x_low, mu_low) < 0.0:
+                rates = dynamics._rates(game, protocol, core._joint_payoff(game, z))
+                limit = 1.0 / rates.sum(axis=0).max()
+                raise pd.ConfigurationError(
+                    f"step {h:g} is too long: the update from step {k} (t = {k * h:g}) "
+                    "takes a share negative; the forward-Euler positivity limit "
+                    f"1 / max_j out_j there is {limit:.3g}"
+                    + ("" if params.integrator == "euler" else " (a guide for rk4)")
+                )
+            xv, muv = z_new[:n], z_new[n:]
+            if abs(float(xv.sum()) - game.primal_mass) > dynamics.REPAIR_DRIFT:
+                xv = xv * (game.primal_mass / float(xv.sum()))
+            if abs(float(muv.sum()) - game.dual_mass) > dynamics.REPAIR_DRIFT:
+                muv = muv * (game.dual_mass / float(muv.sum()))
             z = np.concatenate((xv, muv))
-            size = max(x_size, mu_size)
-            if size > dynamics.REPAIR_WARN:
-                repaired += 1
-                largest = max(largest, size)
 
     primal, dual = np.array(primal), np.array(dual)
     pot, cons, lyap = dynamics._diagnostics(game, protocol, primal, dual)
-    fields = {
+    return {
         "times": np.array(times),
         "primal": primal,
         "dual": dual,
@@ -225,5 +232,3 @@ def reference_integrate(game, protocol, x0, mu0, params):
         "primal_mass": game.primal_mass,
         "dual_mass": game.dual_mass,
     }
-    warning = (dynamics.REPAIR_WARN, repaired, len(times) - 1, largest) if repaired else None
-    return fields, warning

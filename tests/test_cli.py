@@ -568,6 +568,9 @@ def test_repro_rejects_bad_step_before_creating_the_output_directory(out_root, c
         ["simulate", "--game", "paper-congestion", "--seed", "-1", "--horizon", "1"],
         ["simulate", "--game", "paper-congestion", "--seeds=-2..1", "--horizon", "1"],
         ["repro", "congestion", "--seed", "-2", "--horizon", "1"],
+        # the fixed start draws nothing from the seed; a negative one is still refused
+        ["simulate", "--game", "paper-rps", "--seed", "-3", "--horizon", "1"],
+        ["repro", "rps", "--seed", "-2", "--horizon", "1"],
     ],
 )
 def test_a_negative_seed_is_a_usage_error_that_writes_nothing(argv, out_root, capsys):
@@ -577,6 +580,25 @@ def test_a_negative_seed_is_a_usage_error_that_writes_nothing(argv, out_root, ca
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "seed" in err
+    assert list(out_root.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--game", "paper-congestion", "--step", "0.05", "--out"],
+        ["repro", "congestion", "--step", "0.05", "--out-dir"],
+    ],
+)
+def test_a_step_too_long_for_the_simplex_is_a_usage_error_that_writes_nothing(
+    argv, out_root, capsys
+):
+    out = out_root / "never"
+    code, stdout, err = run_cli([*argv, str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: step 0.05 is too long")
+    assert "positivity limit" in err
     assert list(out_root.iterdir()) == []
 
 

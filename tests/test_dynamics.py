@@ -2,13 +2,13 @@
 
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
 
 import popdyn as pd
 from popdyn import dynamics
-from popdyn.dynamics import REPAIR_WARN
 from popdyn.lyapunov import _value_raw
 
 from conftest import null_dual, random_simplex, reference_integrate
@@ -293,22 +293,41 @@ def test_integration_diverges_on_overflowing_payoffs(smith):
     assert err.value.step == 0
 
 
-def test_oversized_steps_emit_one_repair_warning(congestion, smith, caplog):
-    with caplog.at_level(logging.WARNING, logger="popdyn.dynamics"):
-        pd.integrate(
-            congestion,
-            smith,
-            pd.sample_simplex(4, 1.0, seed=1),
-            null_dual(congestion),
-            pd.SimParams(horizon=50.0, step=5.0),
-        )
-    repairs = [r for r in caplog.records if "repair" in r.getMessage()]
-    assert len(repairs) == 1
-    assert f"{REPAIR_WARN:g}" in repairs[0].getMessage()
+@pytest.mark.parametrize(
+    "build, seed, h, step",
+    [(pd.paper_congestion, 0, 0.05, 0), (pd.paper_congestion, 0, 0.02, 0), (pd.paper_rps, 1, 0.3, 4)],
+)
+def test_an_oversized_step_is_refused_with_a_positivity_limit_that_holds(
+    build, seed, h, step, smith
+):
+    game = build()
+    x0, mu0 = pd.sample_simplex(game.n, game.primal_mass, seed=seed), null_dual(game)
+    with pytest.raises(pd.ConfigurationError) as err:
+        pd.integrate(game, smith, x0, mu0, pd.SimParams(horizon=100.0, step=h))
+    match = re.fullmatch(
+        rf"step {h:g} is too long: the update from step (\d+) \(t = (\S+)\) takes a share "
+        r"negative; the forward-Euler positivity limit 1 / max_j out_j there is (\S+)",
+        str(err.value),
+    )
+    assert match, str(err.value)
+    k, limit = int(match.group(1)), float(match.group(3))
+    assert k == step and float(match.group(2)) == pytest.approx(k * h)
+    x, mu = x0, mu0
+    if k:
+        # the run up to the named state stayed on both simplexes
+        traj = pd.integrate(game, smith, x0, mu0, pd.SimParams(horizon=k * h, step=h))
+        assert len(traj) == k + 1
+        assert (traj.primal >= 0).all() and (traj.dual >= 0).all()
+        x, mu = traj.final_primal, traj.final_dual
+    fx, fmu = pd.primal_field(game, smith, x, mu), pd.dual_field(game, smith, x, mu)
+    # the refused step leaves the orthant; 0.99 of the named limit does not
+    assert min((x.x + h * fx).min(), (mu.mu + h * fmu).min()) < 0
+    assert (x.x + 0.99 * limit * fx >= 0).all() and (mu.mu + 0.99 * limit * fmu >= 0).all()
 
 
-def test_clean_runs_emit_no_repair_warning(rps, smith, caplog):
-    with caplog.at_level(logging.WARNING, logger="popdyn.dynamics"):
+def test_clean_runs_emit_no_repair_warning(rps, congestion, smith, caplog):
+    # congestion seed 4 takes the mass rescale once; that is silent too
+    with caplog.at_level(logging.DEBUG, logger="popdyn.dynamics"):
         pd.integrate(
             rps,
             smith,
@@ -316,37 +335,14 @@ def test_clean_runs_emit_no_repair_warning(rps, smith, caplog):
             null_dual(rps),
             pd.SimParams(horizon=2.0, step=0.01),
         )
-    assert not [r for r in caplog.records if "repair" in r.getMessage()]
-
-
-def test_repair_warning_counts_repaired_steps(rps, smith, caplog):
-    # at h = 0.5 the Euler step leaves the simplex on some steps only; the
-    # warning's second argument must be the number of those steps, recounted
-    # here from the recorded states through the public fields
-    h = 0.5
-    with caplog.at_level(logging.WARNING, logger="popdyn.dynamics"):
-        traj = pd.integrate(
-            rps,
+        pd.integrate(
+            congestion,
             smith,
-            pd.sample_simplex(3, 1.0, seed=1),
-            null_dual(rps),
-            pd.SimParams(horizon=100.0, step=h),
+            pd.sample_simplex(4, 1.0, seed=4),
+            null_dual(congestion),
+            pd.SimParams(horizon=200.0),
         )
-    repairs = [r for r in caplog.records if "repair" in r.getMessage()]
-    assert len(repairs) == 1
-
-    def repair_size(raw, mass):
-        return max(float(-raw[raw < 0].sum()), abs(float(np.maximum(raw, 0.0).sum()) - mass))
-
-    expected = 0
-    for k in range(len(traj) - 1):
-        x, mu = traj.state_at(k)
-        size_x = repair_size(x.x + h * pd.primal_field(rps, smith, x, mu), rps.primal_mass)
-        size_mu = repair_size(mu.mu + h * pd.dual_field(rps, smith, x, mu), rps.dual_mass)
-        expected += max(size_x, size_mu) > REPAIR_WARN
-    assert 0 < expected < len(traj) - 1
-    assert repairs[0].args[1] == expected
-    assert repairs[0].args[2] == len(traj) - 1
+    assert not [r for r in caplog.records if r.name.startswith("popdyn.dynamics")]
 
 
 # --- batched diagnostics ---
@@ -542,13 +538,19 @@ def _barycenter(game):
 REFERENCE_CASES = {
     "rps-h0.01": (pd.paper_rps, _barycenter, {"horizon": 200.0, "step": 0.01}),
     "congestion-seed0": (pd.paper_congestion, _seeded(0), {"horizon": 200.0}),
-    # seed 4 takes the repair path once, below REPAIR_WARN
+    # seed 4 takes the mass rescale once
     "congestion-seed4": (pd.paper_congestion, _seeded(4), {"horizon": 200.0}),
-    # every step repairs
+    # the first update leaves the simplex: refused at step 0
     "congestion-h0.05": (pd.paper_congestion, _seeded(0), {"horizon": 200.0, "step": 0.05}),
-    # one step clips
+    # refused at step 0 too, although the step is shorter
     "congestion-h0.02": (pd.paper_congestion, _seeded(0), {"horizon": 200.0, "step": 0.02}),
     "congestion-rk4": (pd.paper_congestion, _seeded(0), {"horizon": 200.0, "integrator": "rk4"}),
+    # refused at step 0; the message gives the Euler limit as a guide
+    "congestion-rk4-h0.05": (
+        pd.paper_congestion,
+        _seeded(0),
+        {"horizon": 200.0, "step": 0.05, "integrator": "rk4"},
+    ),
     "rps-rk4": (pd.paper_rps, _barycenter, {"horizon": 40.0, "integrator": "rk4"}),
     "congestion-horizon": (pd.paper_congestion, _seeded(3), {"horizon": 7.3}),
     # a window longer than any block: the converging streak spans a block boundary
@@ -568,12 +570,10 @@ REFERENCE_CASES = {
         },
     ),
     "rps-h0.5": (pd.paper_rps, _seeded(1), {"horizon": 100.0, "step": 0.5}),
-    # quiet streaks start and break between repairs
-    "rps-h0.5-streaks": (
-        pd.paper_rps,
-        _seeded(1),
-        {"horizon": 100.0, "step": 0.5, "convergence_tol": 0.5, "convergence_window": 20},
-    ),
+    # refused inside a block: at step 4 of the block of steps 3..6
+    "rps-h0.3-in-block": (pd.paper_rps, _seeded(1), {"horizon": 100.0, "step": 0.3}),
+    # refused at step 3, where the block of steps 3..6 starts
+    "rps-h0.4-in-block": (pd.paper_rps, _seeded(2), {"horizon": 100.0, "step": 0.4}),
     # the field overflows at the start
     "diverged-field": (_overflowing_game, _barycenter, {"horizon": 1.0}),
     # the first update overflows the prices
@@ -585,19 +585,17 @@ REFERENCE_CASES = {
 }
 
 
-def assert_integrate_matches_reference(game, protocol, x0, params, caplog):
+def assert_integrate_matches_reference(game, protocol, x0, params):
     mu0 = null_dual(game)
     try:
-        expected, warning = reference_integrate(game, protocol, x0, mu0, params)
+        expected = reference_integrate(game, protocol, x0, mu0, params)
     except Exception as exc:  # the reference's own failure is the expected outcome
         with pytest.raises(type(exc)) as err:
             pd.integrate(game, protocol, x0, mu0, params)
         assert str(err.value) == str(exc)
         assert getattr(err.value, "step", None) == getattr(exc, "step", None)
         return None
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="popdyn.dynamics"):
-        traj = pd.integrate(game, protocol, x0, mu0, params)
+    traj = pd.integrate(game, protocol, x0, mu0, params)
     for field in dataclasses.fields(pd.Trajectory):
         got, want = getattr(traj, field.name), expected[field.name]
         if isinstance(want, np.ndarray):
@@ -605,35 +603,32 @@ def assert_integrate_matches_reference(game, protocol, x0, params, caplog):
             assert got.tobytes() == want.tobytes(), field.name
         else:
             assert got == want, field.name
-    assert [r.args for r in caplog.records if "repair" in r.getMessage()] == (
-        [warning] if warning else []
-    )
     return traj
 
 
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
-def test_integrate_matches_the_step_by_step_reference(case, smith, caplog):
+def test_integrate_matches_the_step_by_step_reference(case, smith):
     build, start, kwargs = REFERENCE_CASES[case]
     game = build()
-    assert_integrate_matches_reference(game, smith, start(game), pd.SimParams(**kwargs), caplog)
+    assert_integrate_matches_reference(game, smith, start(game), pd.SimParams(**kwargs))
 
 
-def test_a_refused_speculative_state_is_dropped_with_its_block(smith, caplog):
-    # at h = 0.5 Euler steps leave the simplex; the step-by-step loop repairs
-    # them before the fitness sees them, but the block evaluates the field at
-    # the unrepaired state first
+def test_a_refused_speculative_state_is_dropped_with_its_block(smith):
+    # at h = 0.3 the update from step 4 leaves the simplex; the step-by-step
+    # loop refuses it before the fitness sees it, but the block of steps 3..6
+    # evaluates the field at the unrefused state first
     refused = []
     game = _refusing_rps(refused)
     x0 = pd.sample_simplex(3, 1.0, seed=1)
-    params = pd.SimParams(horizon=100.0, step=0.5)
-    reference_integrate(game, smith, x0, null_dual(game), params)
+    params = pd.SimParams(horizon=100.0, step=0.3)
+    with pytest.raises(pd.ConfigurationError, match="from step 4 "):
+        reference_integrate(game, smith, x0, null_dual(game), params)
     assert refused == []
-    traj = assert_integrate_matches_reference(game, smith, x0, params, caplog)
-    assert traj is not None
+    assert assert_integrate_matches_reference(game, smith, x0, params) is None
     assert refused
 
 
-def test_a_refusal_the_step_by_step_loop_reaches_propagates(smith, caplog):
+def test_a_refusal_the_step_by_step_loop_reaches_propagates(smith):
     # RK4's intermediate states leave the simplex, so the reference raises too
     refused = []
     game = _refusing_rps(refused)
@@ -641,4 +636,4 @@ def test_a_refusal_the_step_by_step_loop_reaches_propagates(smith, caplog):
     params = pd.SimParams(horizon=100.0, step=1.0, integrator="rk4")
     with pytest.raises(ValueError, match="negative share"):
         reference_integrate(game, smith, x0, null_dual(game), params)
-    assert assert_integrate_matches_reference(game, smith, x0, params, caplog) is None
+    assert assert_integrate_matches_reference(game, smith, x0, params) is None
