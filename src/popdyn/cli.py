@@ -11,6 +11,7 @@ supplies the default output root.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -218,6 +219,22 @@ def _initial_conditions(game: GameSpec, x0_flag, mu0_flag, seed: int):
     return x0, mu0, used_seed
 
 
+def _fit_step(args, params: SimParams, game, protocol, x0, mu0) -> SimParams:
+    """``params`` with the default step halved while one Euler step from the
+    start could take a share negative; a ``--step`` given is kept as it is."""
+    if args.step is not None:
+        return params
+    z0 = np.concatenate((core._check_primal(game, x0), core._check_dual(game, mu0)))
+    limit = dynamics._positivity_limit(game, protocol, z0)
+    step = params.step
+    while step >= limit:
+        step /= 2
+    if step < params.step:
+        why = f"the default {params.step:g} is beyond the positivity limit {limit:.3g} at the start"
+        print(f"note: step {step:g}, as {why}", file=sys.stderr)
+    return dataclasses.replace(params, step=step)
+
+
 def _fmt(value: float) -> str:
     value = float(value)
     return "NaN" if math.isnan(value) else repr(value)
@@ -309,7 +326,7 @@ def cmd_simulate(args) -> int:
         seeds = [args.seed]
     params = SimParams(
         horizon=args.horizon,
-        step=args.step,
+        step=SimParams.step if args.step is None else args.step,
         integrator=args.integrator,
         convergence_tol=args.tol,
         convergence_window=args.window,
@@ -317,7 +334,8 @@ def cmd_simulate(args) -> int:
 
     def run_one(seed: int) -> dict:
         x0, mu0, used_seed = _initial_conditions(game, args.x0, args.mu0, seed)
-        traj = dynamics.integrate(game, protocol, x0, mu0, params)
+        run_params = _fit_step(args, params, game, protocol, x0, mu0)
+        traj = dynamics.integrate(game, protocol, x0, mu0, run_params)
         report = equilibrium.in_equilibria_set(
             game, traj.final_primal, traj.final_dual, tol=args.report_tol
         )
@@ -438,11 +456,11 @@ def _repro_checks_rps(game, traj, report, audit) -> list:
 def cmd_repro(args) -> int:
     if args.record_every < 1:
         raise _CliError("--record-every must be at least 1")
-    params = SimParams(horizon=args.horizon, step=args.step)
+    params = SimParams(args.horizon, SimParams.step if args.step is None else args.step)
     protocol = PROTOCOLS["smith"]()
     game = games.paper_congestion() if args.experiment == "congestion" else games.paper_rps()
-    x0, _ = _default_primal(game, args.seed)
-    mu0 = _null_dual(game)
+    x0, mu0, _ = _initial_conditions(game, None, None, args.seed)
+    params = _fit_step(args, params, game, protocol, x0, mu0)
     out_dir = args.out_dir or os.path.join(_out_root(), f"repro-{args.experiment}")
 
     traj = dynamics.integrate(game, protocol, x0, mu0, params)
@@ -498,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="integrate the coupled dynamics and write a trajectory")
     _add_game_arg(sim)
     sim.add_argument("--protocol", default="smith", choices=sorted(PROTOCOLS))
-    sim.add_argument("--step", type=float, default=0.01, help="integration step (seconds)")
+    sim.add_argument("--step", type=float, help="integration step (default 0.01, halved as needed)")
     sim.add_argument("--horizon", type=float, default=200.0, help="time horizon (seconds)")
     sim.add_argument("--integrator", default="euler", choices=("euler", "rk4"))
     sim.add_argument("--tol", type=float, default=1e-6, help="convergence tolerance on field norms")
@@ -533,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("repro", help="run a benchmark experiment and check its thresholds")
     rep.add_argument("experiment", choices=("congestion", "rps"))
     rep.add_argument("--seed", type=_seed, default=0, help="seed for the congestion random start")
-    rep.add_argument("--step", type=float, default=0.01)
+    rep.add_argument("--step", type=float, help="as for simulate")
     rep.add_argument("--horizon", type=float, default=200.0)
     rep.add_argument("--record-every", type=int, default=1)
     rep.add_argument("--out-dir", default=None, help="output directory (default under POPDYN_OUT_DIR)")

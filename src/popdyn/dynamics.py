@@ -12,22 +12,13 @@ matrix whose cross-population entries a block mask sets to exact zeros, and
 one net flow.  No mass crosses between the populations, and each keeps
 its own mass.  The per-population fields are slices of that kernel.
 
-``integrate`` advances the joint state with a fixed-step scheme, in
-speculative blocks of up to ``BLOCK_MAX`` steps.  A step inside a block
-only evaluates the kernel and writes the update as the next row of one
-state buffer.  The block's guards are then checked together: one segmented
-maximum gives both field norms of every row, one segmented minimum and one
-segmented sum tell which updates left a simplex, and a scan over the rows
-applies the step-by-step loop's checks in its order (non-finite field,
-convergence, horizon, update).  The flow keeps both populations on their
-simplexes, so an update that takes a share negative is refused with a
-``ConfigurationError`` naming the forward-Euler positivity limit of the
-step; only a mass drift at rounding level is corrected, by rescaling.  The
-rows before the first row that needs more than its update are exactly the
-step-by-step loop's; the rest are discarded, so the output does not depend
-on the block lengths.  The diagnostics downstream layers need (potential,
-constraint values, Lyapunov value) are filled after the loop in one batched
-pass over the recorded states, through the same payoff operator.
+``integrate`` advances the joint state with a fixed-step scheme in
+speculative blocks whose guards are checked together, keeping exactly the
+rows of a step-by-step loop.  The flow keeps both populations on their
+simplexes, so an update that takes a share negative is refused with the
+forward-Euler positivity limit of the step.  The diagnostics downstream
+layers need (potential, constraint values, Lyapunov value) are filled after
+the loop in one batched pass over the recorded states.
 """
 
 from __future__ import annotations
@@ -264,6 +255,13 @@ def _rates(game: GameSpec, protocol: Protocol, payoffs: np.ndarray) -> np.ndarra
     return np.asarray(protocol.value(gaps), dtype=float)
 
 
+def _positivity_limit(game: GameSpec, protocol: Protocol, z: np.ndarray) -> float:
+    """``1 / max_j out_j`` at ``z``, ``out_j`` the column sums of ``_rates``: no
+    forward-Euler step from ``z`` up to this long takes a share negative."""
+    top = float(_rates(game, protocol, core._joint_payoff(game, z)).sum(axis=0).max())
+    return 1.0 / top if top > 0.0 else math.inf
+
+
 def _exchange(game: GameSpec, protocol: Protocol, z: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
     """Net fields of both populations at ``z`` for known joint payoffs."""
     flow = _rates(game, protocol, payoffs) * z
@@ -372,12 +370,10 @@ def integrate(
     non-finite update raises ``IntegrationDivergedError(k + 1)``, and one
     that takes a share negative raises ``ConfigurationError``: the step is
     too long for the flow, and the message names ``k``, its time and the
-    forward-Euler positivity limit ``1 / max_j out_j`` at state ``k``,
-    where ``out_j = sum_i rho(P_i - P_j)`` over ``j``'s population (for
-    RK4 a guide, not a bound).  What is left is mass drift at rounding
-    level: each drifted population is rescaled onto its simplex, the rows
-    the block computed after it are discarded, and the next block starts
-    from the rescaled state with the same length.
+    ``_positivity_limit`` at state ``k`` (for RK4 a guide, not a bound).
+    What is left is mass drift at rounding level: each drifted population
+    is rescaled onto its simplex, the rows the block computed after it are
+    discarded, and the next block starts there with the same length.
 
     The loop runs with numpy's floating-point warnings off: the guards above
     report every non-finite value, and discarded rows must not warn.  An
@@ -475,12 +471,11 @@ def integrate(
                 if not np.isfinite(z_new).all():
                     raise IntegrationDivergedError(k + 1)
                 if z_new.min() < 0.0:
-                    # out_j is column j's sum of the rate matrix at state k
-                    out = _rates(game, protocol, core._joint_payoff(game, states[k])).sum(axis=0)
+                    limit = _positivity_limit(game, protocol, states[k])
                     raise ConfigurationError(
                         f"step {h:g} is too long: the update from step {k} (t = {k * h:g}) "
                         "takes a share negative; the forward-Euler positivity limit "
-                        f"1 / max_j out_j there is {1.0 / out.max():.3g}"
+                        f"1 / max_j out_j there is {limit:.3g}"
                         + ("" if euler else " (a guide for rk4)")
                     )
                 # mass drift at rounding level: rescale each drifted population

@@ -602,6 +602,39 @@ def test_a_step_too_long_for_the_simplex_is_a_usage_error_that_writes_nothing(
     assert list(out_root.iterdir()) == []
 
 
+# from seed 279's start a 0.01 Euler step takes path 2's share negative (limit 0.00953)
+BEYOND_LIMIT_SEED = "279"
+
+
+def test_the_default_step_is_halved_for_a_start_beyond_its_positivity_limit(out_root, capsys):
+    path = out_root / "c.csv"
+    argv = ["simulate", "--game", "paper-congestion", "--seed", BEYOND_LIMIT_SEED]
+    code, _, err = run_cli([*argv, "--horizon", "0.02", "--out", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("note: step 0.005, as the default 0.01 is beyond the positivity limit")
+    _, rows = read_csv_rows(path)
+    assert [float(row[0]) for row in rows] == pytest.approx([0.0, 0.005, 0.01, 0.015, 0.02])
+    # a step given on the command line is kept, and refused
+    code, _, err = run_cli([*argv, "--step", "0.01", "--out", str(out_root / "never")], capsys)
+    assert code == 1
+    assert err.startswith("error: step 0.01 is too long: the update from step 0 (t = 0)")
+    assert not (out_root / "never").exists()
+
+
+def test_repro_congestion_passes_from_a_start_beyond_the_default_positivity_limit(
+    out_root, capsys
+):
+    out_dir = out_root / "repro-c"
+    code, out, err = run_cli(
+        ["repro", "congestion", "--seed", BEYOND_LIMIT_SEED, "--out-dir", str(out_dir)], capsys
+    )
+    assert code == 0
+    assert "all criteria passed" in out
+    assert err.startswith("note: step 0.005,")
+    _, rows = read_csv_rows(out_dir / "trajectory.csv")
+    assert float(rows[1][0]) == 0.005
+
+
 # --- module entry point ---
 
 

@@ -325,8 +325,7 @@ def test_an_oversized_step_is_refused_with_a_positivity_limit_that_holds(
     assert (x.x + 0.99 * limit * fx >= 0).all() and (mu.mu + 0.99 * limit * fmu >= 0).all()
 
 
-def test_clean_runs_emit_no_repair_warning(rps, congestion, smith, caplog):
-    # congestion seed 4 takes the mass rescale once; that is silent too
+def test_clean_runs_emit_no_repair_warning(rps, smith, caplog):
     with caplog.at_level(logging.DEBUG, logger="popdyn.dynamics"):
         pd.integrate(
             rps,
@@ -334,13 +333,6 @@ def test_clean_runs_emit_no_repair_warning(rps, congestion, smith, caplog):
             pd.PrimalState(np.full(3, 1.0 / 3.0), mass=1.0),
             null_dual(rps),
             pd.SimParams(horizon=2.0, step=0.01),
-        )
-        pd.integrate(
-            congestion,
-            smith,
-            pd.sample_simplex(4, 1.0, seed=4),
-            null_dual(congestion),
-            pd.SimParams(horizon=200.0),
         )
     assert not [r for r in caplog.records if r.name.startswith("popdyn.dynamics")]
 
