@@ -36,6 +36,11 @@ AUDIT_TOL = 1e-8
 AUDIT_FRACTION = 0.999
 REPORT_TOL = 1e-3
 RPS_TARGET = (0.313, 0.044, 0.643)
+# seed of the random start when neither --seed nor --seeds is given
+DEFAULT_SEED = 0
+# rows the trajectory CSV renders at a time; larger chunks are no faster and
+# hold more memory while they are written
+CSV_CHUNK = 256
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -205,6 +210,13 @@ def _default_primal(game: GameSpec, seed: int) -> tuple[PrimalState, int | None]
     return dynamics.sample_simplex(game.n, game.primal_mass, seed), seed
 
 
+def _refuse_unused_seed(flag: str, x0_flag, game: GameSpec, label: str) -> None:
+    """Raise a usage error when a fixed start leaves ``flag`` nothing to draw."""
+    if x0_flag is not None or game.start is not None:
+        fixed_by = "--x0" if x0_flag is not None else f"game {label!r}"
+        raise _CliError(f"{flag} would be ignored: {fixed_by} fixes the start")
+
+
 def _initial_conditions(game: GameSpec, x0_flag, mu0_flag, seed: int):
     """Returns ``(x0, mu0, used_seed)``; the seed is None unless drawn from."""
     if x0_flag is not None:
@@ -235,17 +247,14 @@ def _fit_step(args, params: SimParams, game, protocol, x0, mu0) -> SimParams:
     return dataclasses.replace(params, step=step)
 
 
-def _fmt(value: float) -> str:
-    value = float(value)
-    return "NaN" if math.isnan(value) else repr(value)
-
-
 def write_trajectory_csv(path: str, game: GameSpec, traj: Trajectory, record_every: int = 1) -> None:
     """Write the recorded trajectory as deterministic CSV.
 
     Rows are every ``record_every``-th recorded step plus always the final
     one.  Floats are rendered with ``repr`` (shortest round-trip form), NaN
-    as the literal token ``NaN``.
+    as the literal token ``NaN``.  The rows are written ``CSV_CHUNK`` at a
+    time, each chunk rendered in one pass: ``repr`` of its rows as nested
+    lists, with the list separators turned into commas and newlines.
     """
     if record_every < 1:
         raise ConfigurationError("--record-every must be at least 1")
@@ -260,25 +269,26 @@ def write_trajectory_csv(path: str, game: GameSpec, traj: Trajectory, record_eve
         g_max = traj.constraints[:, 1:].max(axis=1)
     else:
         g_max = np.full(len(traj), math.nan)
-    rows = list(range(0, len(traj), record_every))
+    columns = (
+        traj.times,
+        traj.primal,
+        traj.dual,
+        traj.lyapunov,
+        traj.potential,
+        g_max,
+        traj.primal_field_norm,
+        traj.dual_field_norm,
+    )
+    rows = np.arange(0, len(traj), record_every)
     if rows[-1] != len(traj) - 1:
-        rows.append(len(traj) - 1)
+        rows = np.append(rows, len(traj) - 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in rows:
-            cells = (
-                [_fmt(traj.times[i])]
-                + [_fmt(v) for v in traj.primal[i]]
-                + [_fmt(v) for v in traj.dual[i]]
-                + [
-                    _fmt(traj.lyapunov[i]),
-                    _fmt(traj.potential[i]),
-                    _fmt(g_max[i]),
-                    _fmt(traj.primal_field_norm[i]),
-                    _fmt(traj.dual_field_norm[i]),
-                ]
-            )
-            fh.write(",".join(cells) + "\n")
+        for lo in range(0, rows.size, CSV_CHUNK):
+            chunk = rows[lo : lo + CSV_CHUNK]
+            # "[[a, b], [c, d]]" -> "a,b\nc,d"; repr spells NaN "nan"
+            text = repr(np.column_stack([col[chunk] for col in columns]).tolist())
+            fh.write(text[2:-2].replace("], [", "\n").replace(", ", ",").replace("nan", "NaN") + "\n")
 
 
 def _dump_json(obj) -> str:
@@ -317,13 +327,14 @@ def cmd_simulate(args) -> int:
     if args.record_every < 1:
         raise _CliError("--record-every must be at least 1")
     if args.seeds is not None:
-        # a fixed start draws nothing from the seed, so every seed would run the same
-        if args.x0 is not None or game.start is not None:
-            fixed_by = "--x0" if args.x0 is not None else f"game {args.game!r}"
-            raise _CliError(f"--seeds would be ignored: {fixed_by} fixes the start")
+        # every seed would run the same integration
+        _refuse_unused_seed("--seeds", args.x0, game, args.game)
         seeds = list(args.seeds)
-    else:
+    elif args.seed is not None:
+        _refuse_unused_seed("--seed", args.x0, game, args.game)
         seeds = [args.seed]
+    else:
+        seeds = [DEFAULT_SEED]
     params = SimParams(
         horizon=args.horizon,
         step=SimParams.step if args.step is None else args.step,
@@ -459,7 +470,11 @@ def cmd_repro(args) -> int:
     params = SimParams(args.horizon, SimParams.step if args.step is None else args.step)
     protocol = PROTOCOLS["smith"]()
     game = games.paper_congestion() if args.experiment == "congestion" else games.paper_rps()
-    x0, mu0, _ = _initial_conditions(game, None, None, args.seed)
+    seed = DEFAULT_SEED
+    if args.seed is not None:
+        _refuse_unused_seed("--seed", None, game, game.name)
+        seed = args.seed
+    x0, mu0, _ = _initial_conditions(game, None, None, seed)
     params = _fit_step(args, params, game, protocol, x0, mu0)
     out_dir = args.out_dir or os.path.join(_out_root(), f"repro-{args.experiment}")
 
@@ -521,8 +536,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--integrator", default="euler", choices=("euler", "rk4"))
     sim.add_argument("--tol", type=float, default=1e-6, help="convergence tolerance on field norms")
     sim.add_argument("--window", type=int, default=100, help="consecutive quiet steps to converge")
-    sim.add_argument("--seed", type=_seed, default=0, help="seed for the default random start")
-    sim.add_argument("--seeds", type=_parse_seed_range, help="a..b inclusive; one run and file per seed")
+    seeds = sim.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=_seed, help="seed for the default random start (default 0)")
+    seeds.add_argument("--seeds", type=_parse_seed_range, help="a..b inclusive; one run and file per seed")
     sim.add_argument("--x0", default=None, help="explicit start, comma-separated")
     sim.add_argument("--mu0", default=None, help="explicit dual start, comma-separated")
     sim.add_argument("--out", default=None, help="trajectory CSV path")
@@ -550,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("repro", help="run a benchmark experiment and check its thresholds")
     rep.add_argument("experiment", choices=("congestion", "rps"))
-    rep.add_argument("--seed", type=_seed, default=0, help="seed for the congestion random start")
+    rep.add_argument("--seed", type=_seed, help="seed for the congestion random start (default 0)")
     rep.add_argument("--step", type=float, help="as for simulate")
     rep.add_argument("--horizon", type=float, default=200.0)
     rep.add_argument("--record-every", type=int, default=1)

@@ -12,8 +12,9 @@ build on.
 The dynamics evaluate payoffs through one route, the payoff operator each
 ``GameSpec`` builds once on construction: both payoff vectors at the joint
 state ``z = (x, mu)`` as one polynomial of degree at most two,
-``P(z) = (T x + L) z + c``, evaluated at one state by ``_joint_payoff`` and
-on a stack of states by ``_joint_payoff_stack``.  The public evaluators
+``P(z) = (T x + L) z + c``, evaluated at one state by ``_payoff_kernel``
+(bound once to its output array; ``_joint_payoff`` is its one-shot form)
+and on a stack of states by ``_joint_payoff_stack``.  The public evaluators
 (``primal_dual_payoff``, ``constraint_values``, ``constraint_jacobian``) go
 through the fitness rule and the constraint objects; they are the
 reference the operator is tested against.
@@ -676,18 +677,52 @@ def _joint_payoff(game: GameSpec, z: np.ndarray) -> np.ndarray:
     only.  When the fitness rule has no affine form, ``J`` and ``f_0`` are
     zero and ``f(x)`` is added to the F block.
 
-    Agrees with ``primal_dual_payoff`` and ``constraint_values``, the
-    rule-based reference, to rounding; the summation order differs.
+    The one-shot form of ``_payoff_kernel``.  Agrees with
+    ``primal_dual_payoff`` and ``constraint_values``, the rule-based
+    reference, to rounding; the summation order differs.
+    """
+    return _payoff_kernel(game, np.empty(z.size))(z)
+
+
+def _payoff_kernel(game: GameSpec, P: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``_joint_payoff`` bound to the output array ``P``: ``payoff(z)`` writes
+    ``P(z)`` into ``P`` and returns it.
+
+    The products are ``ndarray.dot`` methods bound once, and ``T x + L``
+    has a work array of its own, so a call allocates no array unless the
+    fitness rule has no affine form.
     """
     n = game.n
-    T = game._payoff_bilinear
+    L, c, T = game._payoff_linear, game._payoff_offset, game._payoff_bilinear
+    add = np.add
     if T is None:
-        P = game._payoff_linear @ z + game._payoff_offset
+        L_dot = L.dot
+
+        def payoff(z):
+            L_dot(z, P)
+            return add(P, c, P)
+
     else:
-        P = (T @ z[:n] + game._payoff_linear) @ z + game._payoff_offset
-    if not game._fitness_affine:
-        P[:n] += np.asarray(game.fitness(z[:n]), dtype=float)
-    return P
+        N = P.size
+        TX = np.empty((N, N))
+        T_dot, TX_flat, TX_dot = T.reshape(N * N, n).dot, TX.reshape(N * N), TX.dot
+
+        def payoff(z):
+            T_dot(z[:n], TX_flat)
+            add(TX, L, TX)
+            TX_dot(z, P)
+            return add(P, c, P)
+
+    if game._fitness_affine:
+        return payoff
+    fitness, F = game.fitness, P[:n]
+
+    def payoff_with_fitness(z):
+        payoff(z)
+        add(F, fitness(z[:n]), F)
+        return P
+
+    return payoff_with_fitness
 
 
 def _joint_payoff_stack(game: GameSpec, Z: np.ndarray) -> np.ndarray:

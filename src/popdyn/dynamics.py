@@ -7,10 +7,16 @@ constraint-discounted payoff for the playing population and the constraint
 values for the pricing population.  Both populations follow the same
 exchange rule, so one kernel evaluates them together on the joint state
 ``z = (x, mu)`` of length ``n + q + 1``: one payoff vector ``(F, G)`` from
-the game's precomputed payoff operator (``core._joint_payoff``), one rate
+the game's precomputed payoff operator (``core._payoff_kernel``), one rate
 matrix whose cross-population entries a block mask sets to exact zeros, and
 one net flow.  No mass crosses between the populations, and each keeps
 its own mass.  The per-population fields are slices of that kernel.
+
+``_field_kernel`` binds the kernel once, to work arrays of its own:
+``integrate`` binds it once per call, so a step allocates no array but the
+protocol's rates, and runs that share a game share no buffer.  The
+one-shot evaluators (``_joint_field``, the public fields, the positivity
+limit, ``lyapunov.lyapunov_rate``) bind a kernel for the one state.
 
 ``integrate`` advances the joint state with a fixed-step scheme in
 speculative blocks whose guards are checked together, keeping exactly the
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,7 +62,9 @@ class Protocol:
     """Revision protocol: a rate function of the payoff gap.
 
     ``value`` must map arrays elementwise, vanish for gaps <= 0, and be
-    positive for gaps > 0.  ``antiderivative`` is the exact integral of
+    positive for gaps > 0.  The step loop may pass it the same work array
+    on every call: ``value`` may overwrite that array and return it, but
+    must not keep it.  ``antiderivative`` is the exact integral of
     ``value`` from 0; leave it ``None`` to have the Lyapunov layer fall back
     to adaptive quadrature.
     """
@@ -227,45 +235,74 @@ class Trajectory:
         return DualState(self.dual[-1], self.dual_mass)
 
 
-def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarray:
-    """Fields of both populations at the joint state ``z = (x, mu)``.
+class _FieldKernel(NamedTuple):
+    """The joint field of one game and protocol, bound by ``_field_kernel``."""
 
-    ``P = (F(x, mu), G(x))`` stacks the two payoff vectors, evaluated by
-    the game's payoff operator ``core._joint_payoff``, and
+    field: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rates: Callable[[np.ndarray], np.ndarray]
+    payoffs: np.ndarray
+
+
+def _field_kernel(game: GameSpec, protocol: Protocol) -> _FieldKernel:
+    """Fields of both populations at the joint state ``z = (x, mu)``, bound
+    once to work arrays of their own.
+
+    ``field(z, out)`` writes the field at ``z`` into ``out`` and returns it.
+    ``P = (F(x, mu), G(x))`` stacks the two payoff vectors (the game's
+    payoff operator, into ``payoffs``), and
     ``flow[i, j] = z_j * rho(P_i - P_j)`` is the gross inflow from ``j`` to
-    ``i``.  Gaps that pair a strategy with a price are masked to exact zeros
-    by ``game._block_mask`` before the protocol sees them, so mass never
-    crosses between the populations.  The net field is the row sum of
-    ``flow - flow.T``; that difference is exactly antisymmetric in floating
-    point, so each block sums to zero to rounding of the final reduction,
-    and a strategy with zero share only ever gains.
+    ``i``.  Gaps that pair a strategy with a price are exact zeros: the gap
+    matrix is zeroed once and ``game._block_mask`` lets only its
+    in-population entries be written, so mass never crosses between the
+    populations.  The net field is the row sum of ``flow - flow.T``; that
+    difference is exactly antisymmetric in floating point, so each block
+    sums to zero to rounding of the final reduction, and a strategy with
+    zero share only ever gains.
+    ``rates(z)`` returns ``rho(P_i - P_j)`` at ``z``; column ``j`` sums to
+    ``out_j``, the rate at which each unit of ``j``'s mass leaves it.
+
+    A call allocates no array but the protocol's rates (and the fitness
+    rule's value when it has no affine form).  The work arrays belong to
+    the kernel, never to the game, so runs on one game share no buffer.
     """
-    return _exchange(game, protocol, z, core._joint_payoff(game, z))
-
-
-def _rates(game: GameSpec, protocol: Protocol, payoffs: np.ndarray) -> np.ndarray:
-    """Switch rates ``rho(P_i - P_j)`` within each population, exact zeros across.
-
-    Column ``j`` sums to ``out_j``, the rate at which each unit of ``j``'s
-    mass leaves it.
-    """
+    N = game.n + game.q + 1
+    P = np.empty(N)
+    payoff = core._payoff_kernel(game, P)
+    column = P[:, None]
     mask = game._block_mask
-    # gaps[i, j] = payoffs[i] - payoffs[j] within each population, exact zeros across
-    gaps = np.subtract(payoffs[:, None], payoffs, out=np.zeros(mask.shape), where=mask)
-    return np.asarray(protocol.value(gaps), dtype=float)
+    # entries outside the mask stay zero, also under a protocol that
+    # overwrites the gaps with its rates: rho(0) = 0
+    gaps = np.zeros((N, N))
+    flow = np.empty((N, N))
+    net = np.empty((N, N))
+    flow_T = flow.T
+    value = protocol.value
+    subtract, multiply, add_reduce = np.subtract, np.multiply, np.add.reduce
+
+    def rates(z):
+        payoff(z)
+        subtract(column, P, out=gaps, where=mask)
+        return value(gaps)
+
+    def field(z, out):
+        multiply(rates(z), z, out=flow)
+        subtract(flow, flow_T, out=net)
+        return add_reduce(net, 1, None, out)
+
+    return _FieldKernel(field, rates, P)
+
+
+def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarray:
+    """Fields of both populations at ``z``: the one-shot form of ``_field_kernel``."""
+    return _field_kernel(game, protocol).field(z, np.empty(z.size))
 
 
 def _positivity_limit(game: GameSpec, protocol: Protocol, z: np.ndarray) -> float:
-    """``1 / max_j out_j`` at ``z``, ``out_j`` the column sums of ``_rates``: no
-    forward-Euler step from ``z`` up to this long takes a share negative."""
-    top = float(_rates(game, protocol, core._joint_payoff(game, z)).sum(axis=0).max())
+    """``1 / max_j out_j`` at ``z``, ``out_j`` the column sums of the kernel's
+    rates: no forward-Euler step from ``z`` up to this long takes a share
+    negative."""
+    top = float(np.asarray(_field_kernel(game, protocol).rates(z), dtype=float).sum(axis=0).max())
     return 1.0 / top if top > 0.0 else math.inf
-
-
-def _exchange(game: GameSpec, protocol: Protocol, z: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-    """Net fields of both populations at ``z`` for known joint payoffs."""
-    flow = _rates(game, protocol, payoffs) * z
-    return (flow - flow.T).sum(axis=1)
 
 
 def _primal_field_raw(game: GameSpec, protocol: Protocol, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
@@ -409,6 +446,8 @@ def integrate(
     states[0, :n] = core._check_primal(game, x0)
     states[0, n:] = core._check_dual(game, mu0)
     fields = np.empty((min(T, BLOCK_MAX), states.shape[1]))
+    field = _field_kernel(game, protocol).field
+    step = _euler_step(h, states.shape[1]) if euler else _rk4_step(field, h, states.shape[1])
 
     quiet = 0
     converged = False
@@ -425,14 +464,11 @@ def integrate(
             evaluated = updated = 0
             error = None
             try:
+                z = states[start]
                 for j in range(K):
-                    z = states[start + j]
-                    fields[j] = _joint_field(game, protocol, z)
+                    f = field(z, fields[j])
                     evaluated += 1
-                    if euler:
-                        np.add(z, h * fields[j], out=states[start + j + 1])
-                    else:
-                        states[start + j + 1] = _rk4_step(game, protocol, z, h, fields[j])
+                    z = step(z, f, states[start + j + 1])
                     updated += 1
             except Exception as exc:  # user code in the field; the scan decides if it propagates
                 error = exc
@@ -512,8 +548,32 @@ def integrate(
     )
 
 
-def _rk4_step(game, protocol, z, h, k1):
-    k2 = _joint_field(game, protocol, z + 0.5 * h * k1)
-    k3 = _joint_field(game, protocol, z + 0.5 * h * k2)
-    k4 = _joint_field(game, protocol, z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _euler_step(h: float, size: int):
+    """``step(z, f, out)`` writes the forward-Euler update ``z + h f`` into ``out``."""
+    hf = np.empty(size)
+    add, multiply = np.add, np.multiply
+
+    def step(z, f, out):
+        return add(z, multiply(f, h, out=hf), out=out)
+
+    return step
+
+
+def _rk4_step(field, h: float, size: int):
+    """``step(z, k1, out)`` writes the classic RK4 update from ``z`` into
+    ``out``; ``k1`` is the field at ``z``."""
+    k2, k3, k4, zt = np.empty((4, size))
+    add, multiply = np.add, np.multiply
+    half, sixth = 0.5 * h, h / 6.0
+
+    def step(z, k1, out):
+        field(add(z, multiply(k1, half, out=zt), out=zt), k2)
+        field(add(z, multiply(k2, half, out=zt), out=zt), k3)
+        field(add(z, multiply(k3, h, out=zt), out=zt), k4)
+        # k1 + 2 k2 + 2 k3 + k4, summed left to right
+        add(k1, multiply(k2, 2.0, out=k2), out=k2)
+        add(k2, multiply(k3, 2.0, out=k3), out=k2)
+        add(k2, k4, out=k2)
+        return add(z, multiply(k2, sixth, out=k2), out=out)
+
+    return step

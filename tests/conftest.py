@@ -148,11 +148,11 @@ def reference_integrate(game, protocol, x0, mu0, params):
     norms, records the state, tests convergence and the horizon, and then
     either takes the update as is or checks it: a non-finite update
     diverges, one with a negative share is refused with the positivity
-    limit computed from the package's ``_rates``, and a mass drift is
+    limit computed from the package kernel's ``rates``, and a mass drift is
     rescaled away.  Returns the ``Trajectory`` fields as a dict; raises
     what the loop raises.
     """
-    from popdyn import core, dynamics
+    from popdyn import dynamics
 
     n = game.n
     z = np.concatenate((x0.x, mu0.mu))
@@ -202,7 +202,7 @@ def reference_integrate(game, protocol, x0, mu0, params):
             if not np.isfinite(z_new).all():
                 raise pd.IntegrationDivergedError(k + 1)
             if min(x_low, mu_low) < 0.0:
-                rates = dynamics._rates(game, protocol, core._joint_payoff(game, z))
+                rates = dynamics._field_kernel(game, protocol).rates(z)
                 limit = 1.0 / rates.sum(axis=0).max()
                 raise pd.ConfigurationError(
                     f"step {h:g} is too long: the update from step {k} (t = {k * h:g}) "

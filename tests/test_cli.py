@@ -1,6 +1,8 @@
 """Command-line interface: parsing, outputs, exit codes, determinism."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import pytest
 import popdyn as pd
 from popdyn import cli
 
-from conftest import read_csv_rows
+from conftest import null_dual, read_csv_rows
 
 
 def run_cli(argv, capsys):
@@ -111,6 +113,79 @@ def test_csv_g_max_is_the_largest_constraint_value(out_root, capsys):
             assert abs(float(g_max) - max(x1 - 2.0, x2 - 3.0)) <= 1e-15
 
 
+def reference_trajectory_csv(path, game, traj, record_every=1):
+    """The trajectory CSV written cell by cell: ``repr`` of each float, ``NaN`` for NaN."""
+
+    def fmt(value):
+        value = float(value)
+        return "NaN" if math.isnan(value) else repr(value)
+
+    header = (
+        ["t"]
+        + [f"x_{i}" for i in range(1, game.n + 1)]
+        + [f"mu_{k}" for k in range(game.q + 1)]
+        + ["V", "p", "g_max", "xdot_norm", "mudot_norm"]
+    )
+    g_max = traj.constraints[:, 1:].max(axis=1) if game.q else np.full(len(traj), math.nan)
+    rows = list(range(0, len(traj), record_every))
+    if rows[-1] != len(traj) - 1:
+        rows.append(len(traj) - 1)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in rows:
+            cells = (
+                [traj.times[i], *traj.primal[i], *traj.dual[i], traj.lyapunov[i], traj.potential[i]]
+                + [g_max[i], traj.primal_field_norm[i], traj.dual_field_norm[i]]
+            )
+            fh.write(",".join(fmt(v) for v in cells) + "\n")
+
+
+def _unconstrained_run():
+    # q = 0: g_max is NaN in every row
+    game = pd.GameSpec(
+        n=3,
+        primal_mass=1.0,
+        dual_mass=1.0,
+        fitness=pd.MatrixFitness(np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]])),
+    )
+    x0 = pd.sample_simplex(3, 1.0, seed=4)
+    # runs to the horizon: 8,001 rows
+    params = pd.SimParams(horizon=80.0, convergence_tol=1e-300)
+    return game, pd.integrate(game, pd.smith_protocol(), x0, null_dual(game), params)
+
+
+def _special_values(game, traj):
+    # signed zeros, infinities, NaN and extreme exponents in the recorded columns
+    special = np.array([-0.0, np.inf, -np.inf, np.nan, 1e-310, 1e22, -1.5e-7, 0.1])
+    primal = traj.primal.copy()
+    primal[: special.size, 0] = special
+    lyap = traj.lyapunov.copy()
+    lyap[-special.size :] = special
+    return dataclasses.replace(traj, primal=primal, lyapunov=lyap)
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 7])
+@pytest.mark.parametrize("case", ["congestion", "rps", "unconstrained", "special"])
+def test_csv_matches_the_cell_by_cell_reference(
+    case, record_every, congestion, congestion_run, rps, rps_run, out_root
+):
+    if case == "congestion":
+        game, traj = congestion, congestion_run
+    elif case == "rps":
+        game, traj = rps, rps_run
+    elif case == "unconstrained":
+        game, traj = _unconstrained_run()
+    else:
+        game, traj = congestion, _special_values(congestion, congestion_run)
+    # the rows span several chunks, the last one partly filled
+    assert len(range(0, len(traj), record_every)) > cli.CSV_CHUNK + 1
+    if case == "rps":
+        assert np.isnan(traj.potential).all()
+    cli.write_trajectory_csv(out_root / "got.csv", game, traj, record_every)
+    reference_trajectory_csv(out_root / "want.csv", game, traj, record_every)
+    assert (out_root / "got.csv").read_bytes() == (out_root / "want.csv").read_bytes()
+
+
 def test_simulate_short_run_reports_no_convergence(out_root, capsys):
     code, out, _ = run_cli(["simulate", "--game", "paper-rps", "--horizon", "1"], capsys)
     assert code == 2
@@ -189,8 +264,6 @@ def test_simulate_paper_rps_starts_at_the_barycenter(out_root, capsys):
             "simulate",
             "--game",
             "paper-rps",
-            "--seed",
-            "7",
             "--horizon",
             "0.05",
             "--out",
@@ -287,6 +360,61 @@ def test_simulate_seeds_with_a_fixed_start_is_a_usage_error(
     assert reason in err
     assert no_integration == []
     assert list(out_root.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["simulate", "--game", "paper-rps"], "game 'paper-rps' fixes the start"),
+        (
+            ["simulate", "--game", "paper-congestion", "--x0", "0.25,0.25,0.25,0.25"],
+            "--x0 fixes the start",
+        ),
+        (["repro", "rps"], "game 'paper-rps' fixes the start"),
+    ],
+)
+def test_an_explicit_seed_with_a_fixed_start_is_a_usage_error(
+    argv, reason, out_root, no_integration, capsys
+):
+    # the run would not depend on the seed, yet report it as if it did not exist
+    flag = "--out-dir" if argv[0] == "repro" else "--out"
+    code, out, err = run_cli([*argv, "--seed", "5", flag, str(out_root / "never")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --seed would be ignored")
+    assert reason in err
+    assert no_integration == []
+    assert list(out_root.iterdir()) == []
+
+
+def test_seed_and_seeds_together_are_a_usage_error(out_root, no_integration, capsys):
+    argv = ["simulate", "--game", "paper-congestion", "--seed", "1", "--seeds", "0..2"]
+    code, out, err = run_cli([*argv, "--out", str(out_root / "never.csv")], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--seeds" in err and "--seed" in err
+    assert no_integration == []
+    assert list(out_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "repro"])
+def test_without_a_seed_the_random_start_draws_seed_0(command, out_root, capsys):
+    def run(extra, name):
+        if command == "simulate":
+            argv = ["simulate", "--game", "paper-congestion", "--out", str(out_root / f"{name}.csv")]
+        else:
+            argv = ["repro", "congestion", "--out-dir", str(out_root / name)]
+        code, out, _ = run_cli([*argv, "--horizon", "0.5", *extra], capsys)
+        return code, out.replace(name, "NAME")
+
+    default, seeded = run([], "default"), run(["--seed", "0"], "seeded")
+    assert default == seeded
+    if command == "simulate":
+        assert json.loads(default[1])["seed"] == 0
+        assert (out_root / "default.csv").read_bytes() == (out_root / "seeded.csv").read_bytes()
+    else:
+        for name in ("trajectory.csv", "audit.json", "report.json"):
+            assert (out_root / "default" / name).read_bytes() == (out_root / "seeded" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

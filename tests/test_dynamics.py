@@ -3,6 +3,8 @@
 import dataclasses
 import logging
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -577,6 +579,17 @@ REFERENCE_CASES = {
 }
 
 
+def assert_same_trajectory(traj, expected):
+    """``traj`` holds the fields of the dict ``expected`` bitwise."""
+    for field in dataclasses.fields(pd.Trajectory):
+        got, want = getattr(traj, field.name), expected[field.name]
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.dtype == want.dtype, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
+
+
 def assert_integrate_matches_reference(game, protocol, x0, params):
     mu0 = null_dual(game)
     try:
@@ -588,13 +601,7 @@ def assert_integrate_matches_reference(game, protocol, x0, params):
         assert getattr(err.value, "step", None) == getattr(exc, "step", None)
         return None
     traj = pd.integrate(game, protocol, x0, mu0, params)
-    for field in dataclasses.fields(pd.Trajectory):
-        got, want = getattr(traj, field.name), expected[field.name]
-        if isinstance(want, np.ndarray):
-            assert got.shape == want.shape and got.dtype == want.dtype, field.name
-            assert got.tobytes() == want.tobytes(), field.name
-        else:
-            assert got == want, field.name
+    assert_same_trajectory(traj, expected)
     return traj
 
 
@@ -629,3 +636,52 @@ def test_a_refusal_the_step_by_step_loop_reaches_propagates(smith):
     with pytest.raises(ValueError, match="negative share"):
         reference_integrate(game, smith, x0, null_dual(game), params)
     assert assert_integrate_matches_reference(game, smith, x0, params) is None
+
+
+# --- the kernel's work arrays ---
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_a_protocol_that_overwrites_its_gaps_matches_smith(congestion, rps, smith, integrator):
+    # the kernel hands the protocol the same gap matrix on every call; a rate
+    # written over it must not leak into the next evaluation
+    in_place = pd.Protocol("smith-in-place", lambda g: np.maximum(g, 0.0, out=g), smith.antiderivative)
+    for game in (congestion, rps):
+        x0 = pd.sample_simplex(game.n, game.primal_mass, seed=1)
+        params = pd.SimParams(horizon=200.0 if integrator == "euler" else 30.0, integrator=integrator)
+        want = pd.integrate(game, smith, x0, null_dual(game), params)
+        assert_same_trajectory(pd.integrate(game, in_place, x0, null_dual(game), params), vars(want))
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_concurrent_runs_on_one_game_share_no_buffer(congestion, rps, smith, integrator):
+    params = pd.SimParams(horizon=20.0, integrator=integrator)
+    runs = [(game, seed) for game in (congestion, rps) for seed in (0, 1)]
+    starts = [pd.sample_simplex(game.n, game.primal_mass, seed=seed) for game, seed in runs]
+    serial = [pd.integrate(game, smith, x0, null_dual(game), params) for (game, _), x0 in zip(runs, starts)]
+    results = [None] * len(runs)
+    barrier = threading.Barrier(len(runs), timeout=60)
+
+    def work(i):
+        game = runs[i][0]
+        barrier.wait()
+        try:
+            results[i] = pd.integrate(game, smith, starts[i], null_dual(game), params)
+        except Exception as exc:  # reported by the main thread
+            results[i] = exc
+
+    # more threads than cores, switching often so that the runs interleave step by step
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(runs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert isinstance(got, pd.Trajectory), got
+        assert_same_trajectory(got, vars(want))
