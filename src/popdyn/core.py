@@ -13,8 +13,9 @@ The dynamics evaluate payoffs through one route, the payoff operator each
 ``GameSpec`` builds once on construction: both payoff vectors at the joint
 state ``z = (x, mu)`` as one polynomial of degree at most two,
 ``P(z) = (T x + L) z + c``, evaluated at one state by ``_payoff_kernel``
-(bound once to its output array; ``_joint_payoff`` is its one-shot form)
-and on a stack of states by ``_joint_payoff_stack``.  The public evaluators
+(bound once to its output array, through a copy of the operator with the
+constraint rows first; ``_joint_payoff`` is its one-shot form) and on a
+stack of states by ``_joint_payoff_stack``.  The public evaluators
 (``primal_dual_payoff``, ``constraint_values``, ``constraint_jacobian``) go
 through the fitness rule and the constraint objects; they are the
 reference the operator is tested against.
@@ -493,15 +494,9 @@ class GameSpec:
         if not quads:
             jac.flags.writeable = False
         object.__setattr__(self, "_jac_static", jac)
-        # the dynamics step the joint state (x, mu): entries of its gap matrix
-        # that pair the two populations are masked out, and norms and guards
-        # reduce over the two blocks starting at these offsets
+        # the dynamics step the joint state (x, mu): norms and guards reduce
+        # over the two blocks starting at these offsets
         size = self.n + self.q + 1
-        mask = np.zeros((size, size), dtype=bool)
-        mask[: self.n, : self.n] = True
-        mask[self.n :, self.n :] = True
-        mask.flags.writeable = False
-        object.__setattr__(self, "_block_mask", mask)
         object.__setattr__(self, "_block_starts", _frozen_array([0, self.n], dtype=np.intp))
         # the joint payoff operator P(z) = (T x + L) z + c; see _joint_payoff
         n = self.n
@@ -524,6 +519,17 @@ class GameSpec:
         object.__setattr__(self, "_payoff_offset", _frozen_array(offset))
         object.__setattr__(
             self, "_payoff_bilinear", None if bilinear is None else _frozen_array(bilinear)
+        )
+        # the same operator with the G rows first, for _payoff_kernel
+        swap = np.r_[n:size, :n]
+        object.__setattr__(
+            self,
+            "_payoff_swapped",
+            (
+                _frozen_array(linear[swap]),
+                _frozen_array(offset[swap]),
+                None if bilinear is None else _frozen_array(bilinear[swap]),
+            ),
         )
         object.__setattr__(self, "_fitness_affine", affine is not None)
 
@@ -681,46 +687,53 @@ def _joint_payoff(game: GameSpec, z: np.ndarray) -> np.ndarray:
     ``primal_dual_payoff`` and ``constraint_values``, the rule-based
     reference, to rounding; the summation order differs.
     """
-    return _payoff_kernel(game, np.empty(z.size))(z)
+    GF = _payoff_kernel(game, np.empty(z.size))(z)
+    m = game.q + 1
+    return np.concatenate((GF[m:], GF[:m]))
 
 
-def _payoff_kernel(game: GameSpec, P: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """``_joint_payoff`` bound to the output array ``P``: ``payoff(z)`` writes
-    ``P(z)`` into ``P`` and returns it.
+def _payoff_kernel(game: GameSpec, GF: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``_joint_payoff`` bound to the output array ``GF``, with the blocks
+    swapped: ``payoff(z)`` writes ``(G(x), F(x, mu))`` into ``GF`` and
+    returns it.
 
+    The swapped order lets ``dynamics._field_kernel`` pass a ``GF`` that
+    lies across two rows of its work array, ``G`` at the end of one and
+    ``F`` at the start of the next.  The operator is the game's
+    ``_payoff_swapped``, a copy of ``(L, c, T)`` with the G rows first.
     The products are ``ndarray.dot`` methods bound once, and ``T x + L``
     has a work array of its own, so a call allocates no array unless the
     fitness rule has no affine form.
     """
     n = game.n
-    L, c, T = game._payoff_linear, game._payoff_offset, game._payoff_bilinear
+    L, c, T = game._payoff_swapped
     add = np.add
     if T is None:
         L_dot = L.dot
 
         def payoff(z):
-            L_dot(z, P)
-            return add(P, c, P)
+            L_dot(z, GF)
+            return add(GF, c, GF)
 
     else:
-        N = P.size
+        N = GF.size
         TX = np.empty((N, N))
         T_dot, TX_flat, TX_dot = T.reshape(N * N, n).dot, TX.reshape(N * N), TX.dot
 
         def payoff(z):
             T_dot(z[:n], TX_flat)
             add(TX, L, TX)
-            TX_dot(z, P)
-            return add(P, c, P)
+            TX_dot(z, GF)
+            return add(GF, c, GF)
 
     if game._fitness_affine:
         return payoff
-    fitness, F = game.fitness, P[:n]
+    fitness, F = game.fitness, GF[game.q + 1 :]
 
     def payoff_with_fitness(z):
         payoff(z)
         add(F, fitness(z[:n]), F)
-        return P
+        return GF
 
     return payoff_with_fitness
 

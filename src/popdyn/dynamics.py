@@ -6,11 +6,14 @@ revision protocol and ``F`` the relevant payoff vector: the
 constraint-discounted payoff for the playing population and the constraint
 values for the pricing population.  Both populations follow the same
 exchange rule, so one kernel evaluates them together on the joint state
-``z = (x, mu)`` of length ``n + q + 1``: one payoff vector ``(F, G)`` from
-the game's precomputed payoff operator (``core._payoff_kernel``), one rate
-matrix whose cross-population entries a block mask sets to exact zeros, and
-one net flow.  No mass crosses between the populations, and each keeps
-its own mass.  The per-population fields are slices of that kernel.
+``z = (x, mu)`` of length ``n + q + 1``, from BLAS products alone: one
+payoff vector ``(F, G)`` from the game's precomputed payoff operator
+(``core._payoff_kernel``), one gap matrix whose entries pairing a strategy
+with a price are exact zeros, and the net flow, inflow minus outflow.  No
+mass crosses between the populations, a share at zero only gains, and
+each population keeps its mass to rounding (``integrate`` rescales a drift
+beyond ``REPAIR_DRIFT``).  The per-population fields are slices of that
+kernel.
 
 ``_field_kernel`` binds the kernel once, to work arrays of its own:
 ``integrate`` binds it once per call, so a step allocates no array but the
@@ -236,60 +239,73 @@ class Trajectory:
 
 
 class _FieldKernel(NamedTuple):
-    """The joint field of one game and protocol, bound by ``_field_kernel``."""
+    """The joint field of one game and protocol, bound by ``_field_kernel``.
+
+    ``out_rates``, ``F`` and ``G`` hold the out-rates and the two payoff
+    vectors at the state of the last ``field`` call.
+    """
 
     field: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    rates: Callable[[np.ndarray], np.ndarray]
-    payoffs: np.ndarray
+    out_rates: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
 
 
 def _field_kernel(game: GameSpec, protocol: Protocol) -> _FieldKernel:
     """Fields of both populations at the joint state ``z = (x, mu)``, bound
     once to work arrays of their own.
 
-    ``field(z, out)`` writes the field at ``z`` into ``out`` and returns it.
-    ``P = (F(x, mu), G(x))`` stacks the two payoff vectors (the game's
-    payoff operator, into ``payoffs``), and
-    ``flow[i, j] = z_j * rho(P_i - P_j)`` is the gross inflow from ``j`` to
-    ``i``.  Gaps that pair a strategy with a price are exact zeros: the gap
-    matrix is zeroed once and ``game._block_mask`` lets only its
-    in-population entries be written, so mass never crosses between the
-    populations.  The net field is the row sum of ``flow - flow.T``; that
-    difference is exactly antisymmetric in floating point, so each block
-    sums to zero to rounding of the final reduction, and a strategy with
-    zero share only ever gains.
-    ``rates(z)`` returns ``rho(P_i - P_j)`` at ``z``; column ``j`` sums to
-    ``out_j``, the rate at which each unit of ``j``'s mass leaves it.
+    ``field(z, out)`` writes the field at ``z`` into ``out`` and returns it:
+    with ``R = rho(gaps)`` the rates of the payoff gaps ``P_i - P_j``,
+
+        zdot_i = sum_j R_ij z_j - z_i sum_j R_ji,
+
+    inflow minus outflow, from two matrix-vector products: ``R z`` and the
+    column sums ``out_j = (1 R)_j`` (into ``out_rates``), the rate at which
+    each unit of ``j``'s mass leaves it.  A share at zero only gains, as its
+    outflow term is an exact zero.  Inflow and outflow are summed apart, so
+    each block's field sums to zero to rounding, not exactly.
+
+    The gap matrix is one rank-4 product ``U^T V`` of two ``(4, N)`` row
+    slices of one work array ``W``.  Split at the block boundary ``n``,
+    ``U``'s rows are ``(0, G)``, ``(F, 0)``, ``(0, -1)``, ``(-1, 0)`` and
+    ``V``'s are ``(0, 1)``, ``(1, 0)``, ``(0, G)``, ``(F, 0)``.  An entry
+    within a population adds zeros to ``P_i - P_j``, so it is one rounding
+    of the difference; an entry pairing a strategy with a price adds zeros
+    only, so it is an exact zero, its rate too (``rho(0) = 0``), and no mass
+    crosses between the populations.  The payoff operator writes ``(G, F)``
+    straight into the rows ``(0, G)`` and ``(F, 0)``, which lie back to back
+    in ``W``.
 
     A call allocates no array but the protocol's rates (and the fitness
-    rule's value when it has no affine form).  The work arrays belong to
-    the kernel, never to the game, so runs on one game share no buffer.
+    rule's value when it has no affine form), and no product is larger than
+    ``N x N``.  The work arrays belong to the kernel, never to the game, so
+    runs on one game share no buffer.
     """
-    N = game.n + game.q + 1
-    P = np.empty(N)
-    payoff = core._payoff_kernel(game, P)
-    column = P[:, None]
-    mask = game._block_mask
-    # entries outside the mask stay zero, also under a protocol that
-    # overwrites the gaps with its rates: rho(0) = 0
-    gaps = np.zeros((N, N))
-    flow = np.empty((N, N))
-    net = np.empty((N, N))
-    flow_T = flow.T
+    n = game.n
+    N = n + game.q + 1
+    W = np.zeros((6, N))
+    W[0, n:] = W[1, :n] = 1.0
+    W[4, n:] = W[5, :n] = -1.0
+    # W[2] = (0, G) and W[3] = (F, 0): G ends one row where F starts the next
+    payoff = core._payoff_kernel(game, W[2:4].reshape(2 * N)[n : n + N])
+    gaps_dot, V = W[2:].T.dot, W[:4]
+    gaps = np.empty((N, N))
+    out_rates = np.empty(N)
+    outflow = np.empty(N)
+    ones_dot = np.ones(N).dot
     value = protocol.value
-    subtract, multiply, add_reduce = np.subtract, np.multiply, np.add.reduce
-
-    def rates(z):
-        payoff(z)
-        subtract(column, P, out=gaps, where=mask)
-        return value(gaps)
+    dot, multiply, subtract = np.dot, np.multiply, np.subtract
 
     def field(z, out):
-        multiply(rates(z), z, out=flow)
-        subtract(flow, flow_T, out=net)
-        return add_reduce(net, 1, None, out)
+        payoff(z)
+        # the protocol may overwrite the gaps: the product rewrites them all
+        rates = value(gaps_dot(V, gaps))
+        ones_dot(rates, out_rates)
+        dot(rates, z, out)
+        return subtract(out, multiply(z, out_rates, outflow), out)
 
-    return _FieldKernel(field, rates, P)
+    return _FieldKernel(field, out_rates, W[3, :n], W[2, n:])
 
 
 def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarray:
@@ -298,10 +314,11 @@ def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarra
 
 
 def _positivity_limit(game: GameSpec, protocol: Protocol, z: np.ndarray) -> float:
-    """``1 / max_j out_j`` at ``z``, ``out_j`` the column sums of the kernel's
-    rates: no forward-Euler step from ``z`` up to this long takes a share
-    negative."""
-    top = float(np.asarray(_field_kernel(game, protocol).rates(z), dtype=float).sum(axis=0).max())
+    """``1 / max_j out_j`` at ``z``, from the kernel's out-rates: no
+    forward-Euler step from ``z`` up to this long takes a share negative."""
+    kernel = _field_kernel(game, protocol)
+    kernel.field(z, np.empty(z.size))
+    top = float(kernel.out_rates.max())
     return 1.0 / top if top > 0.0 else math.inf
 
 
@@ -385,9 +402,9 @@ def integrate(
 
     The loop steps the joint state ``z = (x, mu)`` of length ``n + q + 1``
     with forward Euler or classic RK4 at fixed step ``params.step``; each
-    field evaluation is one call of the joint kernel, whose block mask keeps
-    the two populations' exchanges apart.  Recorded times are ``k * step``
-    exactly as computed by that product.
+    field evaluation is one call of the joint kernel, whose exact zero gaps
+    across the blocks keep the two populations' exchanges apart.  Recorded
+    times are ``k * step`` exactly as computed by that product.
 
     Steps are taken in speculative blocks.  Inside a block a step only
     evaluates the field at its state and writes the update as the next

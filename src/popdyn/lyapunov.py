@@ -176,12 +176,11 @@ def lyapunov_rate(
     z = np.concatenate((xv, muv))
     kernel = dynamics._field_kernel(game, primal_protocol)
     zdot = kernel.field(z, np.empty(z.size))
-    # the kernel's payoffs at z
-    P = kernel.payoffs
     if dual_protocol is not primal_protocol:
         zdot[n:] = dynamics._joint_field(game, dual_protocol, z)[n:]
-    gamma_p = _gap_integral_rowsums(primal_protocol, P[None, :n])[0]
-    gamma_phi = _gap_integral_rowsums(dual_protocol, P[None, n:])[0]
+    # the kernel's payoffs at z
+    gamma_p = _gap_integral_rowsums(primal_protocol, kernel.F[None])[0]
+    gamma_phi = _gap_integral_rowsums(dual_protocol, kernel.G[None])[0]
     xdot, mudot = zdot[:n], zdot[n:]
     jac = core._payoff_jacobian_raw(game, xv, muv)
     return float(gamma_p @ xdot + xdot @ jac @ xdot + gamma_phi @ mudot)

@@ -22,6 +22,14 @@ def null_dual(game):
     return pd.DualState(mu, mass=game.dual_mass)
 
 
+def masked_gaps(game, P):
+    """``P_i - P_j`` within each population and exact zeros across them, by a masked subtract."""
+    n = game.n
+    mask = np.zeros((P.size, P.size), dtype=bool)
+    mask[:n, :n] = mask[n:, n:] = True
+    return np.subtract(P[:, None], P, out=np.zeros(mask.shape), where=mask)
+
+
 def read_csv_rows(path):
     import csv
 
@@ -148,11 +156,11 @@ def reference_integrate(game, protocol, x0, mu0, params):
     norms, records the state, tests convergence and the horizon, and then
     either takes the update as is or checks it: a non-finite update
     diverges, one with a negative share is refused with the positivity
-    limit computed from the package kernel's ``rates``, and a mass drift is
-    rescaled away.  Returns the ``Trajectory`` fields as a dict; raises
-    what the loop raises.
+    limit ``1 / max_j out_j`` computed from ``core._joint_payoff`` and
+    ``masked_gaps``, and a mass drift is rescaled away.  Returns the
+    ``Trajectory`` fields as a dict; raises what the loop raises.
     """
-    from popdyn import dynamics
+    from popdyn import core, dynamics
 
     n = game.n
     z = np.concatenate((x0.x, mu0.mu))
@@ -202,8 +210,8 @@ def reference_integrate(game, protocol, x0, mu0, params):
             if not np.isfinite(z_new).all():
                 raise pd.IntegrationDivergedError(k + 1)
             if min(x_low, mu_low) < 0.0:
-                rates = dynamics._field_kernel(game, protocol).rates(z)
-                limit = 1.0 / rates.sum(axis=0).max()
+                gaps = masked_gaps(game, core._joint_payoff(game, z))
+                limit = 1.0 / protocol.value(gaps).sum(axis=0).max()
                 raise pd.ConfigurationError(
                     f"step {h:g} is too long: the update from step {k} (t = {k * h:g}) "
                     "takes a share negative; the forward-Euler positivity limit "

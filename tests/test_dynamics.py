@@ -5,15 +5,19 @@ import logging
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import popdyn as pd
 from popdyn import dynamics
 from popdyn.lyapunov import _value_raw
 
-from conftest import null_dual, random_simplex, reference_integrate
+from conftest import masked_gaps, null_dual, random_simplex, reference_integrate
+from test_field_oracle import generated_games
 
 
 # --- protocols ---
@@ -459,35 +463,67 @@ def test_divergence_in_the_update_is_reported_at_the_next_step(rps, smith):
     assert err.value.step == 1
 
 
+def record_gaps(game, x0, mu0, params, seen):
+    """Run ``integrate`` under Smith, appending to ``seen`` each gap matrix
+    the protocol receives, paired with the kernel's payoffs ``P = (F, G)``
+    at that call."""
+    kernels = []
+    bind = dynamics._field_kernel
+
+    def recording_bind(game, protocol):
+        kernels.append(bind(game, protocol))
+        return kernels[-1]
+
+    def value(gaps):
+        seen.append((np.array(gaps), np.concatenate((kernels[-1].F, kernels[-1].G))))
+        return np.maximum(gaps, 0.0)
+
+    recorder = pd.Protocol("recorder", value, pd.smith_protocol().antiderivative)
+    dynamics._field_kernel = recording_bind
+    try:
+        return pd.integrate(game, recorder, x0, mu0, params)
+    finally:
+        dynamics._field_kernel = bind
+
+
+def assert_gaps_are_masked_differences(game, seen):
+    for gaps, P in seen:
+        # bitwise a masked subtract: one rounding of P_i - P_j within a
+        # population, exact zeros pairing a strategy with a price
+        assert gaps.tobytes() == masked_gaps(game, P).tobytes()
+
+
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
-def test_protocol_sees_only_within_population_gaps(congestion, rps, smith, integrator):
+def test_protocol_sees_only_within_population_gaps(congestion, rps, integrator):
     for game in (congestion, rps):
-        n, m = game.n, game.q + 1
         seen = []
-
-        def value(gaps):
-            seen.append(np.array(gaps))
-            return smith.value(gaps)
-
-        recorder = pd.Protocol("recorder", value, smith.antiderivative)
-        traj = pd.integrate(
-            game,
-            recorder,
-            pd.sample_simplex(n, game.primal_mass, seed=2),
-            null_dual(game),
-            pd.SimParams(horizon=2.0, step=0.01, integrator=integrator),
-        )
+        x0 = pd.sample_simplex(game.n, game.primal_mass, seed=2)
+        params = pd.SimParams(horizon=2.0, step=0.01, integrator=integrator)
+        traj = record_gaps(game, x0, null_dual(game), params, seen)
         assert len(seen) >= len(traj)
-        for gaps in seen:
-            # a gap matrix is antisymmetric with a zero diagonal; entries
-            # pairing a strategy with a price are exact zeros
-            assert np.array_equal(gaps, -gaps.T)
-            if gaps.shape == (n + m, n + m):
-                assert np.all(gaps[:n, n:] == 0.0) and np.all(gaps[n:, :n] == 0.0)
-            else:
-                assert gaps.shape in ((n, n), (m, m))
+        assert_gaps_are_masked_differences(game, seen)
         assert np.max(np.abs(traj.primal.sum(axis=1) - game.primal_mass)) <= 1e-12
         assert np.max(np.abs(traj.dual.sum(axis=1) - game.dual_mass)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    generated=generated_games(kinds=("matrix", "potential", "callable")),
+    integrator=st.sampled_from(["euler", "rk4"]),
+)
+def test_gaps_are_masked_differences_on_generated_games(generated, integrator):
+    # affine and quadratic constraints, q = 0 and callable fitness rules
+    game, rng = generated
+    x0 = pd.PrimalState(random_simplex(rng, game.n, game.primal_mass), game.primal_mass)
+    mu0 = pd.DualState(random_simplex(rng, game.q + 1, game.dual_mass), game.dual_mass)
+    params = pd.SimParams(horizon=0.5, step=0.01, integrator=integrator)
+    seen = []
+    try:
+        record_gaps(game, x0, mu0, params, seen)
+    except pd.ConfigurationError:
+        pass  # a step too long for this game: the fields evaluated before still count
+    assert seen
+    assert_gaps_are_masked_differences(game, seen)
 
 
 # --- block-verified stepping against the step-by-step reference ---
@@ -651,6 +687,30 @@ def test_a_protocol_that_overwrites_its_gaps_matches_smith(congestion, rps, smit
         params = pd.SimParams(horizon=200.0 if integrator == "euler" else 30.0, integrator=integrator)
         want = pd.integrate(game, smith, x0, null_dual(game), params)
         assert_same_trajectory(pd.integrate(game, in_place, x0, null_dual(game), params), vars(want))
+
+
+def test_the_kernel_takes_quadratic_memory(smith):
+    # building the game and binding and calling its kernel at N = 200 peaks
+    # near 5 N^2 doubles; an (N^2, N) operator would add N^3 of them, 64 MB
+    n, q = 196, 3
+    N = n + q + 1
+    rng = np.random.default_rng(0)
+    A, rows = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(0.0, 1.0, (q, n))
+    z = np.concatenate((np.full(n, 1.0 / n), np.full(q + 1, 2.0 / (q + 1))))
+    tracemalloc.start()
+    try:
+        game = pd.GameSpec(
+            n=n,
+            primal_mass=1.0,
+            dual_mass=2.0,
+            fitness=pd.MatrixFitness(A),
+            constraints=tuple(pd.AffineConstraint(a, 0.5) for a in rows),
+        )
+        dynamics._field_kernel(game, smith).field(z, np.empty(N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * N * N * 8
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
