@@ -238,6 +238,11 @@ def _fit_step(args, params: SimParams, game, protocol, x0, mu0) -> SimParams:
         return params
     z0 = np.concatenate((core._check_primal(game, x0), core._check_dual(game, mu0)))
     limit = dynamics._positivity_limit(game, protocol, z0)
+    if not limit > 0.0:
+        raise ConfigurationError(
+            f"the out-rates at the start x0 = {x0.x.tolist()}, mu0 = {mu0.mu.tolist()} "
+            "overflow: no step keeps it on the simplex"
+        )
     step = params.step
     while step >= limit:
         step /= 2

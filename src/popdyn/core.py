@@ -13,12 +13,14 @@ The dynamics evaluate payoffs through one route, the payoff operator each
 ``GameSpec`` builds once on construction: both payoff vectors at the joint
 state ``z = (x, mu)`` as one polynomial of degree at most two,
 ``P(z) = (T x + L) z + c``, evaluated at one state by ``_payoff_kernel``
-(bound once to its output array, through a copy of the operator with the
-constraint rows first; ``_joint_payoff`` is its one-shot form) and on a
-stack of states by ``_joint_payoff_stack``.  The public evaluators
-(``primal_dual_payoff``, ``constraint_values``, ``constraint_jacobian``) go
-through the fitness rule and the constraint objects; they are the
-reference the operator is tested against.
+and on a stack of states by ``_joint_payoff_stack``.  The kernel acts on
+the homogeneous state ``z_hat = (1, x, mu)``, whose constant coordinate
+lets ``L`` and ``c`` ride inside one copy of the operator, so a payoff is
+one matrix product, or two with a quadratic constraint, and nothing is
+added after them; ``_joint_payoff`` is its one-shot form.  The public
+evaluators (``primal_dual_payoff``, ``constraint_values``,
+``constraint_jacobian``) go through the fitness rule and the constraint
+objects; they are the reference the operator is tested against.
 
 Conventions used throughout:
 
@@ -520,17 +522,19 @@ class GameSpec:
         object.__setattr__(
             self, "_payoff_bilinear", None if bilinear is None else _frozen_array(bilinear)
         )
-        # the same operator with the G rows first, for _payoff_kernel
-        swap = np.r_[n:size, :n]
-        object.__setattr__(
-            self,
-            "_payoff_swapped",
-            (
-                _frozen_array(linear[swap]),
-                _frozen_array(offset[swap]),
-                None if bilinear is None else _frozen_array(bilinear[swap]),
-            ),
-        )
+        # the same operator in homogeneous form, for _payoff_kernel: it acts on
+        # z_hat = (1, x, mu), column 0 holds c, and its rows come in the field
+        # kernel's order, the G rows, one zero row for the constant, the F rows
+        order = np.r_[n:size, size, :n]
+        if bilinear is None:
+            homogeneous = np.zeros((size + 1, size + 1))
+            homogeneous[:size, 0], homogeneous[:size, 1:] = offset, linear
+        else:
+            # T_hat contracted with (1, x) is (c, T x + L) in one product
+            homogeneous = np.zeros((size + 1, size + 1, n + 1))
+            homogeneous[:size, 0, 0] = offset
+            homogeneous[:size, 1:, 0], homogeneous[:size, 1:, 1:] = linear, bilinear
+        object.__setattr__(self, "_payoff_homogeneous", _frozen_array(homogeneous[order]))
         object.__setattr__(self, "_fitness_affine", affine is not None)
 
     def _check_shapes_and_potential(self):
@@ -687,53 +691,52 @@ def _joint_payoff(game: GameSpec, z: np.ndarray) -> np.ndarray:
     ``primal_dual_payoff`` and ``constraint_values``, the rule-based
     reference, to rounding; the summation order differs.
     """
-    GF = _payoff_kernel(game, np.empty(z.size))(z)
+    z_hat = np.concatenate(((1.0,), z))
+    GF = _payoff_kernel(game)(z_hat, np.empty(z_hat.size))
     m = game.q + 1
-    return np.concatenate((GF[m:], GF[:m]))
+    return np.concatenate((GF[m + 1 :], GF[:m]))
 
 
-def _payoff_kernel(game: GameSpec, GF: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """``_joint_payoff`` bound to the output array ``GF``, with the blocks
-    swapped: ``payoff(z)`` writes ``(G(x), F(x, mu))`` into ``GF`` and
-    returns it.
+def _payoff_kernel(game: GameSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``_joint_payoff`` at the homogeneous state ``z_hat = (1, x, mu)``, in
+    the field kernel's order: ``payoff(z_hat, out)`` writes
+    ``(G(x), 0, F(x, mu))`` into ``out`` and returns it.
 
-    The swapped order lets ``dynamics._field_kernel`` pass a ``GF`` that
-    lies across two rows of its work array, ``G`` at the end of one and
-    ``F`` at the start of the next.  The operator is the game's
-    ``_payoff_swapped``, a copy of ``(L, c, T)`` with the G rows first.
-    The products are ``ndarray.dot`` methods bound once, and ``T x + L``
-    has a work array of its own, so a call allocates no array unless the
-    fitness rule has no affine form.
+    The operator is the game's ``_payoff_homogeneous``: ``(c, L)`` with
+    ``c`` in column 0, or with a quadratic constraint the tensor ``T_hat``
+    of shape ``(N + 1, N + 1, n + 1)`` that carries ``c`` and ``L`` beside
+    ``T``, so that ``T_hat (1, x) = (c, T x + L)``.  Its rows are the G
+    rows, one zero row, which is the constant's payoff, and the F rows, so
+    that ``dynamics._field_kernel`` can pass an ``out`` that lies across
+    two rows of its work array.  The payoff is one product on the affine
+    path and two with a quadratic constraint; nothing is added after
+    either.  On the affine path ``payoff`` is the operator's bound
+    ``ndarray.dot`` itself, so a call runs no Python; the quadratic path
+    has a ``T_hat (1, x)`` work array of its own.  A call allocates no
+    array unless the fitness rule has no affine form, and then ``f(x)`` is
+    added to the F rows.
     """
-    n = game.n
-    L, c, T = game._payoff_swapped
-    add = np.add
-    if T is None:
-        L_dot = L.dot
-
-        def payoff(z):
-            L_dot(z, GF)
-            return add(GF, c, GF)
-
+    H = game._payoff_homogeneous
+    if H.ndim == 2:
+        payoff = H.dot
     else:
-        N = GF.size
-        TX = np.empty((N, N))
-        T_dot, TX_flat, TX_dot = T.reshape(N * N, n).dot, TX.reshape(N * N), TX.dot
+        size, n1 = H.shape[0], H.shape[2]
+        TX = np.empty((size, size))
+        T_dot, TX_flat, TX_dot = H.reshape(size * size, n1).dot, TX.reshape(size * size), TX.dot
 
-        def payoff(z):
-            T_dot(z[:n], TX_flat)
-            add(TX, L, TX)
-            TX_dot(z, GF)
-            return add(GF, c, GF)
+        def payoff(z, out):
+            T_dot(z[:n1], TX_flat)
+            return TX_dot(z, out)
 
     if game._fitness_affine:
         return payoff
-    fitness, F = game.fitness, GF[game.q + 1 :]
+    fitness, n, F_start, add = game.fitness, game.n, game.q + 2, np.add
 
-    def payoff_with_fitness(z):
-        payoff(z)
-        add(F, fitness(z[:n]), F)
-        return GF
+    def payoff_with_fitness(z, out):
+        payoff(z, out)
+        F = out[F_start:]
+        add(F, fitness(z[1 : n + 1]), F)
+        return out
 
     return payoff_with_fitness
 

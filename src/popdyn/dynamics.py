@@ -5,29 +5,34 @@ Each strategy ``i`` gains mass from every strategy ``j`` at rate
 revision protocol and ``F`` the relevant payoff vector: the
 constraint-discounted payoff for the playing population and the constraint
 values for the pricing population.  Both populations follow the same
-exchange rule, so one kernel evaluates them together on the joint state
-``z = (x, mu)`` of length ``n + q + 1``, from BLAS products alone: one
-payoff vector ``(F, G)`` from the game's precomputed payoff operator
-(``core._payoff_kernel``), one gap matrix whose entries pairing a strategy
-with a price are exact zeros, and the net flow, inflow minus outflow.  No
-mass crosses between the populations, a share at zero only gains, and
-each population keeps its mass to rounding (``integrate`` rescales a drift
-beyond ``REPAIR_DRIFT``).  The per-population fields are slices of that
-kernel.
+exchange rule, so one kernel evaluates them together, from BLAS products
+alone, on the homogeneous joint state ``z_hat = (1, x, mu)`` of length
+``n + q + 2``: one payoff vector ``(G, 0, F)`` from the game's precomputed
+payoff operator (``core._payoff_kernel``), whose constant coordinate
+carries the operator's constant terms, one gap matrix whose entries
+pairing a strategy with a price, or the constant with anything, are exact
+zeros, and the net flow, inflow minus outflow.  No mass crosses between
+the populations, the constant's field is an exact zero, a share at zero
+only gains, and each population keeps its mass to rounding (``integrate``
+rescales a drift beyond ``REPAIR_DRIFT``).  The per-population fields are
+slices of that kernel.
 
-``_field_kernel`` binds the kernel once, to work arrays of its own:
-``integrate`` binds it once per call, so a step allocates no array but the
-protocol's rates, and runs that share a game share no buffer.  The
-one-shot evaluators (``_joint_field``, the public fields, the positivity
-limit, ``lyapunov.lyapunov_rate``) bind a kernel for the one state.
+``_field_kernel`` binds the kernel once, to work arrays of its own, and
+with it the forward-Euler step: ``integrate`` binds it once per call, so a
+step is one Python call that allocates no array but the protocol's rates,
+and runs that share a game share no buffer.  The one-shot evaluators
+(``_joint_field``, the public fields, the positivity limit,
+``lyapunov.lyapunov_rate``) take ``z = (x, mu)``, put the 1 in front and
+bind a kernel for the one state.
 
 ``integrate`` advances the joint state with a fixed-step scheme in
-speculative blocks whose guards are checked together, keeping exactly the
-rows of a step-by-step loop.  The flow keeps both populations on their
-simplexes, so an update that takes a share negative is refused with the
-forward-Euler positivity limit of the step.  The diagnostics downstream
-layers need (potential, constraint values, Lyapunov value) are filled after
-the loop in one batched pass over the recorded states.
+speculative blocks whose guards are checked together, with array
+operations over the block, keeping exactly the rows of a step-by-step
+loop.  The flow keeps both populations on their simplexes, so an update
+that takes a share negative is refused with the forward-Euler positivity
+limit of the step.  The diagnostics downstream layers need (potential,
+constraint values, Lyapunov value) are filled after the loop in one
+batched pass over the recorded states.
 """
 
 from __future__ import annotations
@@ -242,21 +247,28 @@ class _FieldKernel(NamedTuple):
     """The joint field of one game and protocol, bound by ``_field_kernel``.
 
     ``out_rates``, ``F`` and ``G`` hold the out-rates and the two payoff
-    vectors at the state of the last ``field`` call.
+    vectors at the state of the last ``field`` or ``advance`` call.
     """
 
     field: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    advance: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     out_rates: np.ndarray
     F: np.ndarray
     G: np.ndarray
 
 
-def _field_kernel(game: GameSpec, protocol: Protocol) -> _FieldKernel:
-    """Fields of both populations at the joint state ``z = (x, mu)``, bound
-    once to work arrays of their own.
+class _FieldEvaluated(Exception):
+    """Raised by an RK4 ``advance`` whose stage after the first raised: the
+    row's own field was evaluated, and the stage's exception is the cause."""
 
-    ``field(z, out)`` writes the field at ``z`` into ``out`` and returns it:
-    with ``R = rho(gaps)`` the rates of the payoff gaps ``P_i - P_j``,
+
+def _field_kernel(game: GameSpec, protocol: Protocol, h: float = 0.0) -> _FieldKernel:
+    """Fields of both populations at the homogeneous joint state
+    ``z_hat = (1, x, mu)``, bound once to work arrays of their own.
+
+    ``field(z_hat, out)`` writes the field at ``z_hat`` into ``out`` and
+    returns it: with ``R = rho(gaps)`` the rates of the payoff gaps
+    ``P_i - P_j``,
 
         zdot_i = sum_j R_ij z_j - z_i sum_j R_ji,
 
@@ -265,59 +277,111 @@ def _field_kernel(game: GameSpec, protocol: Protocol) -> _FieldKernel:
     each unit of ``j``'s mass leaves it.  A share at zero only gains, as its
     outflow term is an exact zero.  Inflow and outflow are summed apart, so
     each block's field sums to zero to rounding, not exactly.
+    ``advance(z_hat, f, out)`` is the forward-Euler step of length ``h``:
+    it writes the field into ``f``, then ``z_hat + h f`` into ``out``, with
+    the field's code inlined, so a step is one Python call.
 
-    The gap matrix is one rank-4 product ``U^T V`` of two ``(4, N)`` row
-    slices of one work array ``W``.  Split at the block boundary ``n``,
-    ``U``'s rows are ``(0, G)``, ``(F, 0)``, ``(0, -1)``, ``(-1, 0)`` and
-    ``V``'s are ``(0, 1)``, ``(1, 0)``, ``(0, G)``, ``(F, 0)``.  An entry
-    within a population adds zeros to ``P_i - P_j``, so it is one rounding
-    of the difference; an entry pairing a strategy with a price adds zeros
-    only, so it is an exact zero, its rate too (``rho(0) = 0``), and no mass
-    crosses between the populations.  The payoff operator writes ``(G, F)``
-    straight into the rows ``(0, G)`` and ``(F, 0)``, which lie back to back
-    in ``W``.
+    The gap matrix is one rank-4 product ``U^T V`` of two ``(4, N + 1)``
+    row slices of one work array ``W``.  Split as ``(1, x, mu)``, ``U``'s
+    rows are ``(0, 0, G)``, ``(0, F, 0)``, ``(0, 0, -1)``, ``(0, -1, 0)``
+    and ``V``'s are ``(0, 0, 1)``, ``(0, 1, 0)``, ``(0, 0, G)``,
+    ``(0, F, 0)``.  An entry within a population adds zeros to
+    ``P_i - P_j``, so it is one rounding of the difference; an entry
+    pairing a strategy with a price, or the constant with anything, adds
+    zeros only, so it is an exact zero, its rate too (``rho(0) = 0``), and
+    no mass crosses between the populations.  The field's entry 0 is then
+    an exact zero, and every update keeps the constant exactly 1.  The
+    payoff operator writes ``(G, 0, F)`` straight into the rows
+    ``(0, 0, G)`` and ``(0, F, 0)``, which lie back to back in ``W``.
 
     A call allocates no array but the protocol's rates (and the fitness
     rule's value when it has no affine form), and no product is larger than
-    ``N x N``.  The work arrays belong to the kernel, never to the game, so
-    runs on one game share no buffer.
+    ``(N + 1) x (N + 1)``.  The work arrays belong to the kernel, never to
+    the game, so runs on one game share no buffer.
     """
     n = game.n
-    N = n + game.q + 1
-    W = np.zeros((6, N))
-    W[0, n:] = W[1, :n] = 1.0
-    W[4, n:] = W[5, :n] = -1.0
-    # W[2] = (0, G) and W[3] = (F, 0): G ends one row where F starts the next
-    payoff = core._payoff_kernel(game, W[2:4].reshape(2 * N)[n : n + N])
+    size = n + game.q + 2
+    W = np.zeros((6, size))
+    W[0, n + 1 :] = W[1, 1 : n + 1] = 1.0
+    W[4, n + 1 :] = W[5, 1 : n + 1] = -1.0
+    # W[2] = (0, 0, G) and W[3] = (0, F, 0): G ends one row where the constant's 0 starts the next
+    GF = W[2:4].reshape(2 * size)[n + 1 : n + 1 + size]
+    payoff = core._payoff_kernel(game)
     gaps_dot, V = W[2:].T.dot, W[:4]
-    gaps = np.empty((N, N))
-    out_rates = np.empty(N)
-    outflow = np.empty(N)
-    ones_dot = np.ones(N).dot
+    gaps = np.empty((size, size))
+    out_rates = np.empty(size)
+    outflow = np.empty(size)
+    # h as an array: a ufunc call with a Python scalar operand costs about 1.5
+    # times one with two arrays, and the products are the same
+    hv, hf = np.full(size, h), np.empty(size)
+    ones_dot = np.ones(size).dot
     value = protocol.value
-    dot, multiply, subtract = np.dot, np.multiply, np.subtract
+    add, dot, multiply, subtract = np.add, np.dot, np.multiply, np.subtract
 
     def field(z, out):
-        payoff(z)
+        payoff(z, GF)
         # the protocol may overwrite the gaps: the product rewrites them all
         rates = value(gaps_dot(V, gaps))
         ones_dot(rates, out_rates)
         dot(rates, z, out)
         return subtract(out, multiply(z, out_rates, outflow), out)
 
-    return _FieldKernel(field, out_rates, W[3, :n], W[2, n:])
+    def advance(z, f, out):
+        payoff(z, GF)
+        rates = value(gaps_dot(V, gaps))
+        ones_dot(rates, out_rates)
+        dot(rates, z, f)
+        subtract(f, multiply(z, out_rates, outflow), f)
+        return add(z, multiply(f, hv, hf), out)
+
+    return _FieldKernel(field, advance, out_rates, W[3, 1 : n + 1], W[2, n + 1 :])
+
+
+def _rk4_advance(field, h: float, size: int):
+    """``advance(z, k1, out)`` writes the field at ``z`` into ``k1`` and the
+    classic RK4 update from ``z`` into ``out``.
+
+    An exception from the field at ``z`` propagates as it is; one from a
+    later stage is raised as ``_FieldEvaluated`` from it, as ``k1`` is then
+    the field at ``z``.
+    """
+    k2, k3, k4, zt = np.empty((4, size))
+    add, multiply = np.add, np.multiply
+    half, sixth = 0.5 * h, h / 6.0
+
+    def advance(z, k1, out):
+        field(z, k1)
+        try:
+            field(add(z, multiply(k1, half, out=zt), out=zt), k2)
+            field(add(z, multiply(k2, half, out=zt), out=zt), k3)
+            field(add(z, multiply(k3, h, out=zt), out=zt), k4)
+        except Exception as exc:
+            raise _FieldEvaluated from exc
+        # k1 + 2 k2 + 2 k3 + k4, summed left to right
+        add(k1, multiply(k2, 2.0, out=k2), out=k2)
+        add(k2, multiply(k3, 2.0, out=k3), out=k2)
+        add(k2, k4, out=k2)
+        return add(z, multiply(k2, sixth, out=k2), out=out)
+
+    return advance
 
 
 def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarray:
-    """Fields of both populations at ``z``: the one-shot form of ``_field_kernel``."""
-    return _field_kernel(game, protocol).field(z, np.empty(z.size))
+    """Fields of both populations at ``z = (x, mu)``: the one-shot form of ``_field_kernel``."""
+    z_hat = np.concatenate(((1.0,), z))
+    return _field_kernel(game, protocol).field(z_hat, np.empty(z_hat.size))[1:]
 
 
 def _positivity_limit(game: GameSpec, protocol: Protocol, z: np.ndarray) -> float:
-    """``1 / max_j out_j`` at ``z``, from the kernel's out-rates: no
-    forward-Euler step from ``z`` up to this long takes a share negative."""
+    """``1 / max_j out_j`` at ``z = (x, mu)``, from the kernel's out-rates:
+    no forward-Euler step from ``z`` up to this long takes a share negative.
+
+    Out-rates that overflow give ``0.0``, without a warning.
+    """
     kernel = _field_kernel(game, protocol)
-    kernel.field(z, np.empty(z.size))
+    z_hat = np.concatenate(((1.0,), z))
+    with np.errstate(all="ignore"):
+        kernel.field(z_hat, np.empty(z_hat.size))
     top = float(kernel.out_rates.max())
     return 1.0 / top if top > 0.0 else math.inf
 
@@ -400,34 +464,41 @@ def integrate(
 ) -> Trajectory:
     """Advance both populations from ``(x0, mu0)`` and record every step.
 
-    The loop steps the joint state ``z = (x, mu)`` of length ``n + q + 1``
-    with forward Euler or classic RK4 at fixed step ``params.step``; each
-    field evaluation is one call of the joint kernel, whose exact zero gaps
-    across the blocks keep the two populations' exchanges apart.  Recorded
-    times are ``k * step`` exactly as computed by that product.
+    The loop steps the homogeneous joint state ``z_hat = (1, x, mu)``, one
+    row of one state buffer per step, with forward Euler (the kernel's
+    bound ``advance``) or classic RK4 (composed from its ``field``) at
+    fixed step ``params.step``.  The constant is written in row 0 only: the
+    field's entry 0 is an exact zero, so every update keeps it exactly 1.
+    Recorded times are ``k * step`` exactly as computed by that product.
 
-    Steps are taken in speculative blocks.  Inside a block a step only
-    evaluates the field at its state and writes the update as the next
-    row; the guards of all the block's steps are then checked at once, and
-    the block keeps exactly the rows a step-by-step loop would have
-    produced.  A block is at most ``BLOCK_MAX`` steps long: its length
+    Steps are taken in speculative blocks.  Inside a block a step is one
+    call that evaluates the field at its row and writes the update as the
+    next row; the guards of all the block's steps are then checked at
+    once, and the block keeps exactly the rows a step-by-step loop would
+    have produced.  A block is at most ``BLOCK_MAX`` steps long: its length
     doubles after each clean block, stops at the horizon and, once the
     field has been quiet for ``quiet`` steps, ends ``window - quiet`` steps
     on, where the streak would converge.
 
-    The checks run row by row in the order of the step-by-step loop.  A
+    The guards are array operations over the block: the two field norms
+    of each row (from column 1 on, past the constant), the quiet streak
+    each row ends, carried in from the last block, and whether each update
+    is clean: both populations stayed nonnegative and kept their mass to
+    ``REPAIR_DRIFT``.  The first row with an event ends the block: a
+    non-finite norm, a streak that reaches ``window``, the horizon row, the
+    row whose step raised, or an update that is not clean.  That row alone
+    is checked in Python, in the order of the step-by-step loop.  A
     non-finite field norm at state ``k`` raises
     ``IntegrationDivergedError(k)``; otherwise the state is recorded, and
     convergence (the criterion in ``params``) or the horizon stops the run.
-    The update from state ``k`` is taken as is if both populations stayed
-    nonnegative and kept their mass to ``REPAIR_DRIFT``.  Otherwise a
-    non-finite update raises ``IntegrationDivergedError(k + 1)``, and one
-    that takes a share negative raises ``ConfigurationError``: the step is
-    too long for the flow, and the message names ``k``, its time and the
-    ``_positivity_limit`` at state ``k`` (for RK4 a guide, not a bound).
-    What is left is mass drift at rounding level: each drifted population
-    is rescaled onto its simplex, the rows the block computed after it are
-    discarded, and the next block starts there with the same length.
+    An update that is not clean raises ``IntegrationDivergedError(k + 1)``
+    when it is not finite, and ``ConfigurationError`` when it takes a share
+    negative: the step is too long for the flow, and the message names
+    ``k``, its time and the ``_positivity_limit`` at state ``k`` (for RK4 a
+    guide, not a bound).  What is left is mass drift at rounding level:
+    each drifted population is rescaled onto its simplex, the rows the
+    block computed after it are discarded, and the next block starts there
+    with the same length.
 
     The loop runs with numpy's floating-point warnings off: the guards above
     report every non-finite value, and discarded rows must not warn.  An
@@ -435,36 +506,45 @@ def integrate(
     block there; it propagates only if every earlier row passed its checks
     without stopping, that is, only if a step-by-step loop would have
     reached that state, and is dropped with the discarded rows otherwise.
+    An RK4 stage that raises after the row's own field counts that row as
+    evaluated.
 
     Potential, constraint values and ``V`` are filled after the loop in one
     batched pass over the recorded states, the latter two through the step
     kernel's payoff operator; they agree with the scalar ``core.potential``,
     ``core.constraint_values`` and ``lyapunov.lyapunov_value`` to rounding,
-    not bitwise.
+    not bitwise.  ``primal`` and ``dual`` are views past the constant
+    column of the state buffer.
     """
     n = game.n
     h = params.step
     nsteps = int(np.floor(params.horizon / h + 1e-9))
     T = nsteps + 1
-    euler = params.integrator == "euler"
     tol = params.convergence_tol
     window = params.convergence_window
-    blocks = game._block_starts
+    # the two blocks of z_hat = (1, x, mu), past the constant
+    blocks = game._block_starts + 1
     primal_mass = game.primal_mass
     dual_mass = game.dual_mass
     masses = np.array([primal_mass, dual_mass])
 
     try:
         # row k + 1 holds the update from row k, so the last step's has a row too
-        states = np.empty((T + 1, n + game.q + 1))
+        states = np.empty((T + 1, n + game.q + 2))
         norms = np.empty((T, 2))
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"cannot hold {T:.3g} recorded states: {exc}") from None
-    states[0, :n] = core._check_primal(game, x0)
-    states[0, n:] = core._check_dual(game, mu0)
+    # the constant is written in row 0 only: every update keeps it exactly 1
+    states[0, 0] = 1.0
+    states[0, 1 : n + 1] = core._check_primal(game, x0)
+    states[0, n + 1 :] = core._check_dual(game, mu0)
     fields = np.empty((min(T, BLOCK_MAX), states.shape[1]))
-    field = _field_kernel(game, protocol).field
-    step = _euler_step(h, states.shape[1]) if euler else _rk4_step(field, h, states.shape[1])
+    kernel = _field_kernel(game, protocol, h)
+    if params.integrator == "euler":
+        advance = kernel.advance
+    else:
+        advance = _rk4_advance(kernel.field, h, states.shape[1])
+    index = np.arange(fields.shape[0])
 
     quiet = 0
     converged = False
@@ -478,77 +558,85 @@ def integrate(
             if quiet:
                 # the running quiet streak converges window - quiet steps on at the earliest
                 K = min(K, window - quiet)
-            evaluated = updated = 0
+            evaluated = updated = K
             error = None
+            z = states[start]
             try:
-                z = states[start]
-                for j in range(K):
-                    f = field(z, fields[j])
-                    evaluated += 1
-                    z = step(z, f, states[start + j + 1])
-                    updated += 1
+                for f, out in zip(fields[:K], states[start + 1 : start + 1 + K]):
+                    z = advance(z, f, out)
             except Exception as exc:  # user code in the field; the scan decides if it propagates
-                error = exc
+                # the row whose step raised, from the offset of the update it was writing
+                updated = (out.ctypes.data - states.ctypes.data) // states.strides[0] - start - 1
+                if isinstance(exc, _FieldEvaluated):
+                    error, evaluated = exc.__cause__, updated + 1
+                else:
+                    error, evaluated = exc, updated
 
-            rows = slice(start, start + evaluated)
+            rows = norms[start : start + evaluated]
             # the maximum propagates NaN, so finite norms mean a finite field
-            np.maximum.reduceat(np.abs(fields[:evaluated]), blocks, axis=1, out=norms[rows])
+            np.maximum.reduceat(np.abs(fields[:evaluated]), blocks, axis=1, out=rows)
             # no negative share and no mass drift in either block, which also
             # rules out inf and NaN: the update is taken as is
             new = states[start + 1 : start + 1 + updated]
             low = np.minimum.reduceat(new, blocks, axis=1)
             drift = np.abs(np.add.reduceat(new, blocks, axis=1) - masses)
-            clean = ((low >= 0.0) & (drift <= REPAIR_DRIFT)).all(axis=1).tolist()
-
-            # each row's checks in the order a step-by-step loop makes them
-            for j, (fx_norm, fmu_norm) in enumerate(norms[rows].tolist()):
-                k = start + j
-                if not (math.isfinite(fx_norm) and math.isfinite(fmu_norm)):
-                    raise IntegrationDivergedError(k)
-                if fx_norm + fmu_norm < tol:
-                    quiet += 1
-                    if quiet >= window:
-                        converged = True
-                        recorded = k + 1
-                        break
-                else:
-                    quiet = 0
-                if k == nsteps:
-                    recorded = k + 1
-                    break
-                if j == updated:
-                    raise error  # the update from this row raised
-                if clean[j]:
-                    continue
-                z_new = states[k + 1]
-                if not np.isfinite(z_new).all():
-                    raise IntegrationDivergedError(k + 1)
-                if z_new.min() < 0.0:
-                    limit = _positivity_limit(game, protocol, states[k])
-                    raise ConfigurationError(
-                        f"step {h:g} is too long: the update from step {k} (t = {k * h:g}) "
-                        "takes a share negative; the forward-Euler positivity limit "
-                        f"1 / max_j out_j there is {limit:.3g}"
-                        + ("" if euler else " (a guide for rk4)")
-                    )
-                # mass drift at rounding level: rescale each drifted population
-                for part, mass in ((z_new[:n], primal_mass), (z_new[n:], dual_mass)):
-                    total = float(part.sum())
-                    if abs(total - mass) > REPAIR_DRIFT:
-                        part *= mass / total
-                # the rows computed from the unscaled state are discarded
-                start = k + 1
-                break
-            else:
+            clean = ((low >= 0.0) & (drift <= REPAIR_DRIFT)).all(axis=1)
+            # the quiet streak each row ends: the rows since the last loud one,
+            # or, with none in the block, the carried streak and the rows so far
+            sums = rows[:, 0] + rows[:, 1]
+            at = index[:evaluated]
+            streak = at - np.maximum.accumulate(np.where(sums < tol, -1 - quiet, at))
+            events = (streak >= window) | ~np.isfinite(rows).all(axis=1)
+            events[:updated] |= ~clean
+            hits = np.flatnonzero(events)
+            # the first row that ends the block: an event, the horizon row or
+            # the row whose update raised
+            j = int(min(hits[0] if hits.size else evaluated, nsteps - start, updated))
+            if j == evaluated:
                 if error is not None:
                     raise error  # the field at the row after the last raised
+                quiet = int(streak[-1])
                 start += evaluated
                 size = min(2 * size, BLOCK_MAX)
+                continue
+
+            # row j's checks in the order a step-by-step loop makes them
+            quiet = int(streak[j - 1]) if j else quiet
+            k = start + j
+            fx_norm, fmu_norm = rows[j].tolist()
+            if not (math.isfinite(fx_norm) and math.isfinite(fmu_norm)):
+                raise IntegrationDivergedError(k)
+            quiet = quiet + 1 if fx_norm + fmu_norm < tol else 0
+            if quiet >= window or k == nsteps:
+                converged = quiet >= window
+                recorded = k + 1
+                continue
+            if j == updated:
+                raise error  # the update from this row raised
+            # what is left is an update that is not clean
+            z_new = states[k + 1, 1:]
+            if not np.isfinite(z_new).all():
+                raise IntegrationDivergedError(k + 1)
+            if z_new.min() < 0.0:
+                limit = _positivity_limit(game, protocol, states[k, 1:])
+                raise ConfigurationError(
+                    f"step {h:g} is too long: the update from step {k} (t = {k * h:g}) "
+                    "takes a share negative; the forward-Euler positivity limit "
+                    f"1 / max_j out_j there is {limit:.3g}"
+                    + ("" if params.integrator == "euler" else " (a guide for rk4)")
+                )
+            # mass drift at rounding level: rescale each drifted population
+            for part, mass in ((z_new[:n], primal_mass), (z_new[n:], dual_mass)):
+                total = float(part.sum())
+                if abs(total - mass) > REPAIR_DRIFT:
+                    part *= mass / total
+            # the rows computed from the unscaled state are discarded
+            start = k + 1
 
     times = np.arange(recorded, dtype=float)
     times *= h
-    primal = states[:recorded, :n]
-    dual = states[:recorded, n:]
+    primal = states[:recorded, 1 : n + 1]
+    dual = states[:recorded, n + 1 :]
     pot, cons, lyap = _diagnostics(game, protocol, primal, dual)
     return Trajectory(
         times=times,
@@ -563,34 +651,3 @@ def integrate(
         primal_mass=primal_mass,
         dual_mass=dual_mass,
     )
-
-
-def _euler_step(h: float, size: int):
-    """``step(z, f, out)`` writes the forward-Euler update ``z + h f`` into ``out``."""
-    hf = np.empty(size)
-    add, multiply = np.add, np.multiply
-
-    def step(z, f, out):
-        return add(z, multiply(f, h, out=hf), out=out)
-
-    return step
-
-
-def _rk4_step(field, h: float, size: int):
-    """``step(z, k1, out)`` writes the classic RK4 update from ``z`` into
-    ``out``; ``k1`` is the field at ``z``."""
-    k2, k3, k4, zt = np.empty((4, size))
-    add, multiply = np.add, np.multiply
-    half, sixth = 0.5 * h, h / 6.0
-
-    def step(z, k1, out):
-        field(add(z, multiply(k1, half, out=zt), out=zt), k2)
-        field(add(z, multiply(k2, half, out=zt), out=zt), k3)
-        field(add(z, multiply(k3, h, out=zt), out=zt), k4)
-        # k1 + 2 k2 + 2 k3 + k4, summed left to right
-        add(k1, multiply(k2, 2.0, out=k2), out=k2)
-        add(k2, multiply(k3, 2.0, out=k3), out=k2)
-        add(k2, k4, out=k2)
-        return add(z, multiply(k2, sixth, out=k2), out=out)
-
-    return step

@@ -39,10 +39,17 @@ FEAS_EPS = 1e-12
 # cap on the phase-1 grid size of the oracle
 MAX_GRID_POINTS = 4_000_000
 # optimum_solve: iteration cap, fraction of the step to the boundary taken,
-# the stopping target, the accepted residual and relative certificate gap,
-# and the slack on a constant, negative semidefinite potential Hessian
+# the neighbourhood of the central path every step stays in (each
+# complementarity product at least this fraction of their mean), the step
+# below which a plain centring step replaces the corrector and its
+# centring parameter, the stopping target, the accepted residual and
+# relative certificate gap, and the slack on a constant, negative
+# semidefinite potential Hessian
 OPTIMUM_MAX_ITERS = 100
 OPTIMUM_STEP_FRACTION = 0.995
+OPTIMUM_NEIGHBORHOOD = 1e-2
+OPTIMUM_SHORT_STEP = 0.1
+OPTIMUM_CENTERING = 0.5
 OPTIMUM_STOP_TOL = 1e-13
 OPTIMUM_FEAS_TOL = 1e-10
 OPTIMUM_GAP_TOL = 1e-9
@@ -250,7 +257,10 @@ def optimum_solve(game: GameSpec) -> CertifiedOptimum:
     the potential's Hessian plus ``sum_k lambda_k * hess g_k``; keeping
     ``dlambda`` in the system, instead of eliminating it through the
     ``lambda_k / s_k`` weights that blow up on active constraints, keeps the
-    certificate gap near rounding level.
+    certificate gap near rounding level.  Every step stays in a wide
+    neighbourhood of the central path (``_central_step``), and when that
+    leaves the predictor-corrector step shorter than ``OPTIMUM_SHORT_STEP``
+    a plain centring step is taken instead.
 
     The bound does not trust the solver: for any ``lambda >= 0`` the
     function ``phi = p - lambda . g`` is concave and at least ``p`` on the
@@ -314,12 +324,19 @@ def optimum_solve(game: GameSpec) -> CertifiedOptimum:
                 *step, dnu = newton(
                     s * lam + aff[1] * aff[2] - sigma * mu, x * z + aff[0] * aff[3] - sigma * mu
                 )
+                dv = np.concatenate(step)
+                alpha = _central_step(v, dv, n, q)
+                if alpha < OPTIMUM_SHORT_STEP:
+                    # the corrector can stall near the neighbourhood's edge, or
+                    # cycle; a plain centring step moves back towards the path
+                    target = OPTIMUM_CENTERING * mu
+                    *step, dnu = newton(s * lam - target, x * z - target)
+                    dv = np.concatenate(step)
+                    alpha = _central_step(v, dv, n, q)
             except np.linalg.LinAlgError:
                 break
-            dv = np.concatenate(step)
             if not (np.isfinite(dv).all() and np.isfinite(dnu)):
                 break
-            alpha = OPTIMUM_STEP_FRACTION * _max_step(v, dv)
             v += alpha * dv
             nu += alpha * dnu
             x, s, lam, z = np.split(v, np.cumsum([n, q, q]))
@@ -387,6 +404,25 @@ def _certificate(game: GameSpec, x: np.ndarray, lam: np.ndarray, g, jac) -> tupl
     scale = abs(value) + np.abs(lam) @ np.abs(g) + m * (np.abs(grad_p).max() + np.abs(pull).max())
     infeasibility = max(float(g.max(initial=0.0)), abs(float(x.sum()) - m))
     return value, bound, OPTIMUM_ROUNDING * float(scale), infeasibility
+
+
+def _central_step(v: np.ndarray, dv: np.ndarray, n: int, q: int) -> float:
+    """The step along ``dv`` from ``v = (x, s, lambda, z)`` that ``optimum_solve`` takes.
+
+    ``OPTIMUM_STEP_FRACTION`` of the step to the boundary, halved until
+    every complementarity product ``s_k lambda_k`` and ``x_i z_i`` is at
+    least ``OPTIMUM_NEIGHBORHOOD`` times their mean (Wright 1997, ch. 5: the
+    wide neighbourhood of the central path).  Without it the iterates can
+    cycle, or settle short of the optimum, with one product near zero.
+    """
+    alpha = OPTIMUM_STEP_FRACTION * _max_step(v, dv)
+    while alpha > 1e-12:
+        x, s, lam, z = np.split(v + alpha * dv, np.cumsum([n, q, q]))
+        products = np.concatenate((s * lam, x * z))
+        if products.min() >= OPTIMUM_NEIGHBORHOOD * products.mean():
+            break
+        alpha *= 0.5
+    return alpha
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:

@@ -173,11 +173,11 @@ def lyapunov_rate(
     xv = core._check_primal(game, x)
     muv = core._check_dual(game, mu)
     n = game.n
-    z = np.concatenate((xv, muv))
+    z_hat = np.concatenate(((1.0,), xv, muv))
     kernel = dynamics._field_kernel(game, primal_protocol)
-    zdot = kernel.field(z, np.empty(z.size))
+    zdot = kernel.field(z_hat, np.empty(z_hat.size))[1:]
     if dual_protocol is not primal_protocol:
-        zdot[n:] = dynamics._joint_field(game, dual_protocol, z)[n:]
+        zdot[n:] = dynamics._joint_field(game, dual_protocol, z_hat[1:])[n:]
     # the kernel's payoffs at z
     gamma_p = _gap_integral_rowsums(primal_protocol, kernel.F[None])[0]
     gamma_phi = _gap_integral_rowsums(dual_protocol, kernel.G[None])[0]

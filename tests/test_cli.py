@@ -763,6 +763,34 @@ def test_repro_congestion_passes_from_a_start_beyond_the_default_positivity_limi
     assert float(rows[1][0]) == 0.005
 
 
+def test_out_rates_that_overflow_at_the_start_are_refused_at_once(tmp_path):
+    # the positivity limit reads 0 there, so no halving of the default step
+    # ends; a child process with a timeout turns a hang into a failure
+    game = {
+        "n": 3,
+        "primal_mass": 3.0,
+        "dual_mass": 1.0,
+        "fitness": {"type": "linear", "matrix": [[8e307, 0, 0], [0, 8e307, 0], [0, 0, -8e307]]},
+    }
+    (tmp_path / "g.json").write_text(json.dumps(game))
+    env = os.environ.copy()
+    package_root = str(Path(pd.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    argv = ["simulate", "--game", "g.json", "--x0", "1,1,1", "--horizon", "1", "--out", "o.csv"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "popdyn", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: the out-rates at the start x0 = [1.0, 1.0, 1.0]")
+    assert "overflow" in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
 # --- module entry point ---
 
 

@@ -470,8 +470,8 @@ def record_gaps(game, x0, mu0, params, seen):
     kernels = []
     bind = dynamics._field_kernel
 
-    def recording_bind(game, protocol):
-        kernels.append(bind(game, protocol))
+    def recording_bind(game, protocol, h=0.0):
+        kernels.append(bind(game, protocol, h))
         return kernels[-1]
 
     def value(gaps):
@@ -489,8 +489,11 @@ def record_gaps(game, x0, mu0, params, seen):
 def assert_gaps_are_masked_differences(game, seen):
     for gaps, P in seen:
         # bitwise a masked subtract: one rounding of P_i - P_j within a
-        # population, exact zeros pairing a strategy with a price
-        assert gaps.tobytes() == masked_gaps(game, P).tobytes()
+        # population, exact zeros pairing a strategy with a price, and exact
+        # zeros pairing the constant coordinate of (1, x, mu) with anything
+        want = np.zeros((P.size + 1, P.size + 1))
+        want[1:, 1:] = masked_gaps(game, P)
+        assert gaps.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
@@ -524,6 +527,54 @@ def test_gaps_are_masked_differences_on_generated_games(generated, integrator):
         pass  # a step too long for this game: the fields evaluated before still count
     assert seen
     assert_gaps_are_masked_differences(game, seen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    generated=generated_games(kinds=("matrix", "potential", "callable")),
+    integrator=st.sampled_from(["euler", "rk4"]),
+)
+def test_the_constant_coordinate_stays_exactly_one(generated, integrator):
+    # the field's entry 0 is an exact zero, so no Euler update or RK4 stage moves it
+    game, rng = generated
+    x0 = pd.PrimalState(random_simplex(rng, game.n, game.primal_mass), game.primal_mass)
+    mu0 = pd.DualState(random_simplex(rng, game.q + 1, game.dual_mass), game.dual_mass)
+    params = pd.SimParams(horizon=0.5, step=0.01, integrator=integrator)
+    seen = []  # (constant at the state, field's entry 0) per evaluation
+    updates = []  # the constant of each Euler update
+    bind = dynamics._field_kernel
+
+    def recording_bind(game, protocol, h=0.0):
+        kernel = bind(game, protocol, h)
+
+        def field(z, out):
+            kernel.field(z, out)
+            seen.append((z[0], out[0]))
+            return out
+
+        def advance(z, f, out):
+            kernel.advance(z, f, out)
+            seen.append((z[0], f[0]))
+            updates.append(out[0])
+            return out
+
+        return kernel._replace(field=field, advance=advance)
+
+    dynamics._field_kernel = recording_bind
+    try:
+        traj = pd.integrate(game, pd.smith_protocol(), x0, mu0, params)
+    except pd.ConfigurationError:
+        traj = None  # a step too long for this game: the rows before still count
+    finally:
+        dynamics._field_kernel = bind
+    assert seen and all(c == 1.0 and f == 0.0 for c, f in seen)
+    assert all(c == 1.0 for c in updates)
+    assert (integrator == "euler") == bool(updates)
+    if traj is not None:
+        # the recorded states are views past the constant column of one buffer
+        states = traj.primal.base
+        assert np.array_equal(states[: len(traj), 0], np.ones(len(traj)))
+
 
 
 # --- block-verified stepping against the step-by-step reference ---
@@ -599,6 +650,22 @@ REFERENCE_CASES = {
             "convergence_window": 3 * dynamics.BLOCK_MAX,
         },
     ),
+    # a quiet streak of 14 rows carried into the block at row 767, where it converges
+    "rps-carried-streak": (
+        pd.paper_rps,
+        _barycenter,
+        {"horizon": 200.0, "step": 0.01, "convergence_tol": 0.1},
+    ),
+    # rows 6292..6297 are quiet; the updates from 6297 and 6298 are rescaled,
+    # so the streak is carried across two rescales into the block that converges
+    "congestion-streak-across-rescale": (
+        pd.paper_congestion,
+        _seeded(4),
+        {"horizon": 200.0, "convergence_tol": 1.198e-6},
+    ),
+    "congestion-window-1": (pd.paper_congestion, _seeded(0), {"horizon": 200.0, "convergence_window": 1}),
+    # the first block is row 0 alone; the horizon cuts the second to row 1
+    "rps-horizon-one-step": (pd.paper_rps, _seeded(1), {"horizon": 0.01, "step": 0.01}),
     "rps-h0.5": (pd.paper_rps, _seeded(1), {"horizon": 100.0, "step": 0.5}),
     # refused inside a block: at step 4 of the block of steps 3..6
     "rps-h0.3-in-block": (pd.paper_rps, _seeded(1), {"horizon": 100.0, "step": 0.3}),
@@ -696,7 +763,7 @@ def test_the_kernel_takes_quadratic_memory(smith):
     N = n + q + 1
     rng = np.random.default_rng(0)
     A, rows = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(0.0, 1.0, (q, n))
-    z = np.concatenate((np.full(n, 1.0 / n), np.full(q + 1, 2.0 / (q + 1))))
+    z = np.concatenate(((1.0,), np.full(n, 1.0 / n), np.full(q + 1, 2.0 / (q + 1))))
     tracemalloc.start()
     try:
         game = pd.GameSpec(
@@ -706,7 +773,7 @@ def test_the_kernel_takes_quadratic_memory(smith):
             fitness=pd.MatrixFitness(A),
             constraints=tuple(pd.AffineConstraint(a, 0.5) for a in rows),
         )
-        dynamics._field_kernel(game, smith).field(z, np.empty(N))
+        dynamics._field_kernel(game, smith).field(z, np.empty(N + 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -173,20 +173,22 @@ def test_optimum_solve_is_exact_on_the_congestion_benchmark(congestion, congesti
     assert congestion_oracle.value <= sol.upper
 
 
-@st.composite
-def planted_programs(draw):
-    """A concave quadratic program on the simplex with a planted Slater point ``y``."""
-    n = draw(st.integers(2, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mass = draw(st.floats(0.5, 3.0))
-    B = rng.uniform(-2.0, 2.0, (n, draw(st.integers(0, n))))
+def planted_program(n, seed, mass, columns, affine, ranks):
+    """A concave quadratic program on the simplex with a planted Slater point ``y``.
+
+    ``-B B^T`` with ``columns`` columns in ``B`` is the potential's Hessian;
+    ``affine`` affine constraints and one quadratic constraint per entry of
+    ``ranks``, of that rank, all hold strictly at ``y``.
+    """
+    rng = np.random.default_rng(seed)
+    B = rng.uniform(-2.0, 2.0, (n, columns))
     y = random_simplex(rng, n, mass)
     constraints = []
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(affine):
         a = rng.uniform(-1.0, 1.0, n)
         constraints.append(pd.AffineConstraint(a, a @ y + rng.uniform(0.01, 1.0)))
-    for _ in range(draw(st.integers(0, 2))):
-        C = rng.uniform(-1.0, 1.0, (n, draw(st.integers(1, n))))
+    for rank in ranks:
+        C = rng.uniform(-1.0, 1.0, (n, rank))
         Q, a = C @ C.T, rng.uniform(-1.0, 1.0, n)
         constraints.append(pd.QuadraticConstraint(Q, a, y @ Q @ y + a @ y + rng.uniform(0.01, 1.0)))
     game = pd.build_quadratic_potential(
@@ -195,21 +197,52 @@ def planted_programs(draw):
     return game, y
 
 
+@st.composite
+def planted_programs(draw):
+    n = draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mass = draw(st.floats(0.5, 3.0))
+    columns = draw(st.integers(0, n))
+    affine = draw(st.integers(0, 3))
+    ranks = draw(st.lists(st.integers(1, n), max_size=2))
+    return planted_program(n, seed, mass, columns, affine, ranks)
+
+
+def assert_certified(game, y, sol):
+    assert pd.constraint_values(game, sol.point).max() <= 1e-9
+    assert 0.0 <= sol.upper - sol.value <= 1e-8 * max(1.0, abs(sol.value))
+    assert sol.upper >= game.potential.value(y)
+    assert sol.multipliers.shape == (game.q,) and np.all(sol.multipliers >= 0.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(planted_programs())
 def test_optimum_solve_certifies_generated_programs(program):
     game, y = program
     sol = pd.optimum_solve(game)
-    assert pd.constraint_values(game, sol.point).max() <= 1e-9
-    assert 0.0 <= sol.upper - sol.value <= 1e-8 * max(1.0, abs(sol.value))
-    assert sol.upper >= game.potential.value(y)
-    assert sol.multipliers.shape == (game.q,) and np.all(sol.multipliers >= 0.0)
+    assert_certified(game, y, sol)
     if game.n <= 4:
         try:
             grid = pd.oracle_solve(game, resolution=40, refine_iters=200, seed=0)
         except pd.InfeasibleInstanceError:
             return  # the feasible set falls between the grid points
         assert grid.value <= sol.upper
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        # without the neighbourhood of the central path the iterates cycle:
+        # constraint residual 0.0353, 0.00968, and a gap that stays at 0.823
+        (9, 715291924, 0.762615102221069, 0, 0, [2, 8]),
+        (12, 1439490017, 2.907565143570263, 1, 1, [1, 9]),
+        (5, 3012895871, 2.6338384395600527, 1, 0, [2]),
+    ],
+    ids=["linear-two-quadratic", "one-affine-two-quadratic", "one-quadratic"],
+)
+def test_optimum_solve_certifies_programs_that_stalled_mehrotra(draw):
+    game, y = planted_program(*draw)
+    assert_certified(game, y, pd.optimum_solve(game))
 
 
 def _potential_game(rule):
