@@ -116,21 +116,23 @@ def _game_from_dict(data: dict) -> GameSpec:
             raise ConfigurationError("builtin games carry their own constraints")
         return game
 
-    n = int(data["n"])
+    n = _count(data, "n")
     primal_mass = float(data["primal_mass"])
     dual_mass = float(data["dual_mass"])
     constraints = tuple(_constraint_from_dict(c) for c in data.get("constraints", []))
-    if "q" in data and int(data["q"]) != len(constraints):
+    if "q" in data and _count(data, "q") != len(constraints):
         raise ConfigurationError(
             f'"q" is {data["q"]} but {len(constraints)} constraints were given'
         )
 
     if ftype == "linear":
+        # n comes from the matrix, as from H below, so a mismatch is named after "n"
+        matrix = core.MatrixFitness(fit["matrix"])
         game = GameSpec(
-            n=n,
+            n=len(matrix.matrix),
             primal_mass=primal_mass,
             dual_mass=dual_mass,
-            fitness=core.MatrixFitness(np.asarray(fit["matrix"], dtype=float)),
+            fitness=matrix,
             constraints=constraints,
             name="linear",
         )
@@ -149,6 +151,16 @@ def _game_from_dict(data: dict) -> GameSpec:
     if game.n != n:
         raise ConfigurationError(f'"n" is {n} but the fitness data implies {game.n}')
     return game
+
+
+def _count(data: dict, key: str) -> int:
+    """``data[key]`` as an integer; a fractional or non-numeric count is refused."""
+    value = data[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int):
+        raise ConfigurationError(f'"{key}" must be an integer, got {value!r}')
+    return value
 
 
 def _constraint_from_dict(data: dict):

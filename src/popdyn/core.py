@@ -10,20 +10,24 @@ evaluation operations that the dynamics, Lyapunov, and equilibrium layers
 build on.
 
 The dynamics evaluate payoffs through one route, the payoff operator each
-``GameSpec`` builds once on construction: both payoff vectors at the joint
-state ``z = (x, mu)`` as one polynomial of degree at most two,
-``P(z) = (T x + L) z + c``, evaluated at one state by ``_payoff_kernel``
-and on a stack of states by ``_joint_payoff_stack``.  The kernel acts on
-the homogeneous state ``z_hat = (1, x, mu)``, whose constant coordinate
-lets ``L`` and ``c`` ride inside one copy of the operator, so a payoff is
-one matrix product, or two with a quadratic constraint, and nothing is
-added after them; ``_joint_payoff`` is its one-shot form.  The public
-evaluators (``primal_dual_payoff``, ``constraint_values``,
-``constraint_jacobian``) go through the fitness rule and the constraint
-objects; they are the reference the operator is tested against.
+``GameSpec`` builds on construction and stores once, as
+``_payoff_homogeneous``: both payoff vectors at the joint state
+``z = (x, mu)`` as one polynomial of degree at most two,
+``P(z) = (T x + L) z + c``, written for the homogeneous state
+``z_hat = (1, x, mu)``, whose constant coordinate lets ``L`` and ``c``
+ride inside the one copy.  ``_payoff_kernel`` evaluates it at one state in
+one matrix product, or two with a quadratic constraint, with nothing added
+after them, and ``_joint_payoff`` is its one-shot form;
+``_joint_payoff_stack`` evaluates it on a stack of states with ``c``,
+``L`` and ``T`` read back out of the same copy.  The public evaluators
+(``primal_dual_payoff``, ``constraint_values``, ``constraint_jacobian``)
+go through the fitness rule and the constraint objects; they are the
+reference the operator is tested against.
 
 Conventions used throughout:
 
+* instance data are read-only float arrays with finite entries
+  (``_frozen_array``);
 * states are 1-d float arrays; a ``value_batch`` takes one state per row;
 * the dual vector has length ``q + 1`` and index 0 is the null strategy;
 * a constraint is satisfied when its value is ``<= 0``.
@@ -52,8 +56,11 @@ class UnsupportedOperationError(RuntimeError):
     """Raised when an operation needs structure the instance does not carry."""
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, field: str) -> np.ndarray:
+    """``values`` as a read-only float array; every entry must be finite."""
+    arr = np.array(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ConfigurationError(f"{field} has non-finite entries")
     arr.flags.writeable = False
     return arr
 
@@ -80,20 +87,17 @@ class PrimalState:
     mass: float = 1.0
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
+        x = _frozen_array(self.x, "primal state")
         if x.ndim != 1 or x.size == 0:
             raise ConfigurationError("primal state must be a nonempty vector")
         if not self.mass > 0:
             raise ConfigurationError("primal mass must be positive")
-        if not np.all(np.isfinite(x)):
-            raise ConfigurationError("primal state has non-finite entries")
         if np.any(x < 0):
             raise ConfigurationError("primal state has negative entries")
         if abs(float(x.sum()) - self.mass) > SIMPLEX_MASS_TOL:
             raise ConfigurationError(
                 f"primal state sums to {x.sum():.12g}, expected mass {self.mass:.12g}"
             )
-        x.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "mass", float(self.mass))
 
@@ -114,20 +118,17 @@ class DualState:
     mass: float
 
     def __post_init__(self):
-        mu = np.array(self.mu, dtype=float)
+        mu = _frozen_array(self.mu, "dual state")
         if mu.ndim != 1 or mu.size == 0:
             raise ConfigurationError("dual state must be a nonempty vector")
         if not self.mass > 0:
             raise ConfigurationError("dual mass must be positive")
-        if not np.all(np.isfinite(mu)):
-            raise ConfigurationError("dual state has non-finite entries")
         if np.any(mu < 0):
             raise ConfigurationError("dual state has negative entries")
         if abs(float(mu.sum()) - self.mass) > SIMPLEX_MASS_TOL:
             raise ConfigurationError(
                 f"dual state sums to {mu.sum():.12g}, expected mass {self.mass:.12g}"
             )
-        mu.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "mass", float(self.mass))
 
@@ -149,11 +150,11 @@ class AffineConstraint:
     b: float
 
     def __post_init__(self):
-        a = _frozen_array(self.a)
+        a = _frozen_array(self.a, "affine constraint a")
         if a.ndim != 1 or a.size == 0:
             raise ConfigurationError("affine constraint coefficient must be a vector")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", float(_frozen_array(self.b, "affine constraint b")))
 
     @property
     def dimension(self) -> int:
@@ -185,8 +186,8 @@ class QuadraticConstraint:
     c: float
 
     def __post_init__(self):
-        Q = np.array(self.Q, dtype=float)
-        a = _frozen_array(self.a)
+        Q = _frozen_array(self.Q, "quadratic constraint Q")
+        a = _frozen_array(self.a, "quadratic constraint a")
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ConfigurationError("quadratic constraint matrix must be square")
         if a.ndim != 1 or a.size != Q.shape[0]:
@@ -198,10 +199,9 @@ class QuadraticConstraint:
             raise ConfigurationError(
                 f"quadratic constraint matrix has negative eigenvalue {eigs.min():.3g}"
             )
-        Q.flags.writeable = False
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", float(_frozen_array(self.c, "quadratic constraint c")))
 
     @property
     def dimension(self) -> int:
@@ -235,13 +235,12 @@ class QuadraticPotential:
     linear: np.ndarray
 
     def __post_init__(self):
-        H = np.array(self.quad, dtype=float)
-        c = _frozen_array(self.linear)
+        H = _frozen_array(self.quad, "potential matrix H")
+        c = _frozen_array(self.linear, "potential vector c")
         if H.ndim != 2 or H.shape[0] != H.shape[1] or c.size != H.shape[0]:
             raise ConfigurationError("potential matrix/vector shapes are inconsistent")
         if not np.allclose(H, H.T, atol=1e-12, rtol=0.0):
             raise ConfigurationError("potential matrix must be symmetric")
-        H.flags.writeable = False
         object.__setattr__(self, "quad", H)
         object.__setattr__(self, "linear", c)
 
@@ -277,13 +276,12 @@ class CongestionPotential:
     weights: np.ndarray
 
     def __post_init__(self):
-        inc = np.array(self.incidence, dtype=float)
-        w = _frozen_array(self.weights)
+        inc = _frozen_array(self.incidence, "incidence")
+        w = _frozen_array(self.weights, "edge weights")
         if inc.ndim != 2 or w.ndim != 1 or inc.shape[0] != w.size:
             raise ConfigurationError("incidence/weight shapes are inconsistent")
         if np.any(w <= 0):
             raise ConfigurationError("edge weights must be positive")
-        inc.flags.writeable = False
         object.__setattr__(self, "incidence", inc)
         object.__setattr__(self, "weights", w)
 
@@ -348,10 +346,9 @@ class MatrixFitness:
     matrix: np.ndarray
 
     def __post_init__(self):
-        A = np.array(self.matrix, dtype=float)
+        A = _frozen_array(self.matrix, "payoff matrix")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ConfigurationError("payoff matrix must be square")
-        A.flags.writeable = False
         object.__setattr__(self, "matrix", A)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -468,73 +465,31 @@ class GameSpec:
                     f"constraint {k} has dimension {con.dimension}, expected {self.n}"
                 )
         self._check_shapes_and_potential()
-        self._build_constraint_cache()
+        self._build_payoff_operator()
 
-    def _build_constraint_cache(self):
-        # split into a stacked affine block and a list of quadratics so the
-        # rule-based evaluators reduce to a few numpy calls
-        aff_idx, aff_rows, aff_b = [], [], []
-        quads = []
-        for k, con in enumerate(self.constraints, start=1):
-            if isinstance(con, AffineConstraint):
-                aff_idx.append(k)
-                aff_rows.append(con.a)
-                aff_b.append(con.b)
-            else:
-                quads.append((k, con))
-        object.__setattr__(self, "_aff_idx", np.array(aff_idx, dtype=int))
-        object.__setattr__(
-            self,
-            "_aff_rows",
-            np.array(aff_rows, dtype=float).reshape(len(aff_idx), self.n),
-        )
-        object.__setattr__(self, "_aff_b", np.array(aff_b, dtype=float))
-        object.__setattr__(self, "_quads", tuple(quads))
-        jac = np.zeros((self.q + 1, self.n))
-        if aff_idx:
-            jac[self._aff_idx] = self._aff_rows
-        if not quads:
-            jac.flags.writeable = False
-        object.__setattr__(self, "_jac_static", jac)
-        # the dynamics step the joint state (x, mu): norms and guards reduce
-        # over the two blocks starting at these offsets
-        size = self.n + self.q + 1
-        object.__setattr__(self, "_block_starts", _frozen_array([0, self.n], dtype=np.intp))
-        # the joint payoff operator P(z) = (T x + L) z + c; see _joint_payoff
-        n = self.n
-        linear = np.zeros((size, size))
-        offset = np.zeros(size)
+    def _build_payoff_operator(self):
+        # the joint payoff operator (see _joint_payoff) in the layout that
+        # _payoff_kernel describes: columns for (1, x, mu), the G rows, the
+        # constant's zero row, then the F rows from row F; the 3-d form holds
+        # (c, L) in its [..., 0] plane and T beside it
+        n, F = self.n, self.q + 2
+        size = n + self.q + 2
+        quadratic = any(isinstance(con, QuadraticConstraint) for con in self.constraints)
+        H = np.zeros((size, size, n + 1) if quadratic else (size, size))
+        L = H[..., 0] if quadratic else H
         affine = self.fitness.affine()
         if affine is not None:
-            linear[:n, :n], offset[:n] = affine
-        bilinear = np.zeros((size, size, n)) if quads else None
-        for k, con in enumerate(self.constraints, start=n + 1):
-            linear[:n, k] = -con.a
-            linear[k, :n] = con.a
+            L[F:, 1 : n + 1], L[F:, 0] = affine
+        for k, con in enumerate(self.constraints, start=1):
+            L[F:, n + 1 + k] = -con.a
+            L[k, 1 : n + 1] = con.a
             if isinstance(con, AffineConstraint):
-                offset[k] = -con.b
+                L[k, 0] = -con.b
             else:
-                offset[k] = -con.c
-                bilinear[:n, k] = -2.0 * con.Q
-                bilinear[k, :n] = con.Q
-        object.__setattr__(self, "_payoff_linear", _frozen_array(linear))
-        object.__setattr__(self, "_payoff_offset", _frozen_array(offset))
-        object.__setattr__(
-            self, "_payoff_bilinear", None if bilinear is None else _frozen_array(bilinear)
-        )
-        # the same operator in homogeneous form, for _payoff_kernel: it acts on
-        # z_hat = (1, x, mu), column 0 holds c, and its rows come in the field
-        # kernel's order, the G rows, one zero row for the constant, the F rows
-        order = np.r_[n:size, size, :n]
-        if bilinear is None:
-            homogeneous = np.zeros((size + 1, size + 1))
-            homogeneous[:size, 0], homogeneous[:size, 1:] = offset, linear
-        else:
-            # T_hat contracted with (1, x) is (c, T x + L) in one product
-            homogeneous = np.zeros((size + 1, size + 1, n + 1))
-            homogeneous[:size, 0, 0] = offset
-            homogeneous[:size, 1:, 0], homogeneous[:size, 1:, 1:] = linear, bilinear
-        object.__setattr__(self, "_payoff_homogeneous", _frozen_array(homogeneous[order]))
+                L[k, 0] = -con.c
+                H[F:, n + 1 + k, 1:] = -2.0 * con.Q
+                H[k, 1 : n + 1, 1:] = con.Q
+        object.__setattr__(self, "_payoff_homogeneous", _frozen_array(H, "payoff operator"))
         object.__setattr__(self, "_fitness_affine", affine is not None)
 
     def _check_shapes_and_potential(self):
@@ -630,12 +585,7 @@ def potential(game: GameSpec, x: PrimalState) -> float:
 
 
 def _constraint_values_raw(game: GameSpec, xv: np.ndarray) -> np.ndarray:
-    vals = np.zeros(game.q + 1)
-    if game._aff_idx.size:
-        vals[game._aff_idx] = game._aff_rows @ xv - game._aff_b
-    for k, con in game._quads:
-        vals[k] = con.value(xv)
-    return vals
+    return np.array([0.0] + [con.value(xv) for con in game.constraints])
 
 
 def constraint_values(game: GameSpec, x: PrimalState) -> np.ndarray:
@@ -644,10 +594,8 @@ def constraint_values(game: GameSpec, x: PrimalState) -> np.ndarray:
 
 
 def _constraint_jacobian_raw(game: GameSpec, xv: np.ndarray) -> np.ndarray:
-    if not game._quads:
-        return game._jac_static
-    jac = np.array(game._jac_static)
-    for k, con in game._quads:
+    jac = np.zeros((game.q + 1, game.n))
+    for k, con in enumerate(game.constraints, start=1):
         jac[k] = con.gradient(xv)
     return jac
 
@@ -657,8 +605,7 @@ def constraint_jacobian(game: GameSpec, x: PrimalState) -> np.ndarray:
 
     Row 0 belongs to the null constraint and is identically zero.
     """
-    jac = _constraint_jacobian_raw(game, _check_primal(game, x))
-    return np.array(jac)
+    return _constraint_jacobian_raw(game, _check_primal(game, x))
 
 
 def _payoff_raw(game: GameSpec, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
@@ -672,7 +619,8 @@ def _payoff_raw(game: GameSpec, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
 def _joint_payoff(game: GameSpec, z: np.ndarray) -> np.ndarray:
     """Both payoff vectors ``P = (F(x, mu), G(x))`` at the joint state ``z = (x, mu)``.
 
-    With ``N = n + q + 1`` the game carries, built once on construction,
+    With ``N = n + q + 1`` the game stores, once, in the homogeneous
+    layout ``_payoff_kernel`` describes,
 
         P(z) = (T x + L) z + c
 
@@ -702,15 +650,15 @@ def _payoff_kernel(game: GameSpec) -> Callable[[np.ndarray, np.ndarray], np.ndar
     the field kernel's order: ``payoff(z_hat, out)`` writes
     ``(G(x), 0, F(x, mu))`` into ``out`` and returns it.
 
-    The operator is the game's ``_payoff_homogeneous``: ``(c, L)`` with
-    ``c`` in column 0, or with a quadratic constraint the tensor ``T_hat``
-    of shape ``(N + 1, N + 1, n + 1)`` that carries ``c`` and ``L`` beside
-    ``T``, so that ``T_hat (1, x) = (c, T x + L)``.  Its rows are the G
-    rows, one zero row, which is the constant's payoff, and the F rows, so
-    that ``dynamics._field_kernel`` can pass an ``out`` that lies across
-    two rows of its work array.  The payoff is one product on the affine
-    path and two with a quadratic constraint; nothing is added after
-    either.  On the affine path ``payoff`` is the operator's bound
+    The operator is the game's ``_payoff_homogeneous``, the one stored copy:
+    ``(c, L)`` with ``c`` in column 0, or with a quadratic constraint the
+    tensor ``T_hat`` of shape ``(N + 1, N + 1, n + 1)`` that carries ``c``
+    and ``L`` beside ``T``, so that ``T_hat (1, x) = (c, T x + L)``.  Its
+    rows are the G rows, one zero row, which is the constant's payoff, and
+    the F rows, so that ``dynamics._field_kernel`` can pass an ``out`` that
+    lies across two rows of its work array.  The payoff is one product on
+    the affine path and two with a quadratic constraint; nothing is added
+    after either.  On the affine path ``payoff`` is the operator's bound
     ``ndarray.dot`` itself, so a call runs no Python; the quadratic path
     has a ``T_hat (1, x)`` work array of its own.  A call allocates no
     array unless the fitness rule has no affine form, and then ``f(x)`` is
@@ -744,15 +692,23 @@ def _payoff_kernel(game: GameSpec) -> Callable[[np.ndarray, np.ndarray], np.ndar
 def _joint_payoff_stack(game: GameSpec, Z: np.ndarray) -> np.ndarray:
     """``_joint_payoff`` for each row of an ``(S, N)`` stack ``Z``, to rounding.
 
+    ``c``, ``L`` and ``T`` are read from the game's one stored operator,
+    ``_payoff_homogeneous``, with one row index that puts its F and G rows
+    back in the order of ``z``; its constant's row and column are dropped.
     ``T`` is contracted with each row's ``x`` in one matrix product, then
     with ``z``; a single three-operand ``einsum`` is several times slower.
+    The split parts keep the summation order of a product with ``L``
+    alone: a product with the homogeneous operator moves ``V`` and
+    ``g_max`` in the last bits.
     """
-    n = game.n
-    P = Z @ game._payoff_linear.T + game._payoff_offset
-    T = game._payoff_bilinear
-    if T is not None:
+    n, m = game.n, game.q + 1
+    H = game._payoff_homogeneous[np.r_[m + 1 : m + 1 + n, :m]]
+    if H.ndim == 2:
+        P = Z @ H[:, 1:].T + H[:, 0]
+    else:
         S, N = Z.shape
-        TX = (Z[:, :n] @ T.reshape(N * N, n).T).reshape(S, N, N)
+        P = Z @ H[:, 1:, 0].T + H[:, 0, 0]
+        TX = (Z[:, :n] @ H[:, 1:, 1:].reshape(N * N, n).T).reshape(S, N, N)
         P += np.einsum("sij,sj->si", TX, Z)
     if not game._fitness_affine:
         P[:, :n] += np.array([game.fitness(x) for x in Z[:, :n]], dtype=float)
@@ -788,12 +744,9 @@ def _fitness_jacobian_raw(game: GameSpec, xv: np.ndarray) -> np.ndarray:
 
 def _payoff_jacobian_raw(game: GameSpec, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
     jac = _fitness_jacobian_raw(game, xv)
-    if not game._quads or not muv[1:].any():
-        return jac
-    jac = np.array(jac)
-    for k, con in game._quads:
-        if muv[k] != 0.0:
-            jac -= muv[k] * con.hessian(xv)
+    for k, con in enumerate(game.constraints, start=1):
+        if muv[k] != 0.0 and isinstance(con, QuadraticConstraint):
+            jac = jac - muv[k] * con.hessian(xv)
     return jac
 
 

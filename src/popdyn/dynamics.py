@@ -523,7 +523,7 @@ def integrate(
     tol = params.convergence_tol
     window = params.convergence_window
     # the two blocks of z_hat = (1, x, mu), past the constant
-    blocks = game._block_starts + 1
+    blocks = np.array([1, n + 1])
     primal_mass = game.primal_mass
     dual_mass = game.dual_mass
     masses = np.array([primal_mass, dual_mass])

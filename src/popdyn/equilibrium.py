@@ -282,7 +282,8 @@ def optimum_solve(game: GameSpec) -> CertifiedOptimum:
     x = np.full(n, m / n)
     hess_p = _constant_concave_hessian(rule, n, m)
     hess_g = np.array([con.hessian(x) for con in game.constraints]).reshape(q, n, n)
-    g, jac = _constraint_data(game, x)
+    g = core._constraint_values_raw(game, x)[1:]
+    jac = core._constraint_jacobian_raw(game, x)[1:]
     s = np.maximum(-g, 1.0)
     lam = np.ones(q)
     z = np.ones(n)
@@ -340,7 +341,8 @@ def optimum_solve(game: GameSpec) -> CertifiedOptimum:
             v += alpha * dv
             nu += alpha * dnu
             x, s, lam, z = np.split(v, np.cumsum([n, q, q]))
-            g, jac = _constraint_data(game, x)
+            g = core._constraint_values_raw(game, x)[1:]
+            jac = core._constraint_jacobian_raw(game, x)[1:]
             value, bound, rounding, infeasibility = _certificate(game, x, lam, g, jac)
 
     # a value above the bound shows x is slightly infeasible; the larger one still bounds p*
@@ -380,13 +382,6 @@ def _constant_concave_hessian(rule, n: int, m: float) -> np.ndarray:
             f"potential Hessian has positive eigenvalue {top:.3g}; a concave potential is required"
         )
     return hess
-
-
-def _constraint_data(game: GameSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint values ``(q,)`` and gradients ``(q, n)`` from the constraint objects."""
-    g = np.array([con.value(x) for con in game.constraints])
-    jac = np.array([con.gradient(x) for con in game.constraints]).reshape(game.q, game.n)
-    return g, jac
 
 
 def _certificate(game: GameSpec, x: np.ndarray, lam: np.ndarray, g, jac) -> tuple:

@@ -476,19 +476,35 @@ def test_simulate_rejects_invalid_game_files(out_root, capsys):
     assert err
 
 
-def test_simulate_rejects_inconsistent_game_files(out_root, capsys):
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        ('"n"', {"n": 3}),
+        # a fractional count is refused, not truncated to the matrix's 3
+        ('"n"', {"n": 3.7, "fitness": {"type": "linear", "matrix": np.eye(3).tolist()}}),
+        (
+            "affine constraint a",
+            {"constraints": [{"type": "affine", "a": [1.0, 0.0, math.nan], "b": 0.5}]},
+        ),
+        ("payoff matrix", {"fitness": {"type": "linear", "matrix": [[0.0, 1.0], [math.inf, 0.0]]}}),
+    ],
+    ids=["n-mismatch", "n-fractional", "nan-coefficient", "infinite-matrix-entry"],
+)
+def test_simulate_rejects_inconsistent_game_files(out_root, capsys, field, changes):
     spec = {
-        "n": 3,
+        "n": 2,
         "primal_mass": 1.0,
         "dual_mass": 1.0,
         "fitness": {"type": "linear", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
         "constraints": [],
     }
+    spec.update(changes)
     path = out_root / "bad.json"
     path.write_text(json.dumps(spec))
     code, _, err = run_cli(["simulate", "--game", str(path), "--horizon", "1"], capsys)
     assert code == 1
-    assert err
+    assert err.startswith("error:") and field in err
+    assert "diverged" not in err
 
 
 # --- verify ---

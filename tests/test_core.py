@@ -1,5 +1,7 @@
 """State containers, constraints, potentials, fitness rules, game wiring."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,29 @@ def test_quadratic_constraint_rejects_concave_quadratic():
     # convexity keeps the feasible set convex; a negative eigenvalue is refused
     with pytest.raises(pd.ConfigurationError):
         pd.QuadraticConstraint(-np.eye(2), np.zeros(2), 1.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("affine constraint a", lambda: pd.AffineConstraint([1.0, NAN], 0.5)),
+        ("affine constraint b", lambda: pd.AffineConstraint([1.0, 0.0], INF)),
+        ("quadratic constraint Q", lambda: pd.QuadraticConstraint(np.diag([1.0, INF]), [0.0, 0.0], 0.5)),
+        ("quadratic constraint a", lambda: pd.QuadraticConstraint(np.eye(2), [NAN, 0.0], 0.5)),
+        ("quadratic constraint c", lambda: pd.QuadraticConstraint(np.eye(2), np.zeros(2), NAN)),
+        ("potential matrix H", lambda: pd.QuadraticPotential(np.diag([-1.0, NAN]), np.zeros(2))),
+        ("potential vector c", lambda: pd.QuadraticPotential(-np.eye(2), [0.0, -INF])),
+        ("incidence", lambda: pd.CongestionPotential([[1.0, NAN]], [1.0])),
+        ("edge weights", lambda: pd.CongestionPotential([[1.0, 1.0]], [INF])),
+        ("payoff matrix", lambda: pd.MatrixFitness([[0.0, INF], [1.0, 0.0]])),
+    ],
+)
+def test_constructors_refuse_non_finite_data(field, build):
+    with pytest.raises(pd.ConfigurationError, match=f"^{field} has non-finite entries$"):
+        build()
 
 
 # --- potentials ---

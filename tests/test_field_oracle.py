@@ -221,8 +221,14 @@ def check_joint_payoff(game, states):
             assert value.shape == reference.shape
             deviation = np.max(np.abs(value - reference))
             assert deviation <= bound, deviation
+    # the one stored operator: read-only, 3-d exactly when a quadratic constraint
+    # exists, and its null-price row (0) and constant's row (q + 1) exact zeros,
+    # which give the kernel its exact-zero fields there
+    H = game._payoff_homogeneous
+    assert not H.flags.writeable
     quadratic = any(isinstance(con, pd.QuadraticConstraint) for con in game.constraints)
-    assert (game._payoff_bilinear is None) == (not quadratic)
+    assert (H.ndim == 3) == quadratic
+    assert not H[0].any() and not H[game.q + 1].any()
 
 
 @settings(max_examples=150, deadline=None)
@@ -274,8 +280,8 @@ def test_joint_payoff_matches_rule_evaluators_on_named_games(congestion, rps):
                 for _ in range(20)
             ]
             check_joint_payoff(game, states)
-    assert congestion._payoff_bilinear is None
-    assert rps._payoff_bilinear.shape == (5, 5, 3)
+    assert congestion._payoff_homogeneous.ndim == 2
+    assert rps._payoff_homogeneous.shape == (6, 6, 4)
     # the null strategy's payoff is exactly zero, with and without constraints
     for game in (congestion, rps, _unconstrained_game()):
         z = np.concatenate((np.full(game.n, game.primal_mass / game.n), null_prices(game)))
