@@ -167,13 +167,9 @@ def _constraint_from_dict(data: dict):
     if not isinstance(data, dict) or "type" not in data:
         raise ConfigurationError('each constraint must be an object with a "type"')
     if data["type"] == "affine":
-        return core.AffineConstraint(np.asarray(data["a"], dtype=float), float(data["b"]))
+        return core.AffineConstraint(data["a"], data["b"])
     if data["type"] == "quadratic":
-        return core.QuadraticConstraint(
-            np.asarray(data["Q"], dtype=float),
-            np.asarray(data["a"], dtype=float),
-            float(data["c"]),
-        )
+        return core.QuadraticConstraint(data["Q"], data["a"], data["c"])
     raise ConfigurationError(f'unknown constraint type {data["type"]!r}')
 
 

@@ -65,6 +65,14 @@ def _frozen_array(values, field: str) -> np.ndarray:
     return arr
 
 
+def _finite_number(value, field: str) -> float:
+    """``value`` as a finite float; an array of any other shape is refused."""
+    arr = _frozen_array(value, field)
+    if arr.ndim:
+        raise ConfigurationError(f"{field} must be a number")
+    return float(arr)
+
+
 def _uniform_simplex(rng: np.random.Generator, dim: int, mass: float) -> np.ndarray:
     """Uniform draw from the mass-``mass`` simplex via normalized exponentials."""
     e = rng.exponential(size=dim)
@@ -73,6 +81,26 @@ def _uniform_simplex(rng: np.random.Generator, dim: int, mass: float) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # population states
+
+
+def _validate_simplex_state(state, field: str, side: str) -> None:
+    """Freeze ``state.<field>`` and check it lies on the mass-``state.mass`` simplex.
+
+    ``side`` (``"primal"`` or ``"dual"``) names the population in the errors.
+    """
+    v = _frozen_array(getattr(state, field), f"{side} state")
+    if v.ndim != 1 or v.size == 0:
+        raise ConfigurationError(f"{side} state must be a nonempty vector")
+    if not state.mass > 0:
+        raise ConfigurationError(f"{side} mass must be positive")
+    if np.any(v < 0):
+        raise ConfigurationError(f"{side} state has negative entries")
+    if abs(float(v.sum()) - state.mass) > SIMPLEX_MASS_TOL:
+        raise ConfigurationError(
+            f"{side} state sums to {v.sum():.12g}, expected mass {state.mass:.12g}"
+        )
+    object.__setattr__(state, field, v)
+    object.__setattr__(state, "mass", float(state.mass))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,19 +115,7 @@ class PrimalState:
     mass: float = 1.0
 
     def __post_init__(self):
-        x = _frozen_array(self.x, "primal state")
-        if x.ndim != 1 or x.size == 0:
-            raise ConfigurationError("primal state must be a nonempty vector")
-        if not self.mass > 0:
-            raise ConfigurationError("primal mass must be positive")
-        if np.any(x < 0):
-            raise ConfigurationError("primal state has negative entries")
-        if abs(float(x.sum()) - self.mass) > SIMPLEX_MASS_TOL:
-            raise ConfigurationError(
-                f"primal state sums to {x.sum():.12g}, expected mass {self.mass:.12g}"
-            )
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "mass", float(self.mass))
+        _validate_simplex_state(self, "x", "primal")
 
     @property
     def n(self) -> int:
@@ -118,19 +134,7 @@ class DualState:
     mass: float
 
     def __post_init__(self):
-        mu = _frozen_array(self.mu, "dual state")
-        if mu.ndim != 1 or mu.size == 0:
-            raise ConfigurationError("dual state must be a nonempty vector")
-        if not self.mass > 0:
-            raise ConfigurationError("dual mass must be positive")
-        if np.any(mu < 0):
-            raise ConfigurationError("dual state has negative entries")
-        if abs(float(mu.sum()) - self.mass) > SIMPLEX_MASS_TOL:
-            raise ConfigurationError(
-                f"dual state sums to {mu.sum():.12g}, expected mass {self.mass:.12g}"
-            )
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "mass", float(self.mass))
+        _validate_simplex_state(self, "mu", "dual")
 
     @property
     def q(self) -> int:
@@ -154,7 +158,7 @@ class AffineConstraint:
         if a.ndim != 1 or a.size == 0:
             raise ConfigurationError("affine constraint coefficient must be a vector")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(_frozen_array(self.b, "affine constraint b")))
+        object.__setattr__(self, "b", _finite_number(self.b, "affine constraint b"))
 
     @property
     def dimension(self) -> int:
@@ -201,7 +205,7 @@ class QuadraticConstraint:
             )
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", float(_frozen_array(self.c, "quadratic constraint c")))
+        object.__setattr__(self, "c", _finite_number(self.c, "quadratic constraint c"))
 
     @property
     def dimension(self) -> int:
@@ -771,26 +775,25 @@ class StabilityCheck(NamedTuple):
 
 
 def check_stable_game(game: GameSpec, samples: int = 200, seed: int = 0) -> StabilityCheck:
-    """Sampled test of the stable-game property ``z . Df(x) z <= 0``.
+    """Test of the stable-game property ``z . Df(x) z <= 0`` for ``sum z = 0``.
 
-    Draws ``samples`` states uniformly from the simplex, pairs each with a
-    unit vector ``z`` tangent to the simplex (``sum z = 0``), and records the
-    largest quadratic form seen.  The game passes when that maximum stays at
-    or below ``STABLE_TOL``.  A sampled check can only refute stability, not
-    prove it.
+    Draws ``samples`` states uniformly from the simplex and, at each, takes
+    the largest eigenvalue of the symmetric part of ``Df(x)`` restricted to
+    the tangent space ``sum z = 0``: the largest ``z . Df(x) z`` over unit
+    tangent ``z``.  ``worst`` is the largest over the states, and the game
+    passes when it stays at or below ``STABLE_TOL``.  For a constant
+    Jacobian the test is exact and proves stability; for a state-dependent
+    one it can only refute it.
     """
     if samples < 1:
         raise ConfigurationError("need at least one sample")
+    n = game.n
+    # orthonormal basis of the tangent space
+    basis = np.linalg.qr(np.eye(n)[:, : n - 1] - 1.0 / n)[0]
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(samples):
-        xv = _uniform_simplex(rng, game.n, game.primal_mass)
-        jac = _fitness_jacobian_raw(game, xv)
-        z = rng.standard_normal(game.n)
-        z -= z.mean()
-        nz = np.linalg.norm(z)
-        if nz < 1e-12:
-            continue
-        z /= nz
-        worst = max(worst, float(z @ jac @ z))
+        jac = _fitness_jacobian_raw(game, _uniform_simplex(rng, n, game.primal_mass))
+        tangent = basis.T @ jac @ basis
+        worst = max(worst, float(np.linalg.eigvalsh(0.5 * (tangent + tangent.T))[-1]))
     return StabilityCheck(worst <= STABLE_TOL, worst)

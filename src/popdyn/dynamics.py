@@ -386,22 +386,16 @@ def _positivity_limit(game: GameSpec, protocol: Protocol, z: np.ndarray) -> floa
     return 1.0 / top if top > 0.0 else math.inf
 
 
-def _primal_field_raw(game: GameSpec, protocol: Protocol, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
-    return _joint_field(game, protocol, np.concatenate((xv, muv)))[: game.n]
-
-
-def _dual_field_raw(game: GameSpec, protocol: Protocol, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
-    return _joint_field(game, protocol, np.concatenate((xv, muv)))[game.n :]
-
-
 def primal_field(game: GameSpec, protocol: Protocol, x: PrimalState, mu: DualState) -> np.ndarray:
     """Time derivative of the playing population's state."""
-    return _primal_field_raw(game, protocol, core._check_primal(game, x), core._check_dual(game, mu))
+    z = np.concatenate((core._check_primal(game, x), core._check_dual(game, mu)))
+    return _joint_field(game, protocol, z)[: game.n]
 
 
 def dual_field(game: GameSpec, protocol: Protocol, x: PrimalState, mu: DualState) -> np.ndarray:
     """Time derivative of the pricing population's state."""
-    return _dual_field_raw(game, protocol, core._check_primal(game, x), core._check_dual(game, mu))
+    z = np.concatenate((core._check_primal(game, x), core._check_dual(game, mu)))
+    return _joint_field(game, protocol, z)[game.n :]
 
 
 def sample_simplex(n: int, mass: float, seed: int) -> PrimalState:

@@ -1,9 +1,12 @@
-"""Equilibrium tests, the dual-mass bound, and two optimum solvers.
+"""Equilibrium tests, the saddle check, the dual-mass bound, and two optimum solvers.
 
 Membership in the equilibria set is two coupled Nash conditions: every used
 primal strategy earns the maximal constraint-discounted payoff, and every
 carried constraint price sits on a maximal constraint value (the null
-constraint's value 0 included).
+constraint's value 0 included).  ``saddle_check`` tests the saddle property
+of the Lagrangian in closed form: the dual side exactly at the dual
+simplex's vertices, the primal side through the linearization bound that
+``optimum_solve`` certifies with.
 
 Both solvers maximize the underlying program ``max p(x)  s.t.  g_k(x) <= 0``
 over the mass-``m`` simplex through the rule objects' ``value``,
@@ -18,7 +21,6 @@ search; it stays as a solver-free cross-check for the tests.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -80,6 +82,11 @@ class NashCheck(NamedTuple):
 
 
 class SaddleCheck(NamedTuple):
+    """Worst violations of the two saddle inequalities (see ``saddle_check``).
+
+    Both are nonnegative, and both are 0 exactly at a saddle point.
+    """
+
     primal_violation: float
     dual_violation: float
 
@@ -180,19 +187,19 @@ def in_equilibria_set(
     game: GameSpec, x: PrimalState, mu: DualState, tol: float = DEFAULT_NASH_TOL
 ) -> EquilibriumReport:
     """Combined membership test with feasibility/complementarity diagnostics."""
-    primal = is_primal_nash(game, x, mu, tol)
-    dual = is_dual_nash(game, mu, x, tol)
-    g = core.constraint_values(game, x)
-    feasibility = float(g.max())
+    xv, muv = core._check_primal(game, x), core._check_dual(game, mu)
+    g = core._constraint_values_raw(game, xv)
+    primal = _support_check(xv, core._payoff_raw(game, xv, muv), tol)
+    dual = _support_check(muv, g, tol)
     if game.q:
-        comp = float(np.max(mu.mu[1:] * np.maximum(-g[1:], 0.0)))
+        comp = float(np.max(muv[1:] * np.maximum(-g[1:], 0.0)))
     else:
         comp = 0.0
     verdict = "in_E" if (primal.ok and dual.ok) else "not_in_E"
     return EquilibriumReport(
         primal_nash_residual=primal.residual,
         dual_nash_residual=dual.residual,
-        feasibility_residual=feasibility,
+        feasibility_residual=float(g.max()),
         complementarity_residual=comp,
         verdict=verdict,
     )
@@ -364,7 +371,7 @@ def _constant_concave_hessian(rule, n: int, m: float) -> np.ndarray:
     """The potential's Hessian, checked constant over the simplex vertices and NSD."""
     hess = rule.hessian(np.full(n, m / n))
     if hess is None:
-        raise ConfigurationError("optimum solver needs the potential's Hessian; none is given")
+        raise ConfigurationError("potential Hessian is not given; a concave potential is required")
     hess = np.asarray(hess, dtype=float)
     scale = max(1.0, float(np.abs(hess).max()))
     for i in range(n):
@@ -537,31 +544,29 @@ def _perturb(
     return y * (mass / total)
 
 
-def saddle_check(
-    game: GameSpec,
-    x_star: PrimalState,
-    mu_star: DualState,
-    samples: int = 1000,
-    seed: int = 0,
-) -> SaddleCheck:
-    """Sampled test of ``L(x, mu*) <= L(x*, mu*) <= L(x*, mu)``.
+def saddle_check(game: GameSpec, x_star: PrimalState, mu_star: DualState) -> SaddleCheck:
+    """Exact test of ``L(x, mu*) <= L(x*, mu*) <= L(x*, mu)`` over both simplices.
 
-    Returns the largest observed violation on each side (values can be
-    negative when the inequality holds strictly at every sample).  With
-    ``samples == 0`` both violations are reported as 0 with a warning.
+    ``L(x*, mu)`` is linear in ``mu``, so the dual side's worst case sits at
+    a vertex of the dual simplex: ``m_D * max_k g_k(x*) - mu* . g(x*)``, with
+    ``g_0 = 0`` among the ``g_k``.  ``L(x, mu*)`` is concave in ``x``, so the
+    primal side is bounded by its linearization at ``x*`` maximized over the
+    simplex, ``m_P * max_i dL_i - dL . x*``: the bound ``optimum_solve``
+    certifies with.  Both are reported clipped at 0, and both are 0 exactly
+    at a saddle point.  The primal bound needs a concave ``L(., mu*)``; the
+    constraints are convex, so the potential must be concave.  Raises
+    ``UnsupportedOperationError`` without a potential and, as ``optimum_solve``
+    does, ``ConfigurationError`` for a Hessian unknown, non-constant or not NSD.
     """
-    if samples < 0:
-        raise ConfigurationError("samples must be nonnegative")
-    if samples == 0:
-        warnings.warn("saddle_check called with samples=0: nothing was tested")
-        return SaddleCheck(0.0, 0.0)
-    l_star = core.lagrangian(game, x_star, mu_star)
-    rng = np.random.default_rng(seed)
-    primal_violation = -math.inf
-    dual_violation = -math.inf
-    for _ in range(samples):
-        x = PrimalState(core._uniform_simplex(rng, game.n, game.primal_mass), game.primal_mass)
-        mu = DualState(core._uniform_simplex(rng, game.q + 1, game.dual_mass), game.dual_mass)
-        primal_violation = max(primal_violation, core.lagrangian(game, x, mu_star) - l_star)
-        dual_violation = max(dual_violation, l_star - core.lagrangian(game, x_star, mu))
-    return SaddleCheck(float(primal_violation), float(dual_violation))
+    if game.potential is None:
+        raise UnsupportedOperationError("saddle check needs a potential")
+    _constant_concave_hessian(game.potential, game.n, game.primal_mass)
+    xv, muv = core._check_primal(game, x_star), core._check_dual(game, mu_star)
+    g = core._constraint_values_raw(game, xv)
+    lam = muv[1:]
+    value, bound, _, _ = _certificate(
+        game, xv, lam, g[1:], core._constraint_jacobian_raw(game, xv)[1:]
+    )
+    primal_violation = bound - (value - lam @ g[1:])
+    dual_violation = game.dual_mass * g.max() - muv @ g
+    return SaddleCheck(max(float(primal_violation), 0.0), max(float(dual_violation), 0.0))

@@ -13,7 +13,7 @@ import pytest
 
 import popdyn as pd
 from popdyn import cli
-from popdyn.dynamics import _dual_field_raw, _primal_field_raw
+from popdyn.dynamics import _joint_field
 from popdyn.lyapunov import _value_raw, adaptive_simpson
 
 from conftest import null_dual, random_simplex
@@ -23,6 +23,12 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
     tail = f" ({detail})" if detail else ""
     print(f"[{'PASS' if ok else 'FAIL'}] {name}{tail}")
     assert ok, f"{name}{tail}"
+
+
+def fields(game, protocol, xv, muv):
+    """Both populations' fields at one state, from one joint-kernel call."""
+    z = _joint_field(game, protocol, np.concatenate((xv, muv)))
+    return z[: game.n], z[game.n :]
 
 
 def zero_potential_game(n=3):
@@ -122,8 +128,7 @@ def test_criterion_04_mass_conservation_and_boundary(congestion, rps, smith):
         for _ in range(1000):
             xv = random_simplex(rng, game.n, game.primal_mass)
             muv = random_simplex(rng, game.q + 1, game.dual_mass)
-            fp = _primal_field_raw(game, smith, xv, muv)
-            fd = _dual_field_raw(game, smith, xv, muv)
+            fp, fd = fields(game, smith, xv, muv)
             worst_sum = max(worst_sum, abs(float(fp.sum())), abs(float(fd.sum())))
         for _ in range(200):
             xv = random_simplex(rng, game.n, game.primal_mass)
@@ -132,8 +137,7 @@ def test_criterion_04_mass_conservation_and_boundary(congestion, rps, smith):
             muv = random_simplex(rng, game.q + 1, game.dual_mass)
             muv[rng.integers(game.q + 1)] = 0.0
             muv *= game.dual_mass / muv.sum()
-            fp = _primal_field_raw(game, smith, xv, muv)
-            fd = _dual_field_raw(game, smith, xv, muv)
+            fp, fd = fields(game, smith, xv, muv)
             worst_boundary = min(
                 float(fp[xv == 0.0].min(initial=np.inf)),
                 float(fd[muv == 0.0].min(initial=np.inf)),
@@ -154,8 +158,7 @@ def test_criterion_05_nash_stationarity(congestion, rps, smith):
 
     def equivalent(game, x, mu):
         nonlocal mismatches, checked
-        fp = np.max(np.abs(_primal_field_raw(game, smith, x.x, mu.mu)))
-        fd = np.max(np.abs(_dual_field_raw(game, smith, x.x, mu.mu)))
+        fp, fd = (np.max(np.abs(f)) for f in fields(game, smith, x.x, mu.mu))
         primal_ok = pd.is_primal_nash(game, x, mu, tol=1e-9).ok
         dual_ok = pd.is_dual_nash(game, mu, x, tol=1e-9).ok
         mismatches += int((fp <= 1e-12) != primal_ok) + int((fd <= 1e-12) != dual_ok)
@@ -172,13 +175,13 @@ def test_criterion_05_nash_stationarity(congestion, rps, smith):
     # prices must zero their fields bitwise, and pass the matching Nash test
     exact = True
     bary = pd.PrimalState(np.full(3, 1.0 / 3.0), mass=1.0)
-    field = _primal_field_raw(rps, smith, bary.x, null_dual(rps).mu)
+    field, _ = fields(rps, smith, bary.x, null_dual(rps).mu)
     exact &= bool(np.all(field == 0.0)) and pd.is_primal_nash(rps, bary, null_dual(rps)).ok
     zero_game = zero_potential_game()
     rng = np.random.default_rng(17)
     for _ in range(50):
         xv = random_simplex(rng, 3, 1.0)
-        f = _primal_field_raw(zero_game, smith, xv, np.array([1.0]))
+        f, _ = fields(zero_game, smith, xv, np.array([1.0]))
         exact &= bool(np.all(f == 0.0))
     for game in (congestion, rps):
         for _ in range(50):
@@ -187,7 +190,7 @@ def test_criterion_05_nash_stationarity(congestion, rps, smith):
             g = pd.constraint_values(game, x)
             muv = np.zeros(game.q + 1)
             muv[int(np.argmax(g))] = game.dual_mass
-            fd = _dual_field_raw(game, smith, xv, muv)
+            _, fd = fields(game, smith, xv, muv)
             exact &= bool(np.all(fd == 0.0))
             exact &= pd.is_dual_nash(game, pd.DualState(muv, game.dual_mass), x).ok
 
@@ -246,13 +249,7 @@ def test_criterion_06_lyapunov_suite(congestion, rps, smith, congestion_run, rps
 
 
 def test_criterion_07_saddle_property(congestion, congestion_run):
-    check = pd.saddle_check(
-        congestion,
-        congestion_run.final_primal,
-        congestion_run.final_dual,
-        samples=1000,
-        seed=0,
-    )
+    check = pd.saddle_check(congestion, congestion_run.final_primal, congestion_run.final_dual)
     ok = check.primal_violation <= 1e-6 and check.dual_violation <= 1e-6
     _verdict(
         "criterion 7: endpoint is a saddle of the priced objective",

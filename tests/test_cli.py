@@ -487,8 +487,12 @@ def test_simulate_rejects_invalid_game_files(out_root, capsys):
             {"constraints": [{"type": "affine", "a": [1.0, 0.0, math.nan], "b": 0.5}]},
         ),
         ("payoff matrix", {"fitness": {"type": "linear", "matrix": [[0.0, 1.0], [math.inf, 0.0]]}}),
+        (
+            "affine constraint b",
+            {"constraints": [{"type": "affine", "a": [1.0, 0.0], "b": [0.5, 1]}]},
+        ),
     ],
-    ids=["n-mismatch", "n-fractional", "nan-coefficient", "infinite-matrix-entry"],
+    ids=["n-mismatch", "n-fractional", "nan-coefficient", "infinite-matrix-entry", "list-bound"],
 )
 def test_simulate_rejects_inconsistent_game_files(out_root, capsys, field, changes):
     spec = {

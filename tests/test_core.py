@@ -121,6 +121,18 @@ def test_constructors_refuse_non_finite_data(field, build):
         build()
 
 
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("affine constraint b", lambda: pd.AffineConstraint([1.0, 0.0], [1.0, 2.0])),
+        ("quadratic constraint c", lambda: pd.QuadraticConstraint(np.eye(2), np.zeros(2), [[0.5]])),
+    ],
+)
+def test_constructors_refuse_non_scalar_bounds(field, build):
+    with pytest.raises(pd.ConfigurationError, match=f"^{field} must be a number$"):
+        build()
+
+
 # --- potentials ---
 
 
@@ -381,3 +393,20 @@ def test_stable_game_check_rejects_identity_fitness():
     check = pd.check_stable_game(game, samples=200, seed=0)
     assert not check.stable
     assert check.worst > 0.5
+
+
+def test_stable_game_check_finds_a_narrow_unstable_direction():
+    # J = -I + 1.01 v v^T curves up by 0.01 along the one tangent direction
+    # v = (e_1 - e_2) / sqrt(2) and down by 1 along every other
+    v = np.zeros(12)
+    v[:2] = (1.0, -1.0)
+    v /= np.linalg.norm(v)
+    game = pd.GameSpec(
+        n=12,
+        primal_mass=1.0,
+        dual_mass=1.0,
+        fitness=pd.MatrixFitness(-np.eye(12) + 1.01 * np.outer(v, v)),
+    )
+    check = pd.check_stable_game(game, samples=200, seed=0)
+    assert not check.stable
+    assert check.worst == pytest.approx(0.01, abs=1e-12)

@@ -386,33 +386,67 @@ def test_oracle_reports_infeasible_instances():
 
 
 def test_saddle_check_holds_at_converged_endpoint(congestion, congestion_run):
-    check = pd.saddle_check(
-        congestion,
-        congestion_run.final_primal,
-        congestion_run.final_dual,
-        samples=200,
-        seed=0,
-    )
+    check = pd.saddle_check(congestion, congestion_run.final_primal, congestion_run.final_dual)
     assert check.primal_violation <= 1e-6
     assert check.dual_violation <= 1e-6
 
 
 def test_saddle_check_flags_a_non_saddle(congestion):
-    # the uniform profile maximizes nothing: random rivals beat it
+    # the uniform profile maximizes nothing: other profiles beat it
     x = pd.PrimalState(np.full(4, 0.25), mass=1.0)
-    check = pd.saddle_check(congestion, x, null_dual(congestion), samples=200, seed=0)
+    check = pd.saddle_check(congestion, x, null_dual(congestion))
     assert check.primal_violation > 1.0
 
 
-def test_saddle_check_with_no_samples_warns(congestion, congestion_run):
-    with pytest.warns(UserWarning):
-        check = pd.saddle_check(
-            congestion, congestion_run.final_primal, congestion_run.final_dual, samples=0
-        )
-    assert check == pd.SaddleCheck(0.0, 0.0)
+def test_saddle_check_dual_side_is_exact_at_a_vertex(congestion):
+    # at x = e_1 the largest constraint value is 0.6, and the worst price
+    # puts the whole dual mass 122 on it
+    x = pd.PrimalState(np.array([1.0, 0.0, 0.0, 0.0]), mass=1.0)
+    assert pd.constraint_values(congestion, x).max() == pytest.approx(0.6, abs=1e-15)
+    check = pd.saddle_check(congestion, x, null_dual(congestion))
+    assert check.dual_violation == pytest.approx(73.2, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(planted_programs(), st.integers(0, 2**32 - 1))
+def test_saddle_check_matches_dual_vertices_and_bounds_primal_side(program, seed):
+    # the dual side is the worst over the q + 1 vertices of the dual simplex;
+    # the primal side bounds L(x, mu*) - L(x*, mu*) at every x
+    game, _ = program
+    rng = np.random.default_rng(seed)
+    x_star = pd.PrimalState(random_simplex(rng, game.n, game.primal_mass), game.primal_mass)
+    mu_star = pd.DualState(random_simplex(rng, game.q + 1, game.dual_mass), game.dual_mass)
+    check = pd.saddle_check(game, x_star, mu_star)
+    l_star = pd.lagrangian(game, x_star, mu_star)
+    slack = 1e-9 * max(1.0, abs(l_star))
+    worst_dual = max(
+        l_star - pd.lagrangian(game, x_star, pd.DualState(vertex, game.dual_mass))
+        for vertex in game.dual_mass * np.eye(game.q + 1)
+    )
+    assert check.dual_violation == pytest.approx(worst_dual, abs=slack)
+    for _ in range(200):
+        x = pd.PrimalState(random_simplex(rng, game.n, game.primal_mass), game.primal_mass)
+        assert pd.lagrangian(game, x, mu_star) - l_star <= check.primal_violation + slack
 
 
 def test_saddle_check_requires_a_potential(rps):
     x = pd.PrimalState(np.full(3, 1.0 / 3.0), mass=1.0)
     with pytest.raises(pd.UnsupportedOperationError):
-        pd.saddle_check(rps, x, null_dual(rps), samples=10)
+        pd.saddle_check(rps, x, null_dual(rps))
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        # convex: at the barycenter the gradient is uniform, so the
+        # linearization bound reads 0 although a vertex gives L = 0.5 > 0.25
+        (pd.QuadraticPotential(np.eye(2), np.zeros(2)), "positive eigenvalue"),
+        (pd.CallablePotential(lambda x: -x @ x, lambda x: -2.0 * x), "not given"),
+    ],
+    ids=["convex", "no-hessian"],
+)
+def test_saddle_check_refuses_what_its_bound_does_not_cover(rule, message):
+    game = _potential_game(rule)
+    x = pd.PrimalState(np.full(2, 0.5), mass=1.0)
+    with pytest.raises(pd.ConfigurationError, match=message):
+        pd.saddle_check(game, x, null_dual(game))

@@ -27,25 +27,20 @@ def oracle_field(rate, shares, payoffs):
 
 
 def check_fields(game, protocol, xv, muv):
-    """The joint kernel and both per-population wrappers against the oracle."""
+    """Both populations' slices of the joint kernel against the oracle."""
     rate = SCALAR[protocol.name][0]
     x, mu = xv.tolist(), muv.tolist()
     F, G = oracle_payoffs(game, x, mu)
-    expected = {
-        "primal": (oracle_field(rate, x, F), F, game.primal_mass),
-        "dual": (oracle_field(rate, mu, G), G, game.dual_mass),
-    }
     joint = dynamics._joint_field(game, protocol, np.concatenate((xv, muv)))
-    got = {
-        "primal": (joint[: game.n], dynamics._primal_field_raw(game, protocol, xv, muv)),
-        "dual": (joint[game.n :], dynamics._dual_field_raw(game, protocol, xv, muv)),
+    expected = {
+        "primal": (joint[: game.n], oracle_field(rate, x, F), F, game.primal_mass),
+        "dual": (joint[game.n :], oracle_field(rate, mu, G), G, game.dual_mass),
     }
-    for name, (field, payoffs, mass) in expected.items():
+    for name, (value, field, payoffs, mass) in expected.items():
         bound = 1e-12 * max(1.0, max(abs(p) for p in payoffs) * mass)
-        for value in got[name]:
-            assert value.shape == (len(field),)
-            deviation = max(abs(v - e) for v, e in zip(value.tolist(), field))
-            assert deviation <= bound, (name, deviation, bound)
+        assert value.shape == (len(field),)
+        deviation = max(abs(v - e) for v, e in zip(value.tolist(), field))
+        assert deviation <= bound, (name, deviation, bound)
 
 
 def sparse_simplex(rng, dim, mass, empty):
@@ -153,7 +148,7 @@ def test_unconstrained_dual_field_is_exactly_zero():
     for protocol in (pd.smith_protocol(), SQUARE):
         for _ in range(20):
             xv = random_simplex(rng, 3, 1.0)
-            field = dynamics._dual_field_raw(game, protocol, xv, np.array([2.0]))
+            field = dynamics._joint_field(game, protocol, np.append(xv, 2.0))[3:]
             assert np.array_equal(field, [0.0])
 
 
