@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 usage or configuration error (a step too long to
 keep every share nonnegative is one), 2 simulation reached the horizon
 without converging, 3 verification or reproduction thresholds failed.
 Output files (trajectory CSV, JSON reports) are byte-deterministic for
-fixed flags and seed.  The environment variable ``POPDYN_OUT_DIR``
-supplies the default output root.
+fixed flags and seed; a long trajectory CSV is rendered in row ranges on
+the usable cores by forked children, with the bytes of the serial render.
+The environment variable ``POPDYN_OUT_DIR`` supplies the default output
+root.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ import dataclasses
 import json
 import math
 import os
+import shutil
+import signal
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 
@@ -41,6 +47,8 @@ DEFAULT_SEED = 0
 # rows the trajectory CSV renders at a time; larger chunks are no faster and
 # hold more memory while they are written
 CSV_CHUNK = 256
+# fewest rows worth a forked child of their own when the CSV is split over cores
+CSV_PART_MIN = 8 * CSV_CHUNK
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -268,6 +276,12 @@ def write_trajectory_csv(path: str, game: GameSpec, traj: Trajectory, record_eve
     as the literal token ``NaN``.  The rows are written ``CSV_CHUNK`` at a
     time, each chunk rendered in one pass: ``repr`` of its rows as nested
     lists, with the list separators turned into commas and newlines.
+
+    Where ``os.fork`` and ``os.sched_getaffinity`` exist, a file of at
+    least two ``CSV_PART_MIN`` rows is split into contiguous ranges of whole
+    chunks, one per usable core: this process renders the first and a
+    forked child each later one, and the parts are appended in order.  The
+    chunks, and so the bytes, are those of the serial render.
     """
     if record_every < 1:
         raise ConfigurationError("--record-every must be at least 1")
@@ -295,13 +309,88 @@ def write_trajectory_csv(path: str, game: GameSpec, traj: Trajectory, record_eve
     rows = np.arange(0, len(traj), record_every)
     if rows[-1] != len(traj) - 1:
         rows = np.append(rows, len(traj) - 1)
+    # whole chunks per part, so that every part renders the serial writer's chunks
+    chunks = -(-rows.size // CSV_CHUNK)
+    size = -(-chunks // _csv_parts(rows.size)) * CSV_CHUNK
+    parts = [rows[lo : lo + size] for lo in range(0, rows.size, size)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, rows.size, CSV_CHUNK):
-            chunk = rows[lo : lo + CSV_CHUNK]
-            # "[[a, b], [c, d]]" -> "a,b\nc,d"; repr spells NaN "nan"
-            text = repr(np.column_stack([col[chunk] for col in columns]).tolist())
-            fh.write(text[2:-2].replace("], [", "\n").replace(", ", ",").replace("nan", "NaN") + "\n")
+        if len(parts) == 1:
+            _write_rows(fh, columns, rows)
+        else:
+            _write_parts(fh, path, columns, parts)
+
+
+def _csv_parts(rows: int) -> int:
+    """Parts to render ``rows`` CSV rows in: one per usable core, none under ``CSV_PART_MIN`` rows."""
+    most = rows // CSV_PART_MIN
+    if most < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(most, len(os.sched_getaffinity(0)))
+
+
+def _write_rows(fh, columns, rows) -> None:
+    for lo in range(0, rows.size, CSV_CHUNK):
+        chunk = rows[lo : lo + CSV_CHUNK]
+        # "[[a, b], [c, d]]" -> "a,b\nc,d"; repr spells NaN "nan"
+        text = repr(np.column_stack([col[chunk] for col in columns]).tolist())
+        fh.write(text[2:-2].replace("], [", "\n").replace(", ", ",").replace("nan", "NaN") + "\n")
+
+
+def _write_parts(fh, path: str, columns, parts: list) -> None:
+    """Render ``parts[0]`` into ``fh`` and each later part in a forked child; append those in order.
+
+    Each child streams its part into an unlinked temporary file opened
+    before the fork and leaves through ``os._exit``.  Every child is reaped
+    before this returns; if this process fails first, it kills them.  A
+    child that exits nonzero raises ``OSError`` naming its part.
+    """
+    tmps, live = [], []
+    try:
+        for part in parts[1:]:
+            tmps.append(tempfile.TemporaryFile())
+            with warnings.catch_warnings():
+                # Python 3.12 warns on a fork in a process with threads (BLAS
+                # starts some).  The child takes no lock they may hold: it
+                # runs no BLAS product, logs and prints nothing, and imports
+                # nothing.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _render_in_child(tmps[-1], columns, part)
+            live.append(pid)
+        _write_rows(fh, columns, parts[0])
+        fh.flush()
+        for k, (pid, tmp) in enumerate(zip(list(live), tmps), 2):
+            status = os.waitpid(pid, 0)[1]
+            live.remove(pid)
+            if status:
+                raise OSError(
+                    f"{path}: part {k} of {len(parts)} (rows {parts[k - 1][0]}..{parts[k - 1][-1]}) "
+                    f"failed in its child process (exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh.buffer)
+    except BaseException:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in live:
+            os.waitpid(pid, 0)
+        for tmp in tmps:
+            tmp.close()
+
+
+def _render_in_child(tmp, columns, rows) -> None:
+    """In a forked child: render ``rows`` into ``tmp`` and exit, with 0 on success.  Never returns."""
+    status = 1
+    try:
+        with open(tmp.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+            _write_rows(fh, columns, rows)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _dump_json(obj) -> str:

@@ -82,12 +82,17 @@ class Protocol:
     antiderivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
+# a 0-d array operand: a ufunc call with a Python scalar costs about 1.5 times
+# one with two arrays, and the result is the same
+_ZERO = np.zeros(())
+
+
 def _smith_rate(gap):
-    return np.maximum(gap, 0.0)
+    return np.maximum(gap, _ZERO)
 
 
 def _smith_rate_integral(gap):
-    r = np.maximum(gap, 0.0)
+    r = np.maximum(gap, _ZERO)
     return 0.5 * r * r
 
 
@@ -347,19 +352,20 @@ def _rk4_advance(field, h: float, size: int):
     """
     k2, k3, k4, zt = np.empty((4, size))
     add, multiply = np.add, np.multiply
-    half, sixth = 0.5 * h, h / 6.0
+    # the factors as arrays, as the field kernel binds h
+    half, hv, sixth, two = np.array([[0.5 * h], [h], [h / 6.0], [2.0]]).repeat(size, axis=1)
 
     def advance(z, k1, out):
         field(z, k1)
         try:
             field(add(z, multiply(k1, half, out=zt), out=zt), k2)
             field(add(z, multiply(k2, half, out=zt), out=zt), k3)
-            field(add(z, multiply(k3, h, out=zt), out=zt), k4)
+            field(add(z, multiply(k3, hv, out=zt), out=zt), k4)
         except Exception as exc:
             raise _FieldEvaluated from exc
         # k1 + 2 k2 + 2 k3 + k4, summed left to right
-        add(k1, multiply(k2, 2.0, out=k2), out=k2)
-        add(k2, multiply(k3, 2.0, out=k3), out=k2)
+        add(k1, multiply(k2, two, out=k2), out=k2)
+        add(k2, multiply(k3, two, out=k3), out=k2)
         add(k2, k4, out=k2)
         return add(z, multiply(k2, sixth, out=k2), out=out)
 

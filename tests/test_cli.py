@@ -164,10 +164,39 @@ def _special_values(game, traj):
     return dataclasses.replace(traj, primal=primal, lyapunov=lyap)
 
 
-@pytest.mark.parametrize("record_every", [1, 3, 7])
-@pytest.mark.parametrize("case", ["congestion", "rps", "unconstrained", "special"])
+def _force_csv_parts(monkeypatch, parts):
+    monkeypatch.setattr(cli, "_csv_parts", lambda rows: parts)
+
+
+def _first_rows(traj, count):
+    return dataclasses.replace(
+        traj,
+        **{
+            f.name: getattr(traj, f.name)[:count]
+            for f in dataclasses.fields(traj)
+            if isinstance(getattr(traj, f.name), np.ndarray)
+        },
+    )
+
+
+@pytest.fixture(scope="module")
+def csv_references():
+    # the cell-by-cell reference bytes per (case, record_every), shared by the part counts
+    return {}
+
+
+# one part is the serial writer, under the ids the test had before the rows were split
+@pytest.mark.parametrize(
+    "case, record_every, parts",
+    [
+        pytest.param(case, every, parts, id=f"{case}-{every}" + (f"-parts{parts}" if parts > 1 else ""))
+        for parts in (1, 2, 3, 4)
+        for case in ("congestion", "rps", "unconstrained", "special")
+        for every in (1, 3, 7)
+    ],
+)
 def test_csv_matches_the_cell_by_cell_reference(
-    case, record_every, congestion, congestion_run, rps, rps_run, out_root
+    case, record_every, parts, congestion, congestion_run, rps, rps_run, csv_references, out_root, monkeypatch
 ):
     if case == "congestion":
         game, traj = congestion, congestion_run
@@ -181,9 +210,65 @@ def test_csv_matches_the_cell_by_cell_reference(
     assert len(range(0, len(traj), record_every)) > cli.CSV_CHUNK + 1
     if case == "rps":
         assert np.isnan(traj.potential).all()
+    _force_csv_parts(monkeypatch, parts)
     cli.write_trajectory_csv(out_root / "got.csv", game, traj, record_every)
-    reference_trajectory_csv(out_root / "want.csv", game, traj, record_every)
+    if (case, record_every) not in csv_references:
+        reference_trajectory_csv(out_root / "want.csv", game, traj, record_every)
+        csv_references[case, record_every] = (out_root / "want.csv").read_bytes()
+    assert (out_root / "got.csv").read_bytes() == csv_references[case, record_every]
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+def test_csv_last_part_shorter_than_a_chunk(parts, congestion, congestion_run, out_root, monkeypatch):
+    # parts - 1 whole chunks and a last part of 10 rows
+    traj = _first_rows(congestion_run, (parts - 1) * cli.CSV_CHUNK + 10)
+    _force_csv_parts(monkeypatch, parts)
+    cli.write_trajectory_csv(out_root / "got.csv", congestion, traj)
+    reference_trajectory_csv(out_root / "want.csv", congestion, traj)
     assert (out_root / "got.csv").read_bytes() == (out_root / "want.csv").read_bytes()
+
+
+def test_csv_parts_follow_the_usable_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert cli._csv_parts(2 * cli.CSV_PART_MIN - 1) == 1
+    assert cli._csv_parts(3 * cli.CSV_PART_MIN) == 3
+    assert cli._csv_parts(100 * cli.CSV_PART_MIN) == 4
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert cli._csv_parts(100 * cli.CSV_PART_MIN) == 1
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_csv_writer_leaves_no_child_process(congestion, congestion_run, out_root, monkeypatch):
+    _force_csv_parts(monkeypatch, 3)
+    cli.write_trajectory_csv(out_root / "got.csv", congestion, congestion_run)
+    _assert_no_child_process()
+
+
+def test_a_render_failing_in_a_child_is_an_os_error(congestion, congestion_run, out_root, monkeypatch, capsys):
+    parent, write_rows = os.getpid(), cli._write_rows
+
+    def fail_in_a_child(fh, columns, rows):
+        if os.getpid() != parent:
+            raise RuntimeError("render failed")
+        write_rows(fh, columns, rows)
+
+    monkeypatch.setattr(cli, "_write_rows", fail_in_a_child)
+    _force_csv_parts(monkeypatch, 3)
+    with pytest.raises(OSError, match="part 2 of 3"):
+        cli.write_trajectory_csv(out_root / "got.csv", congestion, congestion_run)
+    _assert_no_child_process()
+
+    # 501 rows: two parts
+    argv = ["simulate", "--game", "paper-rps", "--horizon", "5", "--out", str(out_root / "sim.csv")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert not out
+    assert err.startswith("error: ") and "in its child process" in err
+    _assert_no_child_process()
 
 
 def test_simulate_short_run_reports_no_convergence(out_root, capsys):

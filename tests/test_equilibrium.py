@@ -229,6 +229,17 @@ def test_optimum_solve_certifies_generated_programs(program):
         assert grid.value <= sol.upper
 
 
+@settings(max_examples=100, deadline=None)
+@given(planted_programs())
+def test_the_dual_mass_bound_covers_the_optimal_prices(program):
+    # the paper's sufficient condition: from any Slater point, the bound is at
+    # least the total price the optimum needs
+    game, y = program
+    sol = pd.optimum_solve(game)
+    bound = pd.dual_mass_bound(game, pd.slater_point(game, pd.PrimalState(y, game.primal_mass)), sol.upper)
+    assert bound >= sol.multipliers.sum() * (1.0 - 1e-9)
+
+
 @pytest.mark.parametrize(
     "draw",
     [
