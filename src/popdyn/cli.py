@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or configuration error (a step too long to
 keep every share nonnegative is one), 2 simulation reached the horizon
-without converging, 3 verification or reproduction thresholds failed.
+without converging, 3 verification or reproduction thresholds failed (or a
+simulation converged to an endpoint whose ``g_max`` exceeds ``--report-tol``).
 Output files (trajectory CSV, JSON reports) are byte-deterministic for
 fixed flags and seed; a long trajectory CSV is rendered in row ranges on
 the usable cores by forked children, with the bytes of the serial render.
@@ -454,12 +455,23 @@ def cmd_simulate(args) -> int:
         )
         path = _seed_path(out_base, seed) if len(seeds) > 1 else out_base
         write_trajectory_csv(path, game, traj, args.record_every)
+        if traj.converged and report.feasibility_residual > args.report_tol:
+            # a Nash point of the joint game can violate a constraint when the
+            # dual mass is too small to hold the optimal prices
+            print(
+                f"infeasible endpoint in {path}: g_max = {report.feasibility_residual:.6g} exceeds "
+                f"--report-tol {args.report_tol:g} at dual mass {game.dual_mass:g}",
+                file=sys.stderr,
+            )
         return _summary(args.game, traj, report, path, used_seed)
 
     summaries = [run_one(seed) for seed in seeds]
     print(_dump_json(summaries if len(seeds) > 1 else summaries[0]), end="")
 
-    return _EXIT_OK if all(s["converged"] for s in summaries) else _EXIT_NO_CONVERGENCE
+    if not all(s["converged"] for s in summaries):
+        return _EXIT_NO_CONVERGENCE
+    infeasible = any(s["report"]["feasibility_residual"] > args.report_tol for s in summaries)
+    return _EXIT_THRESHOLDS if infeasible else _EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -519,7 +531,12 @@ def _repro_checks_congestion(game, traj, report, audit) -> list:
             deviation <= 1e-2,
             f"|x - x_opt|_inf = {deviation:.3e} (limit 1e-2)",
         ),
-        ("equilibrium_verdict", report.in_set, f"verdict={report.verdict} at tol {REPORT_TOL}"),
+        (
+            "equilibrium_verdict",
+            report.in_set,
+            f"verdict={report.verdict}, Nash gaps {report.primal_nash_residual:.3e}/"
+            f"{report.dual_nash_residual:.3e} (limit {REPORT_TOL})",
+        ),
         (
             "lyapunov_monotone",
             audit.fraction_nonincreasing >= AUDIT_FRACTION,
@@ -645,13 +662,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mu0", default=None, help="explicit dual start, comma-separated")
     sim.add_argument("--out", default=None, help="trajectory CSV path")
     sim.add_argument("--record-every", type=int, default=1, help="keep every Nth step in the CSV")
-    sim.add_argument("--report-tol", type=float, default=REPORT_TOL)
+    sim.add_argument(
+        "--report-tol", type=float, default=REPORT_TOL, help="bound on both Nash gaps and on g_max"
+    )
     sim.set_defaults(handler=cmd_simulate)
 
     ver = sub.add_parser("verify", help="equilibrium membership report for a stored state")
     _add_game_arg(ver)
     ver.add_argument("--state", required=True, help='JSON file with "x" and "mu"')
-    ver.add_argument("--tol", type=float, default=REPORT_TOL)
+    ver.add_argument("--tol", type=float, default=REPORT_TOL, help="bound on both Nash gaps")
     ver.set_defaults(handler=cmd_verify)
 
     bnd = sub.add_parser("bound", help="sufficient dual mass from an interior point")

@@ -1,12 +1,12 @@
 """Equilibrium tests, the saddle check, the dual-mass bound, and two optimum solvers.
 
-Membership in the equilibria set is two coupled Nash conditions: every used
-primal strategy earns the maximal constraint-discounted payoff, and every
-carried constraint price sits on a maximal constraint value (the null
-constraint's value 0 included).  ``saddle_check`` tests the saddle property
-of the Lagrangian in closed form: the dual side exactly at the dual
-simplex's vertices, the primal side through the linearization bound that
-``optimum_solve`` certifies with.
+Membership in the equilibria set is two coupled Nash conditions, one per
+population.  ``nash_gaps`` measures both exactly, as the payoff each
+population forgoes against its best reply: ``x . (max F - F)`` over the
+constraint-discounted payoffs and ``mu . (max g - g)`` over the constraint
+values, the null constraint's ``g_0 = 0`` included (Sandholm 2010).  The
+report reads them, and so does ``saddle_check``: under a concave potential
+they are the worst violations of the Lagrangian's saddle inequalities.
 
 Both solvers maximize the underlying program ``max p(x)  s.t.  g_k(x) <= 0``
 over the mass-``m`` simplex through the rule objects' ``value``,
@@ -76,19 +76,14 @@ class InfeasibleInstanceError(RuntimeError):
     """Raised when a solver finds no feasible point of the constrained program."""
 
 
-class NashCheck(NamedTuple):
-    ok: bool
-    residual: float
+class NashGaps(NamedTuple):
+    """Nash gaps of the playing and the pricing population (see ``nash_gaps``).
 
-
-class SaddleCheck(NamedTuple):
-    """Worst violations of the two saddle inequalities (see ``saddle_check``).
-
-    Both are nonnegative, and both are 0 exactly at a saddle point.
+    Both are nonnegative, and both are 0 exactly at a Nash point.
     """
 
-    primal_violation: float
-    dual_violation: float
+    primal: float
+    dual: float
 
 
 class OracleSolution(NamedTuple):
@@ -116,8 +111,10 @@ class CertifiedOptimum(NamedTuple):
 class EquilibriumReport:
     """Residual diagnostics for a candidate state pair.
 
-    All residuals are nonnegative.  The verdict depends on the two Nash
-    residuals alone; feasibility and complementarity are diagnostics.
+    The Nash residuals are the two Nash gaps (``nash_gaps``); the verdict is
+    ``in_E`` when both are at most the tolerance.  Feasibility (``max g``)
+    and complementarity (at most the dual gap) are diagnostics.  All
+    residuals are nonnegative.
     """
 
     primal_nash_residual: float
@@ -152,56 +149,38 @@ class SlaterPoint:
     margin: float
 
 
-def is_primal_nash(
-    game: GameSpec, x: PrimalState, mu: DualState, tol: float = DEFAULT_NASH_TOL
-) -> NashCheck:
-    """Support-optimality test for the playing population.
+def nash_gaps(game: GameSpec, x: PrimalState, mu: DualState) -> NashGaps:
+    """Exact Nash gaps ``x . (max F - F)`` and ``mu . (max g - g)``, with ``g_0 = 0``.
 
-    The residual is the largest payoff shortfall over strategies carrying
-    more than ``tol`` mass; the test passes when it is at most ``tol``.
+    Every term is a nonnegative share times a nonnegative shortfall, so both
+    gaps are nonnegative in floating point too, and 0 at an exact Nash
+    point.  ``F`` and ``g`` come from the fitness rule and the constraint
+    objects, not from the payoff operator the dynamics integrate.
     """
-    payoff = core.primal_dual_payoff(game, x, mu)
-    return _support_check(x.x, payoff, tol)
+    xv, muv = core._check_primal(game, x), core._check_dual(game, mu)
+    return _gaps(xv, muv, core._payoff_raw(game, xv, muv), core._constraint_values_raw(game, xv))
 
 
-def is_dual_nash(
-    game: GameSpec, mu: DualState, x: PrimalState, tol: float = DEFAULT_NASH_TOL
-) -> NashCheck:
-    """Support-optimality test for the pricing population on ``(g_0, .., g_q)``."""
-    g = core.constraint_values(game, x)
-    core._check_dual(game, mu)
-    return _support_check(mu.mu, g, tol)
-
-
-def _support_check(shares: np.ndarray, payoffs: np.ndarray, tol: float) -> NashCheck:
-    if not tol > 0:
-        raise ConfigurationError("tolerance must be positive")
-    support = shares > tol
-    if not support.any():
-        return NashCheck(True, 0.0)
-    residual = float(payoffs.max() - payoffs[support].min())
-    return NashCheck(residual <= tol, max(residual, 0.0))
+def _gaps(xv: np.ndarray, muv: np.ndarray, F: np.ndarray, g: np.ndarray) -> NashGaps:
+    return NashGaps(float(xv @ (F.max() - F)), float(muv @ (g.max() - g)))
 
 
 def in_equilibria_set(
     game: GameSpec, x: PrimalState, mu: DualState, tol: float = DEFAULT_NASH_TOL
 ) -> EquilibriumReport:
-    """Combined membership test with feasibility/complementarity diagnostics."""
+    """Both Nash gaps against ``tol``, with feasibility and complementarity diagnostics."""
+    if not tol > 0:
+        raise ConfigurationError("tolerance must be positive")
     xv, muv = core._check_primal(game, x), core._check_dual(game, mu)
     g = core._constraint_values_raw(game, xv)
-    primal = _support_check(xv, core._payoff_raw(game, xv, muv), tol)
-    dual = _support_check(muv, g, tol)
-    if game.q:
-        comp = float(np.max(muv[1:] * np.maximum(-g[1:], 0.0)))
-    else:
-        comp = 0.0
-    verdict = "in_E" if (primal.ok and dual.ok) else "not_in_E"
+    gaps = _gaps(xv, muv, core._payoff_raw(game, xv, muv), g)
+    comp = float(np.max(muv[1:] * np.maximum(-g[1:], 0.0))) if game.q else 0.0
     return EquilibriumReport(
-        primal_nash_residual=primal.residual,
-        dual_nash_residual=dual.residual,
+        primal_nash_residual=gaps.primal,
+        dual_nash_residual=gaps.dual,
         feasibility_residual=float(g.max()),
         complementarity_residual=comp,
-        verdict=verdict,
+        verdict="in_E" if max(gaps) <= tol else "not_in_E",
     )
 
 
@@ -544,29 +523,20 @@ def _perturb(
     return y * (mass / total)
 
 
-def saddle_check(game: GameSpec, x_star: PrimalState, mu_star: DualState) -> SaddleCheck:
+def saddle_check(game: GameSpec, x_star: PrimalState, mu_star: DualState) -> NashGaps:
     """Exact test of ``L(x, mu*) <= L(x*, mu*) <= L(x*, mu)`` over both simplices.
 
-    ``L(x*, mu)`` is linear in ``mu``, so the dual side's worst case sits at
-    a vertex of the dual simplex: ``m_D * max_k g_k(x*) - mu* . g(x*)``, with
-    ``g_0 = 0`` among the ``g_k``.  ``L(x, mu*)`` is concave in ``x``, so the
-    primal side is bounded by its linearization at ``x*`` maximized over the
-    simplex, ``m_P * max_i dL_i - dL . x*``: the bound ``optimum_solve``
-    certifies with.  Both are reported clipped at 0, and both are 0 exactly
-    at a saddle point.  The primal bound needs a concave ``L(., mu*)``; the
-    constraints are convex, so the potential must be concave.  Raises
-    ``UnsupportedOperationError`` without a potential and, as ``optimum_solve``
-    does, ``ConfigurationError`` for a Hessian unknown, non-constant or not NSD.
+    Returns ``nash_gaps(game, x_star, mu_star)``.  ``L(x*, mu)`` is linear
+    in ``mu``, so its minimum sits at a vertex of the dual simplex, and
+    ``L(x*, mu*) - min_mu L(x*, mu)`` is the dual gap.  The gradient of
+    ``L(., mu*)`` is ``F``; when ``L(., mu*)`` is concave its linearization
+    at ``x*`` bounds ``max_x L(x, mu*) - L(x*, mu*)`` by the primal gap, the
+    bound ``optimum_solve`` certifies with.  The constraints are convex, so
+    the potential must be concave: raises ``UnsupportedOperationError``
+    without one and, as ``optimum_solve`` does, ``ConfigurationError`` for
+    a Hessian unknown, non-constant or not negative semidefinite.
     """
     if game.potential is None:
         raise UnsupportedOperationError("saddle check needs a potential")
     _constant_concave_hessian(game.potential, game.n, game.primal_mass)
-    xv, muv = core._check_primal(game, x_star), core._check_dual(game, mu_star)
-    g = core._constraint_values_raw(game, xv)
-    lam = muv[1:]
-    value, bound, _, _ = _certificate(
-        game, xv, lam, g[1:], core._constraint_jacobian_raw(game, xv)[1:]
-    )
-    primal_violation = bound - (value - lam @ g[1:])
-    dual_violation = game.dual_mass * g.max() - muv @ g
-    return SaddleCheck(max(float(primal_violation), 0.0), max(float(dual_violation), 0.0))
+    return nash_gaps(game, x_star, mu_star)

@@ -553,6 +553,51 @@ def test_simulate_accepts_game_files(out_root, capsys):
     assert json.loads(out)["converged"]
 
 
+def capped_bowl(path, dual_mass):
+    # p = -|x|^2 / 2 + 2 x_1 under x_1 <= 0.3 needs the price 1.7 on the cap
+    spec = {
+        "n": 2,
+        "primal_mass": 1.0,
+        "dual_mass": dual_mass,
+        "fitness": {"type": "quadratic_potential", "H": [[-1.0, 0.0], [0.0, -1.0]], "c": [2.0, 0.0]},
+        "constraints": [{"type": "affine", "a": [1.0, 0.0], "b": 0.3}],
+    }
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "dual_mass, flags, expected",
+    [
+        (0.5, [], 3),
+        (0.5, ["--seeds", "0..1"], 3),
+        (0.5, ["--report-tol", "1"], 0),
+        # an unconverged seed still decides the exit code
+        (0.5, ["--seeds", "0..1", "--horizon", "1"], 2),
+        (10.0, [], 0),
+    ],
+    ids=["too-small", "too-small-seeds", "loose-tolerance", "unconverged", "large-enough"],
+)
+def test_a_converged_infeasible_endpoint_exits_3(out_root, capsys, dual_mass, flags, expected):
+    game = capped_bowl(out_root / "capped.json", dual_mass)
+    code, out, err = run_cli(["simulate", "--game", game, *flags], capsys)
+    assert code == expected
+    summaries = json.loads(out)
+    summaries = summaries if isinstance(summaries, list) else [summaries]
+    for summary in summaries:
+        infeasible = summary["converged"] and summary["report"]["feasibility_residual"] > 1e-3
+        assert infeasible == (dual_mass == 0.5 and expected != 2)
+        if infeasible:
+            assert summary["report"]["verdict"] == "in_E"
+    if expected == 3:
+        lines = err.splitlines()
+        assert len(lines) == len(summaries)
+        assert all("g_max = 0.699999" in line and "--report-tol 0.001" in line for line in lines)
+        assert all("dual mass 0.5" in line for line in lines)
+    else:
+        assert "infeasible" not in err
+
+
 def test_simulate_rejects_invalid_game_files(out_root, capsys):
     path = out_root / "broken.json"
     path.write_text("{not json")

@@ -1,4 +1,4 @@
-"""Nash tests, the equilibria-set report, mass bound, optimum solvers, saddle check."""
+"""Nash gaps, the equilibria-set report, mass bound, optimum solvers, saddle check."""
 
 import os
 import subprocess
@@ -20,42 +20,35 @@ def zero_potential_game(n=3):
     return pd.build_quadratic_potential(np.zeros((n, n)), np.zeros(n))
 
 
-# --- support-optimality tests ---
+# --- Nash gaps ---
 
 
 def test_equalized_payoffs_are_primal_nash(rps):
     x = pd.PrimalState(np.full(3, 1.0 / 3.0), mass=1.0)
-    check = pd.is_primal_nash(rps, x, null_dual(rps))
-    assert check.ok
-    assert check.residual == 0.0
+    assert pd.nash_gaps(rps, x, null_dual(rps)).primal == 0.0
 
 
 def test_uniform_profile_is_not_primal_nash(congestion):
     x = pd.PrimalState(np.full(4, 0.25), mass=1.0)
-    check = pd.is_primal_nash(congestion, x, null_dual(congestion))
-    assert not check.ok
-    assert check.residual > 1.0
+    assert pd.nash_gaps(congestion, x, null_dual(congestion)).primal > 1.0
 
 
 def test_null_prices_are_dual_nash_when_feasible(congestion):
     # strictly feasible profile: the null strategy is the unique best reply
     x = pd.PrimalState(np.full(4, 0.25), mass=1.0)
-    check = pd.is_dual_nash(congestion, null_dual(congestion), x)
-    assert check.ok
-    assert check.residual == 0.0
+    assert pd.nash_gaps(congestion, x, null_dual(congestion)).dual == 0.0
 
 
 def test_null_prices_are_not_dual_nash_when_violated(rps):
+    # the whole dual mass 4 forgoes the violation 11/90 of the cap
     x = pd.PrimalState(np.full(3, 1.0 / 3.0), mass=1.0)
-    check = pd.is_dual_nash(rps, null_dual(rps), x)
-    assert not check.ok
-    assert check.residual == pytest.approx(11.0 / 90.0, abs=1e-12)
+    assert pd.nash_gaps(rps, x, null_dual(rps)).dual == pytest.approx(22.0 / 45.0, abs=1e-12)
 
 
 def test_nash_tests_reject_nonpositive_tolerance(rps):
     x = pd.PrimalState(np.full(3, 1.0 / 3.0), mass=1.0)
     with pytest.raises(pd.ConfigurationError):
-        pd.is_primal_nash(rps, x, null_dual(rps), tol=0.0)
+        pd.in_equilibria_set(rps, x, null_dual(rps), tol=0.0)
 
 
 # --- equilibria-set membership ---
@@ -173,39 +166,47 @@ def test_optimum_solve_is_exact_on_the_congestion_benchmark(congestion, congesti
     assert congestion_oracle.value <= sol.upper
 
 
-def planted_program(n, seed, mass, columns, affine, ranks):
+def planted_program(n, seed, mass, columns, affine, ranks, grid=None):
     """A concave quadratic program on the simplex with a planted Slater point ``y``.
 
     ``-B B^T`` with ``columns`` columns in ``B`` is the potential's Hessian;
     ``affine`` affine constraints and one quadratic constraint per entry of
-    ``ranks``, of that rank, all hold strictly at ``y``.
+    ``ranks``, of that rank, all hold strictly at ``y``.  With ``grid``, the
+    mass, ``B``, the linear terms and the constraint factors are multiples of
+    ``1 / grid``, so at states on a fine enough grid every payoff is exact
+    whatever the order of its sums.
     """
     rng = np.random.default_rng(seed)
-    B = rng.uniform(-2.0, 2.0, (n, columns))
+
+    def snap(v):
+        return np.round(np.asarray(v) * grid) / grid if grid else v
+
+    mass = float(snap(mass))
+    B = snap(rng.uniform(-2.0, 2.0, (n, columns)))
     y = random_simplex(rng, n, mass)
     constraints = []
     for _ in range(affine):
-        a = rng.uniform(-1.0, 1.0, n)
+        a = snap(rng.uniform(-1.0, 1.0, n))
         constraints.append(pd.AffineConstraint(a, a @ y + rng.uniform(0.01, 1.0)))
     for rank in ranks:
-        C = rng.uniform(-1.0, 1.0, (n, rank))
-        Q, a = C @ C.T, rng.uniform(-1.0, 1.0, n)
+        C = snap(rng.uniform(-1.0, 1.0, (n, rank)))
+        Q, a = C @ C.T, snap(rng.uniform(-1.0, 1.0, n))
         constraints.append(pd.QuadraticConstraint(Q, a, y @ Q @ y + a @ y + rng.uniform(0.01, 1.0)))
     game = pd.build_quadratic_potential(
-        -B @ B.T, rng.uniform(-5.0, 5.0, n), constraints, primal_mass=mass
+        -B @ B.T, snap(rng.uniform(-5.0, 5.0, n)), constraints, primal_mass=mass
     )
     return game, y
 
 
 @st.composite
-def planted_programs(draw):
+def planted_programs(draw, grid=None):
     n = draw(st.integers(2, 12))
     seed = draw(st.integers(0, 2**32 - 1))
     mass = draw(st.floats(0.5, 3.0))
     columns = draw(st.integers(0, n))
     affine = draw(st.integers(0, 3))
     ranks = draw(st.lists(st.integers(1, n), max_size=2))
-    return planted_program(n, seed, mass, columns, affine, ranks)
+    return planted_program(n, seed, mass, columns, affine, ranks, grid)
 
 
 def assert_certified(game, y, sol):
@@ -398,15 +399,15 @@ def test_oracle_reports_infeasible_instances():
 
 def test_saddle_check_holds_at_converged_endpoint(congestion, congestion_run):
     check = pd.saddle_check(congestion, congestion_run.final_primal, congestion_run.final_dual)
-    assert check.primal_violation <= 1e-6
-    assert check.dual_violation <= 1e-6
+    assert check.primal <= 1e-6
+    assert check.dual <= 1e-6
 
 
 def test_saddle_check_flags_a_non_saddle(congestion):
     # the uniform profile maximizes nothing: other profiles beat it
     x = pd.PrimalState(np.full(4, 0.25), mass=1.0)
     check = pd.saddle_check(congestion, x, null_dual(congestion))
-    assert check.primal_violation > 1.0
+    assert check.primal > 1.0
 
 
 def test_saddle_check_dual_side_is_exact_at_a_vertex(congestion):
@@ -415,7 +416,7 @@ def test_saddle_check_dual_side_is_exact_at_a_vertex(congestion):
     x = pd.PrimalState(np.array([1.0, 0.0, 0.0, 0.0]), mass=1.0)
     assert pd.constraint_values(congestion, x).max() == pytest.approx(0.6, abs=1e-15)
     check = pd.saddle_check(congestion, x, null_dual(congestion))
-    assert check.dual_violation == pytest.approx(73.2, abs=1e-12)
+    assert check.dual == pytest.approx(73.2, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -434,10 +435,10 @@ def test_saddle_check_matches_dual_vertices_and_bounds_primal_side(program, seed
         l_star - pd.lagrangian(game, x_star, pd.DualState(vertex, game.dual_mass))
         for vertex in game.dual_mass * np.eye(game.q + 1)
     )
-    assert check.dual_violation == pytest.approx(worst_dual, abs=slack)
+    assert check.dual == pytest.approx(worst_dual, abs=slack)
     for _ in range(200):
         x = pd.PrimalState(random_simplex(rng, game.n, game.primal_mass), game.primal_mass)
-        assert pd.lagrangian(game, x, mu_star) - l_star <= check.primal_violation + slack
+        assert pd.lagrangian(game, x, mu_star) - l_star <= check.primal + slack
 
 
 def test_saddle_check_requires_a_potential(rps):
@@ -461,3 +462,105 @@ def test_saddle_check_refuses_what_its_bound_does_not_cover(rule, message):
     x = pd.PrimalState(np.full(2, 0.5), mass=1.0)
     with pytest.raises(pd.ConfigurationError, match=message):
         pd.saddle_check(game, x, null_dual(game))
+
+
+# --- Nash gaps on generated programs ---
+
+
+# units of mass a grid state is made of: with the data of
+# ``planted_program(..., grid=8)`` (at most 12 strategies) every payoff at
+# a grid state is a short sum of short products, so it is exact
+STATE_GRID = 64
+
+
+def grid_simplex(rng, dim, mass):
+    """A random state whose shares are multiples of ``mass / STATE_GRID``, often exactly 0."""
+    return rng.multinomial(STATE_GRID, random_simplex(rng, dim, 1.0)) * (mass / STATE_GRID)
+
+
+def planted_rest_point(game, rng):
+    """A program of ``game``'s shape with a rest point ``(x, mu)`` of the dynamics planted in it.
+
+    The strategies of a random support are copies of its first one, so their
+    payoffs tie at every state.  ``x`` spreads the mass over the support and
+    ``mu`` puts the dual mass on a largest constraint value; lowering the
+    linear terms off the support makes the tie the best payoff.
+    """
+    n = game.n
+    chosen = rng.random(n) < 0.5
+    chosen[rng.integers(n)] = True
+    support = np.flatnonzero(chosen)
+    idx = np.arange(n)
+    idx[support] = support[0]
+    copy = np.ix_(idx, idx)
+    constraints = [
+        pd.AffineConstraint(con.a[idx], con.b)
+        if isinstance(con, pd.AffineConstraint)
+        else pd.QuadraticConstraint(con.Q[copy], con.a[idx], con.c)
+        for con in game.constraints
+    ]
+
+    def build(c):
+        return pd.build_quadratic_potential(
+            game.potential.quad[copy], c, constraints, game.primal_mass, game.dual_mass
+        )
+
+    c = game.potential.linear[idx]
+    xv = np.zeros(n)
+    xv[support] = grid_simplex(rng, support.size, game.primal_mass)
+    x = pd.PrimalState(xv, game.primal_mass)
+    copied = build(c)
+    muv = np.zeros(game.q + 1)
+    muv[int(np.argmax(pd.constraint_values(copied, x)))] = game.dual_mass
+    mu = pd.DualState(muv, game.dual_mass)
+    F = pd.primal_dual_payoff(copied, x, mu)
+    c = c - ~chosen * (np.maximum(F - F[support[0]], 0.0) + rng.integers(1, 9, n) / 8)
+    return build(c), x, mu
+
+
+def random_states(game, rng, count):
+    for _ in range(count):
+        yield (
+            pd.PrimalState(grid_simplex(rng, game.n, game.primal_mass), game.primal_mass),
+            pd.DualState(grid_simplex(rng, game.q + 1, game.dual_mass), game.dual_mass),
+        )
+
+
+@settings(max_examples=50, deadline=None)
+@given(planted_programs(), st.integers(0, 2**32 - 1))
+def test_nash_gaps_are_nonnegative_and_bound_the_complementarity(program, seed):
+    # each gap sums shares times shortfalls, all nonnegative; g_0 = 0 makes
+    # max g >= 0, so each mu_k * max(-g_k, 0) is at most one term of the dual gap
+    game, _ = program
+    for x, mu in random_states(game, np.random.default_rng(seed), 20):
+        gaps = pd.nash_gaps(game, x, mu)
+        report = pd.in_equilibria_set(game, x, mu)
+        assert gaps.primal >= 0.0 and gaps.dual >= 0.0
+        assert (report.primal_nash_residual, report.dual_nash_residual) == gaps
+        assert report.complementarity_residual <= gaps.dual
+
+
+@settings(max_examples=50, deadline=None)
+@given(planted_programs(), st.integers(0, 2**32 - 1))
+def test_saddle_check_is_the_nash_gaps_on_concave_programs(program, seed):
+    game, _ = program
+    for x, mu in random_states(game, np.random.default_rng(seed), 5):
+        assert pd.saddle_check(game, x, mu) == pd.nash_gaps(game, x, mu)
+
+
+@settings(max_examples=50, deadline=None)
+@given(planted_programs(grid=8), st.integers(0, 2**32 - 1))
+def test_fields_vanish_exactly_where_the_nash_gaps_do(program, seed):
+    # on the grid the payoff operator of the dynamics and the rule objects
+    # the gaps read give the same payoffs bitwise, ties included
+    rng = np.random.default_rng(seed)
+    game, x0, mu0 = planted_rest_point(program[0], rng)
+    smith = pd.smith_protocol()
+    for k, (x, mu) in enumerate([(x0, mu0), *random_states(game, rng, 10)]):
+        gaps = pd.nash_gaps(game, x, mu)
+        primal_rest = bool(np.all(pd.primal_field(game, smith, x, mu) == 0.0))
+        dual_rest = bool(np.all(pd.dual_field(game, smith, x, mu) == 0.0))
+        assert primal_rest == (gaps.primal == 0.0)
+        assert dual_rest == (gaps.dual == 0.0)
+        if k == 0:
+            assert primal_rest and dual_rest
