@@ -42,7 +42,6 @@ from .lyapunov import QuadratureError, monotonicity_audit
 AUDIT_TOL = 1e-8
 AUDIT_FRACTION = 0.999
 REPORT_TOL = 1e-3
-RPS_TARGET = (0.313, 0.044, 0.643)
 # seed of the random start when neither --seed nor --seeds is given
 DEFAULT_SEED = 0
 # rows the trajectory CSV renders at a time; larger chunks are no faster and
@@ -519,56 +518,26 @@ def cmd_bound(args) -> int:
     return _EXIT_OK
 
 
-def _repro_checks_congestion(game, traj, report, audit) -> list:
+def _repro_checks(game, traj, report, audit) -> list:
+    """Repro criteria: endpoint and prices against the certified equilibrium, and V's audit."""
     optimum = equilibrium.optimum_solve(game)
     g_end = traj.constraints[-1][1:].max()
     deviation = float(np.max(np.abs(traj.primal[-1] - optimum.point.x)))
+    price_error = float(np.max(np.abs(traj.dual[-1][1:] - optimum.multipliers)))
     return [
         ("converged", traj.converged, f"converged={traj.converged} at t={traj.times[-1]:.2f}"),
-        ("endpoint_feasible", g_end <= 1e-3, f"max_k g_k = {g_end:.3e} (limit 1e-3)"),
+        ("endpoint_feasible", g_end <= 1e-6, f"max_k g_k = {g_end:.3e} (limit 1e-6)"),
+        ("optimum_match", deviation <= 1e-3, f"|x - x*|_inf = {deviation:.3e} (limit 1e-3)"),
         (
-            "oracle_match",
-            deviation <= 1e-2,
-            f"|x - x_opt|_inf = {deviation:.3e} (limit 1e-2)",
+            "price_match",
+            price_error <= 1e-3,
+            f"|mu[1:] - lambda*|_inf = {price_error:.3e} (limit 1e-3)",
         ),
         (
             "equilibrium_verdict",
             report.in_set,
             f"verdict={report.verdict}, Nash gaps {report.primal_nash_residual:.3e}/"
             f"{report.dual_nash_residual:.3e} (limit {REPORT_TOL})",
-        ),
-        (
-            "lyapunov_monotone",
-            audit.fraction_nonincreasing >= AUDIT_FRACTION,
-            f"fraction nonincreasing = {audit.fraction_nonincreasing:.6f} (limit {AUDIT_FRACTION})",
-        ),
-        (
-            "lyapunov_nonnegative",
-            audit.nonnegativity_ok,
-            f"nonnegativity_ok={audit.nonnegativity_ok}",
-        ),
-    ]
-
-
-def _repro_checks_rps(game, traj, report, audit) -> list:
-    x_end = traj.primal[-1]
-    deviation = float(np.max(np.abs(x_end - np.array(RPS_TARGET))))
-    cap_value = float(x_end[0] ** 2 + x_end[1] ** 2)
-    return [
-        (
-            "endpoint_target",
-            deviation <= 1e-2,
-            f"|x - {list(RPS_TARGET)}|_inf = {deviation:.3e} (limit 1e-2)",
-        ),
-        (
-            "cap_feasible",
-            cap_value <= 0.1 + 1e-6,
-            f"x_1^2 + x_2^2 = {cap_value:.8f} (limit 0.1 + 1e-6)",
-        ),
-        (
-            "cap_active",
-            cap_value >= 0.098,
-            f"x_1^2 + x_2^2 = {cap_value:.8f} (must be >= 0.098)",
         ),
         (
             "lyapunov_monotone",
@@ -616,11 +585,7 @@ def cmd_repro(args) -> int:
     with open(os.path.join(out_dir, "audit.json"), "w", encoding="utf-8") as fh:
         fh.write(_dump_json(audit_payload))
 
-    if args.experiment == "congestion":
-        checks = _repro_checks_congestion(game, traj, report, audit)
-    else:
-        checks = _repro_checks_rps(game, traj, report, audit)
-
+    checks = _repro_checks(game, traj, report, audit)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     failed = [name for name, ok, _ in checks if not ok]

@@ -787,13 +787,21 @@ def check_stable_game(game: GameSpec, samples: int = 200, seed: int = 0) -> Stab
     """
     if samples < 1:
         raise ConfigurationError("need at least one sample")
-    n = game.n
-    # orthonormal basis of the tangent space
-    basis = np.linalg.qr(np.eye(n)[:, : n - 1] - 1.0 / n)[0]
+    basis = _tangent_basis(game.n)
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(samples):
-        jac = _fitness_jacobian_raw(game, _uniform_simplex(rng, n, game.primal_mass))
-        tangent = basis.T @ jac @ basis
-        worst = max(worst, float(np.linalg.eigvalsh(0.5 * (tangent + tangent.T))[-1]))
+        jac = _fitness_jacobian_raw(game, _uniform_simplex(rng, game.n, game.primal_mass))
+        worst = max(worst, _tangent_curvature(jac, basis))
     return StabilityCheck(worst <= STABLE_TOL, worst)
+
+
+def _tangent_basis(n: int) -> np.ndarray:
+    """Orthonormal columns spanning the tangent space ``sum z = 0``."""
+    return np.linalg.qr(np.eye(n)[:, : n - 1] - 1.0 / n)[0]
+
+
+def _tangent_curvature(jac: np.ndarray, basis: np.ndarray) -> float:
+    """Largest ``z . J z`` over unit ``z`` in the span of ``basis = _tangent_basis(n)``."""
+    tangent = basis.T @ jac @ basis
+    return float(np.linalg.eigvalsh(0.5 * (tangent + tangent.T))[-1])

@@ -8,14 +8,18 @@ values, the null constraint's ``g_0 = 0`` included (Sandholm 2010).  The
 report reads them, and so does ``saddle_check``: under a concave potential
 they are the worst violations of the Lagrangian's saddle inequalities.
 
-Both solvers maximize the underlying program ``max p(x)  s.t.  g_k(x) <= 0``
-over the mass-``m`` simplex through the rule objects' ``value``,
-``gradient`` and ``hessian`` alone, sharing no code path with the dynamics
-or the payoff operator they are used to validate.  ``optimum_solve`` is a
-primal-dual interior-point method whose answer carries a weak-duality
-upper bound on the optimum that holds whatever the solver did; the CLI uses
-it.  ``oracle_solve`` enumerates a feasible grid and refines it by random
-search; it stays as a solver-free cross-check for the tests.
+``optimum_solve`` finds the constrained equilibrium of any stable game
+whose fitness is affine, ``f(x) = J x + f_0`` with ``z . J z <= 0`` on
+``sum z = 0``: the solution of the monotone variational inequality
+``f(x*) . (y - x*) <= 0`` for every feasible ``y`` (Hofbauer & Sandholm
+2009), which for a potential game is ``max p(x)  s.t.  g_k(x) <= 0``.  It
+is a primal-dual interior-point method on the mass-``m`` simplex that reads
+the fitness rule, the potential and the constraint objects alone, sharing
+no code path with the dynamics or the payoff operator it is used to
+validate, and its answer carries a gap certificate that holds whatever the
+solver did; the CLI uses it.  ``oracle_solve`` enumerates a feasible grid
+and refines it by random search; it stays as a solver-free cross-check of
+the potential case for the tests.
 """
 
 from __future__ import annotations
@@ -44,9 +48,8 @@ MAX_GRID_POINTS = 4_000_000
 # the neighbourhood of the central path every step stays in (each
 # complementarity product at least this fraction of their mean), the step
 # below which a plain centring step replaces the corrector and its
-# centring parameter, the stopping target, the accepted residual and
-# relative certificate gap, and the slack on a constant, negative
-# semidefinite potential Hessian
+# centring parameter, the stopping target, and the accepted residual and
+# relative certificate gap
 OPTIMUM_MAX_ITERS = 100
 OPTIMUM_STEP_FRACTION = 0.995
 OPTIMUM_NEIGHBORHOOD = 1e-2
@@ -55,7 +58,6 @@ OPTIMUM_CENTERING = 0.5
 OPTIMUM_STOP_TOL = 1e-13
 OPTIMUM_FEAS_TOL = 1e-10
 OPTIMUM_GAP_TOL = 1e-9
-OPTIMUM_HESS_TOL = 1e-10
 # relative float error allowed for in the certificate (about 450 ulps)
 OPTIMUM_ROUNDING = 1e-13
 
@@ -93,17 +95,19 @@ class OracleSolution(NamedTuple):
 
 
 class CertifiedOptimum(NamedTuple):
-    """Solution of ``max p(x) s.t. g(x) <= 0`` with a certified upper bound.
+    """The constrained equilibrium of a stable game with affine fitness, certified.
 
-    ``value`` is ``p(point)``; ``upper`` bounds the optimum from above for
-    any correct ``multipliers`` and wrong ones alike (see
-    ``optimum_solve``); ``multipliers`` are the constraint prices
-    ``lambda_1..lambda_q``, whose sum is the dual mass the optimum needs.
+    ``point`` is the equilibrium ``x*`` and ``multipliers`` are its
+    constraint prices ``lambda_1..lambda_q``, whose sum is the dual mass the
+    equilibrium needs.  With a potential, ``x*`` maximizes it over the
+    feasible set, ``value`` is ``p(point)`` and ``upper`` bounds the optimum
+    from above for correct ``multipliers`` and wrong ones alike (see
+    ``optimum_solve``); without one both are ``None``.
     """
 
     point: PrimalState
-    value: float
-    upper: float
+    value: Optional[float]
+    upper: Optional[float]
     multipliers: np.ndarray
 
 
@@ -169,8 +173,8 @@ def in_equilibria_set(
     game: GameSpec, x: PrimalState, mu: DualState, tol: float = DEFAULT_NASH_TOL
 ) -> EquilibriumReport:
     """Both Nash gaps against ``tol``, with feasibility and complementarity diagnostics."""
-    if not tol > 0:
-        raise ConfigurationError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tol!r}")
     xv, muv = core._check_primal(game, x), core._check_dual(game, mu)
     g = core._constraint_values_raw(game, xv)
     gaps = _gaps(xv, muv, core._payoff_raw(game, xv, muv), g)
@@ -212,13 +216,14 @@ def dual_mass_bound(game: GameSpec, slater: SlaterPoint, p_star_upper: float) ->
     Any dual mass at or above the returned value keeps the optimal prices
     inside the dual simplex.  ``p_star_upper`` must be a certified upper
     bound on the constrained optimum, e.g. 0 for a nonpositive potential or
-    ``optimum_solve(game).upper``, and finite.
+    ``optimum_solve(game).upper``, and finite; a game without a potential
+    raises ``UnsupportedOperationError``.
     """
+    p_tilde = core.potential(game, slater.point)
     if not math.isfinite(p_star_upper):
         raise ConfigurationError(f"p_star_upper must be finite, got {p_star_upper!r}")
     if not slater.margin > 0:
         raise SlaterViolationError("Slater margin must be positive")
-    p_tilde = core.potential(game, slater.point)
     if p_star_upper < p_tilde:
         raise ConfigurationError(
             "p_star_upper is below the potential at the interior point; "
@@ -230,17 +235,20 @@ def dual_mass_bound(game: GameSpec, slater: SlaterPoint, p_star_upper: float) ->
 
 
 # ---------------------------------------------------------------------------
-# interior-point optimum with a weak-duality certificate
+# interior-point equilibrium with a gap certificate
 
 
 def optimum_solve(game: GameSpec) -> CertifiedOptimum:
-    """Maximize the potential over the feasible simplex, with a certified bound.
+    """The constrained equilibrium of a stable game with affine fitness, certified.
 
     A primal-dual interior-point method (Mehrotra predictor-corrector) on
-    ``min -p(x)  s.t.  g(x) + s = 0,  sum(x) = m,  x, s >= 0`` started from
-    the barycenter, which need not be feasible.  Each iteration solves one
+    the KKT system of the variational inequality: ``f(x) - jac g(x)^T lambda
+    + z + nu = 0``, ``g(x) + s = 0``, ``sum(x) = m``, ``x, s, lambda, z >= 0``
+    with ``s lambda = 0`` and ``x z = 0``, started from the barycenter,
+    which need not be feasible.  For a potential game ``f = grad p`` and this
+    is ``max p(x)  s.t.  g(x) <= 0``.  Each iteration solves one
     ``(n+q+1) x (n+q+1)`` Newton system in ``(dx, dlambda, dnu)`` built from
-    the potential's Hessian plus ``sum_k lambda_k * hess g_k``; keeping
+    the fitness Jacobian ``J`` plus ``sum_k lambda_k * hess g_k``; keeping
     ``dlambda`` in the system, instead of eliminating it through the
     ``lambda_k / s_k`` weights that blow up on active constraints, keeps the
     certificate gap near rounding level.  Every step stays in a wide
@@ -248,25 +256,27 @@ def optimum_solve(game: GameSpec) -> CertifiedOptimum:
     leaves the predictor-corrector step shorter than ``OPTIMUM_SHORT_STEP``
     a plain centring step is taken instead.
 
-    The bound does not trust the solver: for any ``lambda >= 0`` the
-    function ``phi = p - lambda . g`` is concave and at least ``p`` on the
-    feasible set, so its linearization at any ``x_hat`` maximized over the
-    simplex gives ``p* <= phi(x_hat) + m * max_i dphi_i(x_hat) - dphi(x_hat) . x_hat``.
-    That bound plus an allowance for float rounding is ``upper``.
+    The certificate does not trust the solver.  With ``d = grad p - jac g^T
+    lambda`` at the returned ``x`` (``f`` in place of ``grad p`` without a
+    potential), ``gap = m * max_i d_i - d . x - lambda . g(x)`` is the
+    Lagrangian-relaxed gap of the variational inequality: it bounds
+    ``f(x) . (y - x)`` over every feasible ``y`` of the simplex, and it is 0
+    at a solution with its prices.  With a potential, for any
+    ``lambda >= 0`` the function ``phi = p - lambda . g`` is concave on the
+    simplex and at least ``p`` on the feasible set, so
+    ``p* <= p(x) + gap``; that bound plus an allowance for float rounding
+    is ``upper``.
 
-    Raises ``UnsupportedOperationError`` without a potential,
-    ``ConfigurationError`` for a potential whose Hessian is unknown,
-    non-constant or not negative semidefinite, ``InfeasibleInstanceError``
-    when the final point violates a constraint or the mass by more than
-    ``OPTIMUM_FEAS_TOL``, and ``ConfigurationError`` when ``upper - value``
-    exceeds ``OPTIMUM_GAP_TOL * max(1, |value|)``.
+    Raises ``UnsupportedOperationError`` when the fitness rule has no affine
+    form, ``ConfigurationError`` when its Jacobian curves up on ``sum z =
+    0`` (the game is not stable), ``InfeasibleInstanceError`` when the
+    final point violates a constraint or the mass by more than
+    ``OPTIMUM_FEAS_TOL``, and ``ConfigurationError`` when the gap, rounding
+    allowance included, exceeds ``OPTIMUM_GAP_TOL * max(1, |p(x)|)``.
     """
-    rule = game.potential
-    if rule is None:
-        raise UnsupportedOperationError("optimum solver needs a potential to maximize")
     n, m, q = game.n, game.primal_mass, game.q
     x = np.full(n, m / n)
-    hess_p = _constant_concave_hessian(rule, n, m)
+    jac_f = _stable_jacobian(game)
     hess_g = np.array([con.hessian(x) for con in game.constraints]).reshape(q, n, n)
     g = core._constraint_values_raw(game, x)[1:]
     jac = core._constraint_jacobian_raw(game, x)[1:]
@@ -284,12 +294,12 @@ def optimum_solve(game: GameSpec) -> CertifiedOptimum:
             or bound - value > OPTIMUM_STOP_TOL * max(1.0, abs(value))
         ):
             iters += 1
-            r_d = -rule.gradient(x) + jac.T @ lam - z - nu
+            r_d = -game.fitness(x) + jac.T @ lam - z - nu
             r_p = g + s
             r_e = x.sum() - m
             mu = (s @ lam + x @ z) / (q + n)
             kkt = np.zeros((n + q + 1, n + q + 1))
-            kkt[:n, :n] = -hess_p + np.tensordot(lam, hess_g, 1) + np.diag(z / x)
+            kkt[:n, :n] = -jac_f + np.tensordot(lam, hess_g, 1) + np.diag(z / x)
             kkt[:n, n:-1] = jac.T
             kkt[n:-1, :n] = jac
             kkt[n:-1, n:-1] = np.diag(-s / lam)
@@ -340,44 +350,44 @@ def optimum_solve(game: GameSpec) -> CertifiedOptimum:
         )
     if not upper - value <= OPTIMUM_GAP_TOL * max(1.0, abs(value)):
         raise ConfigurationError(
-            f"optimum not certified: upper - value = {upper - value:.3g} at value {value:.12g} "
+            f"optimum not certified: gap {upper - value:.3g} at value {value:.12g} "
             f"after {iters} interior-point iterations (tolerance {OPTIMUM_GAP_TOL:g} relative)"
         )
+    if game.potential is None:
+        value = upper = None
     return CertifiedOptimum(PrimalState(x, m), value, upper, lam)
 
 
-def _constant_concave_hessian(rule, n: int, m: float) -> np.ndarray:
-    """The potential's Hessian, checked constant over the simplex vertices and NSD."""
-    hess = rule.hessian(np.full(n, m / n))
-    if hess is None:
-        raise ConfigurationError("potential Hessian is not given; a concave potential is required")
-    hess = np.asarray(hess, dtype=float)
-    scale = max(1.0, float(np.abs(hess).max()))
-    for i in range(n):
-        vertex = np.zeros(n)
-        vertex[i] = m
-        drift = float(np.abs(np.asarray(rule.hessian(vertex), dtype=float) - hess).max())
-        if drift > OPTIMUM_HESS_TOL * scale:
-            raise ConfigurationError(
-                f"potential Hessian is not constant: it moves by {drift:.3g} "
-                f"between the barycenter and vertex {i}"
-            )
-    top = float(np.linalg.eigvalsh(0.5 * (hess + hess.T)).max())
-    if top > OPTIMUM_HESS_TOL * scale:
-        raise ConfigurationError(
-            f"potential Hessian has positive eigenvalue {top:.3g}; a concave potential is required"
+def _stable_jacobian(game: GameSpec) -> np.ndarray:
+    """The fitness rule's constant Jacobian, refused unless ``check_stable_game`` would pass it."""
+    affine = game.fitness.affine()
+    if affine is None:
+        raise UnsupportedOperationError(
+            "the fitness rule has no affine form f(x) = J x + f_0; a stable game with "
+            "affine fitness is required"
         )
-    return hess
+    jac = np.asarray(affine[0], dtype=float)
+    top = core._tangent_curvature(jac, core._tangent_basis(game.n))
+    if top > core.STABLE_TOL:
+        raise ConfigurationError(
+            f"fitness Jacobian has positive eigenvalue {top:.3g} on the tangent space "
+            "sum z = 0; a stable game is required"
+        )
+    return jac
 
 
 def _certificate(game: GameSpec, x: np.ndarray, lam: np.ndarray, g, jac) -> tuple:
-    """``(p(x), bound, rounding, infeasibility)`` for ``optimum_solve``.
+    """``(value, bound, rounding, infeasibility)`` for ``optimum_solve``.
 
-    ``bound`` is the weak-duality bound in exact arithmetic; ``rounding``
-    covers the float error of evaluating it, so ``bound + rounding >= p*``.
+    ``value`` is ``p(x)``, or 0 without a potential, and ``bound - value``
+    is the gap of ``optimum_solve``'s certificate in exact arithmetic;
+    ``rounding`` covers the float error of evaluating it, so with a
+    potential ``bound + rounding >= p*``.
     """
-    value = game.potential.value(x)
-    grad_p = game.potential.gradient(x)
+    if game.potential is None:
+        value, grad_p = 0.0, game.fitness(x)
+    else:
+        value, grad_p = game.potential.value(x), game.potential.gradient(x)
     pull = jac.T @ lam
     grad_phi = grad_p - pull
     m = game.primal_mass
@@ -529,14 +539,15 @@ def saddle_check(game: GameSpec, x_star: PrimalState, mu_star: DualState) -> Nas
     Returns ``nash_gaps(game, x_star, mu_star)``.  ``L(x*, mu)`` is linear
     in ``mu``, so its minimum sits at a vertex of the dual simplex, and
     ``L(x*, mu*) - min_mu L(x*, mu)`` is the dual gap.  The gradient of
-    ``L(., mu*)`` is ``F``; when ``L(., mu*)`` is concave its linearization
-    at ``x*`` bounds ``max_x L(x, mu*) - L(x*, mu*)`` by the primal gap, the
-    bound ``optimum_solve`` certifies with.  The constraints are convex, so
-    the potential must be concave: raises ``UnsupportedOperationError``
-    without one and, as ``optimum_solve`` does, ``ConfigurationError`` for
-    a Hessian unknown, non-constant or not negative semidefinite.
+    ``L(., mu*)`` is ``F``; when ``L(., mu*)`` is concave on the simplex its
+    linearization at ``x*`` bounds ``max_x L(x, mu*) - L(x*, mu*)`` by the
+    primal gap, the bound ``optimum_solve`` certifies with.  The constraints
+    are convex, so the potential must be concave there: raises
+    ``UnsupportedOperationError`` without a potential and, as
+    ``optimum_solve`` does, for a fitness rule with no affine form, and
+    ``ConfigurationError`` for a game that is not stable.
     """
     if game.potential is None:
         raise UnsupportedOperationError("saddle check needs a potential")
-    _constant_concave_hessian(game.potential, game.n, game.primal_mass)
+    _stable_jacobian(game)
     return nash_gaps(game, x_star, mu_star)

@@ -689,6 +689,25 @@ def test_verify_rejects_non_numeric_state(out_root, capsys, value):
     assert err.startswith("error: ") and str(path) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--game", "paper-rps", "--state", "vertex.json", "--tol", "inf"],
+        ["verify", "--game", "paper-rps", "--state", "vertex.json", "--tol", "nan"],
+        ["simulate", "--game", "paper-rps", "--horizon", "1", "--report-tol", "inf"],
+    ],
+    ids=["verify-inf", "verify-nan", "simulate-inf"],
+)
+def test_a_tolerance_that_is_not_finite_is_a_usage_error(out_root, capsys, monkeypatch, argv):
+    # with --tol inf the vertex e_1 (Nash gaps 2.0 and 3.6, g_max 0.9) read in_E
+    (out_root / "vertex.json").write_text(json.dumps({"x": [1, 0, 0], "mu": [4, 0]}))
+    monkeypatch.chdir(out_root)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tolerance must be positive and finite")
+
+
 # --- bound ---
 
 
@@ -774,6 +793,17 @@ def test_bound_rejects_non_finite_p_star_upper(capsys, value):
     assert "p_star_upper must be finite" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--p-star-upper", "0"]], ids=["solved", "given"])
+def test_bound_needs_a_potential(capsys, extra):
+    # the solver now certifies rps, but the Slater bound reads p(x_tilde)
+    argv = ["bound", "--game", "paper-rps", "--slater", "0.2,0.1,0.7", *extra]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "potential" in err
+
+
 def test_bound_rejects_infeasible_interior_point(capsys):
     code, _, err = run_cli(
         ["bound", "--game", "paper-rps", "--slater", "0.8,0.1,0.1", "--p-star-upper", "0"],
@@ -810,6 +840,10 @@ def test_repro_rps_passes(out_root, capsys):
     code, out, _ = run_cli(["repro", "rps", "--out-dir", str(out_dir)], capsys)
     assert code == 0
     assert "all criteria passed" in out
+    # the endpoint and its price are held to the certified equilibrium
+    lines = out.splitlines()
+    assert any(line.startswith("PASS optimum_match") for line in lines)
+    assert any(line.startswith("PASS price_match") for line in lines)
     assert (out_dir / "trajectory.csv").exists()
 
 

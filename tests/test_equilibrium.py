@@ -51,6 +51,14 @@ def test_nash_tests_reject_nonpositive_tolerance(rps):
         pd.in_equilibria_set(rps, x, null_dual(rps), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_the_report_refuses_a_tolerance_that_is_not_positive_and_finite(rps, tol):
+    # an infinite tolerance would pass the vertex e_1, Nash gaps 2.0 and 3.6
+    x = pd.PrimalState(np.array([1.0, 0.0, 0.0]), mass=1.0)
+    with pytest.raises(pd.ConfigurationError, match="positive and finite"):
+        pd.in_equilibria_set(rps, x, null_dual(rps), tol=tol)
+
+
 # --- equilibria-set membership ---
 
 
@@ -143,6 +151,13 @@ def test_dual_mass_bound_rejects_non_finite_optimum_bound(congestion, value):
     sp = pd.slater_point(congestion, pd.PrimalState(np.full(4, 0.25), mass=1.0))
     with pytest.raises(pd.ConfigurationError, match="finite"):
         pd.dual_mass_bound(congestion, sp, p_star_upper=value)
+
+
+def test_dual_mass_bound_needs_a_potential(rps):
+    # the solver certifies rps, but with no potential it has no upper bound
+    sp = pd.slater_point(rps, pd.PrimalState(np.array([0.2, 0.1, 0.7]), mass=1.0))
+    with pytest.raises(pd.UnsupportedOperationError, match="potential"):
+        pd.dual_mass_bound(rps, sp, pd.optimum_solve(rps).upper)
 
 
 def test_dual_mass_bound_is_zero_without_constraints():
@@ -257,26 +272,52 @@ def test_optimum_solve_certifies_programs_that_stalled_mehrotra(draw):
     assert_certified(game, y, pd.optimum_solve(game))
 
 
+# the rps equilibrium and its price: the cap x_1^2 + x_2^2 <= 0.1 active and
+# the three discounted payoffs equal, four equations solved by plain Newton
+RPS_EQUILIBRIUM = (0.313089154307, 0.044443013574, 0.642467832119)
+RPS_PRICE = 2.339103347519
+
+
+def test_optimum_solve_finds_the_rps_equilibrium(rps):
+    # a stable game with no potential: the point and its price, certified by
+    # the variational-inequality gap, and no value or upper bound
+    sol = pd.optimum_solve(rps)
+    assert np.allclose(sol.point.x, RPS_EQUILIBRIUM, rtol=0.0, atol=1e-9)
+    assert sol.multipliers == pytest.approx([RPS_PRICE], abs=1e-9)
+    assert sol.value is None and sol.upper is None
+    mu = pd.DualState(np.array([rps.dual_mass - sol.multipliers[0], sol.multipliers[0]]), rps.dual_mass)
+    assert max(pd.nash_gaps(rps, sol.point, mu)) <= 1e-12
+
+
 def _potential_game(rule):
     return pd.GameSpec(
         n=2, primal_mass=1.0, dual_mass=1.0, fitness=pd.PotentialFitness(rule), potential=rule
     )
 
 
+def _narrow_unstable_game():
+    # J = -I + 1.01 v v^T curves up by 0.01 along the one tangent direction
+    # v = (e_1 - e_2) / sqrt(2), which check_stable_game also finds
+    v = np.zeros(12)
+    v[:2] = (1.0, -1.0)
+    v /= np.linalg.norm(v)
+    fitness = pd.MatrixFitness(-np.eye(12) + 1.01 * np.outer(v, v))
+    return pd.GameSpec(n=12, primal_mass=1.0, dual_mass=1.0, fitness=fitness)
+
+
 @pytest.mark.parametrize(
     "make_game, error, message",
     [
-        (pd.paper_rps, pd.UnsupportedOperationError, "potential"),
         # built directly, past build_quadratic_potential's concavity check
         (
             lambda: _potential_game(pd.QuadraticPotential(np.eye(2), np.zeros(2))),
             pd.ConfigurationError,
-            "positive eigenvalue",
+            "positive eigenvalue 1 on the tangent space",
         ),
         (
             lambda: _potential_game(pd.CallablePotential(lambda x: -x @ x, lambda x: -2.0 * x)),
-            pd.ConfigurationError,
-            "Hessian",
+            pd.UnsupportedOperationError,
+            "affine form",
         ),
         (
             lambda: _potential_game(
@@ -284,9 +325,10 @@ def _potential_game(rule):
                     lambda x: -np.sum(x**4), lambda x: -4.0 * x**3, lambda x: np.diag(-12.0 * x**2)
                 )
             ),
-            pd.ConfigurationError,
-            "not constant",
+            pd.UnsupportedOperationError,
+            "affine form",
         ),
+        (_narrow_unstable_game, pd.ConfigurationError, "positive eigenvalue 0.01 on the tangent space"),
         (
             lambda: pd.build_quadratic_potential(
                 -np.eye(2), np.zeros(2), constraints=(pd.AffineConstraint(np.zeros(2), -1.0),)
@@ -304,10 +346,10 @@ def _potential_game(rule):
         ),
     ],
     ids=[
-        "no-potential",
         "convex",
         "no-hessian",
         "non-constant-hessian",
+        "narrow-unstable",
         "infeasible",
         "infeasible-mass",
     ],
@@ -315,6 +357,122 @@ def _potential_game(rule):
 def test_optimum_solve_refuses(make_game, error, message):
     with pytest.raises(error, match=message):
         pd.optimum_solve(make_game())
+
+
+# --- generated stable games without a potential ---
+
+
+def stable_game(n, seed, mass, affine, quadratic, dual_mass=1.0):
+    """A stable game with no potential and a planted Slater point ``y``.
+
+    The fitness is ``f(x) = A x`` with ``A = K - B B^T - 0.1 I + c 1^T / mass``:
+    ``K`` is skew-symmetric, so no potential exists, and on the simplex
+    ``c 1^T / mass`` adds the constant ``c`` without changing ``z . A z`` on
+    ``sum z = 0``.  ``affine`` affine constraints and, with ``quadratic``,
+    one rank-1 quadratic constraint hold strictly at ``y``.
+    """
+    rng = np.random.default_rng(seed)
+    K = rng.uniform(-2.0, 2.0, (n, n))
+    B = rng.uniform(-1.0, 1.0, (n, n))
+    c = rng.uniform(-1.0, 1.0, n)
+    A = K - K.T - B @ B.T - 0.1 * np.eye(n) + np.outer(c, np.ones(n)) / mass
+    y = random_simplex(rng, n, mass)
+    constraints = []
+    for _ in range(affine):
+        a = rng.uniform(-1.0, 1.0, n)
+        constraints.append(pd.AffineConstraint(a, a @ y + rng.uniform(0.01, 0.5)))
+    if quadratic:
+        v, a = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        Q = np.outer(v, v)
+        constraints.append(pd.QuadraticConstraint(Q, a, y @ Q @ y + a @ y + rng.uniform(0.01, 0.5)))
+    return pd.GameSpec(
+        n=n,
+        primal_mass=mass,
+        dual_mass=dual_mass,
+        fitness=pd.MatrixFitness(A),
+        constraints=tuple(constraints),
+    )
+
+
+@st.composite
+def stable_games(draw):
+    return (
+        draw(st.integers(2, 6)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.floats(0.5, 3.0)),
+        draw(st.integers(0, 2)),
+        draw(st.booleans()),
+    )
+
+
+def with_room_for_the_prices(draw, sol):
+    """The game of ``draw`` with dual mass ``max(1, 2 sum lambda*)`` and ``(x*, mu*)`` in it."""
+    lam = sol.multipliers
+    mass = max(1.0, 2.0 * lam.sum())
+    game = stable_game(*draw, dual_mass=mass)
+    return game, pd.DualState(np.concatenate(([mass - lam.sum()], lam)), mass)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stable_games())
+def test_optimum_solve_certifies_generated_stable_games(draw):
+    # the certified point is feasible and, with its prices, a Nash point of
+    # the joint game
+    sol = pd.optimum_solve(stable_game(*draw))
+    assert sol.value is None and sol.upper is None
+    assert sol.multipliers.shape == (draw[3] + draw[4],) and np.all(sol.multipliers >= 0.0)
+    game, mu_star = with_room_for_the_prices(draw, sol)
+    assert pd.constraint_values(game, sol.point).max() <= 1e-9
+    assert max(pd.nash_gaps(game, sol.point, mu_star)) <= 1e-8
+
+
+def _stable_draws(count):
+    rng = np.random.default_rng(20)
+    for _ in range(count):
+        yield (
+            int(rng.integers(2, 7)),
+            int(rng.integers(0, 2**32)),
+            float(rng.uniform(0.5, 3.0)),
+            int(rng.integers(0, 3)),
+            bool(rng.integers(0, 2)),
+        )
+
+
+@pytest.mark.parametrize("draw", list(_stable_draws(30)))
+def test_the_dynamics_reach_the_certified_equilibrium_of_stable_games(draw, smith):
+    # from the barycenter with the null dual, as the paper's runs start
+    sol = pd.optimum_solve(stable_game(*draw))
+    game, _ = with_room_for_the_prices(draw, sol)
+    x0 = pd.PrimalState(np.full(game.n, game.primal_mass / game.n), game.primal_mass)
+    traj = pd.integrate(game, smith, x0, null_dual(game), pd.SimParams(horizon=400.0))
+    assert np.max(np.abs(traj.primal[-1] - sol.point.x)) <= 1e-3
+    assert np.max(np.abs(traj.dual[-1][1:] - sol.multipliers), initial=0.0) <= 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([-1e-6, -2e-9, -1e-9, 0.0, 5e-10, 1e-9, 2e-9, 1e-6, 0.3]),
+)
+def test_optimum_solve_refuses_exactly_the_games_the_stability_check_fails(n, seed, curvature):
+    # a skew part plus a symmetric part whose top tangent eigenvalue is moved
+    # to about ``curvature``, on both sides of the tolerance
+    rng = np.random.default_rng(seed)
+    K = rng.uniform(-2.0, 2.0, (n, n))
+    B = rng.uniform(-1.0, 1.0, (n, n - 1))
+    basis = np.linalg.qr(np.eye(n)[:, : n - 1] - 1.0 / n)[0]
+    top = np.linalg.eigvalsh(basis.T @ (-B @ B.T) @ basis)[-1]
+    A = K - K.T - B @ B.T + (curvature - top) * (basis @ basis.T)
+    game = pd.GameSpec(n=n, primal_mass=1.0, dual_mass=1.0, fitness=pd.MatrixFitness(A))
+    stable = pd.check_stable_game(game).stable
+    try:
+        pd.optimum_solve(game)
+        refused = False
+    except pd.ConfigurationError as exc:
+        refused = "tangent space" in str(exc)
+    assert refused == (not stable)
+
 
 
 def test_optimum_solve_imports_no_scipy(tmp_path):
@@ -448,19 +606,27 @@ def test_saddle_check_requires_a_potential(rps):
 
 
 @pytest.mark.parametrize(
-    "rule, message",
+    "rule, error, message",
     [
         # convex: at the barycenter the gradient is uniform, so the
         # linearization bound reads 0 although a vertex gives L = 0.5 > 0.25
-        (pd.QuadraticPotential(np.eye(2), np.zeros(2)), "positive eigenvalue"),
-        (pd.CallablePotential(lambda x: -x @ x, lambda x: -2.0 * x), "not given"),
+        (
+            pd.QuadraticPotential(np.eye(2), np.zeros(2)),
+            pd.ConfigurationError,
+            "positive eigenvalue 1 on the tangent space",
+        ),
+        (
+            pd.CallablePotential(lambda x: -x @ x, lambda x: -2.0 * x),
+            pd.UnsupportedOperationError,
+            "affine form",
+        ),
     ],
     ids=["convex", "no-hessian"],
 )
-def test_saddle_check_refuses_what_its_bound_does_not_cover(rule, message):
+def test_saddle_check_refuses_what_its_bound_does_not_cover(rule, error, message):
     game = _potential_game(rule)
     x = pd.PrimalState(np.full(2, 0.5), mass=1.0)
-    with pytest.raises(pd.ConfigurationError, match=message):
+    with pytest.raises(error, match=message):
         pd.saddle_check(game, x, null_dual(game))
 
 
