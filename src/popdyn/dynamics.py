@@ -38,6 +38,7 @@ batched pass over the recorded states.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -455,6 +456,18 @@ def _diagnostics(game: GameSpec, protocol: Protocol, primal: np.ndarray, dual: n
     return pot, cons, lyap
 
 
+def _record(rows: int, width: int) -> np.ndarray:
+    """A ``(rows, width)`` float record in an anonymous mapping of its own, zeroed.
+
+    The record is sized for the whole horizon.  numpy advises huge pages
+    for arrays of 4 MiB and more, so a run that converges long before its
+    horizon would keep whole 2 MiB pages of it resident; a mapping of its
+    own keeps the pages written.  The arrays of the trajectory are views
+    of it and keep it alive.
+    """
+    return np.ndarray((rows, width), dtype=float, buffer=mmap.mmap(-1, rows * width * 8))
+
+
 def integrate(
     game: GameSpec,
     protocol: Protocol,
@@ -530,9 +543,9 @@ def integrate(
 
     try:
         # row k + 1 holds the update from row k, so the last step's has a row too
-        states = np.empty((T + 1, n + game.q + 2))
-        norms = np.empty((T, 2))
-    except (ValueError, MemoryError) as exc:
+        states = _record(T + 1, n + game.q + 2)
+        norms = _record(T, 2)
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         raise ConfigurationError(f"cannot hold {T:.3g} recorded states: {exc}") from None
     # the constant is written in row 0 only: every update keeps it exactly 1
     states[0, 0] = 1.0

@@ -169,12 +169,17 @@ def _gaps(xv: np.ndarray, muv: np.ndarray, F: np.ndarray, g: np.ndarray) -> Nash
     return NashGaps(float(xv @ (F.max() - F)), float(muv @ (g.max() - g)))
 
 
+def _check_tolerance(tol: float) -> None:
+    """Refuse a report tolerance that is not positive and finite."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def in_equilibria_set(
     game: GameSpec, x: PrimalState, mu: DualState, tol: float = DEFAULT_NASH_TOL
 ) -> EquilibriumReport:
     """Both Nash gaps against ``tol``, with feasibility and complementarity diagnostics."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ConfigurationError(f"tolerance must be positive and finite, got {tol!r}")
+    _check_tolerance(tol)
     xv, muv = core._check_primal(game, x), core._check_dual(game, mu)
     g = core._constraint_values_raw(game, xv)
     gaps = _gaps(xv, muv, core._payoff_raw(game, xv, muv), g)

@@ -708,6 +708,20 @@ def test_a_tolerance_that_is_not_finite_is_a_usage_error(out_root, capsys, monke
     assert err.startswith("error: tolerance must be positive and finite")
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_a_report_tolerance_is_refused_before_any_integration(out_root, capsys, monkeypatch, tol):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate ran before --report-tol was checked")
+
+    monkeypatch.setattr(pd.dynamics, "integrate", refuse)
+    argv = ["simulate", "--game", "paper-rps", "--report-tol", tol, "--out", str(out_root / "never.csv")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: tolerance must be positive and finite, got {float(tol)!r}\n"
+    assert not (out_root / "never.csv").exists()
+
+
 # --- bound ---
 
 
