@@ -38,7 +38,7 @@ from .core import (
 )
 from .dynamics import PROTOCOLS, IntegrationDivergedError, SimParams, Trajectory
 from .equilibrium import InfeasibleInstanceError, SlaterViolationError
-from .lyapunov import QuadratureError, monotonicity_audit
+from .lyapunov import monotonicity_audit
 
 # thresholds used by the repro subcommand
 AUDIT_TOL = 1e-8
@@ -681,7 +681,6 @@ def main(argv=None) -> int:
         SlaterViolationError,
         InfeasibleInstanceError,
         IntegrationDivergedError,
-        QuadratureError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,19 +68,19 @@ class IntegrationDivergedError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Protocol:
-    """Revision protocol: a rate function of the payoff gap.
+    """Revision protocol: a rate function of the payoff gap and its integral.
 
     ``value`` must map arrays elementwise, vanish for gaps <= 0, and be
     positive for gaps > 0.  The step loop may pass it the same work array
     on every call: ``value`` may overwrite that array and return it, but
     must not keep it.  ``antiderivative`` is the exact integral of
-    ``value`` from 0; leave it ``None`` to have the Lyapunov layer fall back
-    to adaptive quadrature.
+    ``value`` from 0, elementwise too; the Lyapunov function ``V`` is built
+    from it alone, and ``validate_protocol`` checks it against the rate.
     """
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
-    antiderivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    antiderivative: Callable[[np.ndarray], np.ndarray]
 
 
 # a 0-d array operand: a ufunc call with a Python scalar costs about 1.5 times
@@ -105,50 +105,73 @@ def smith_protocol() -> Protocol:
     return _SMITH
 
 
-def validate_protocol(
-    protocol: Protocol,
-    lo: float = -10.0,
-    hi: float = 10.0,
-    points: int = 10001,
-    slope_bound: float = 1e6,
-) -> None:
-    """Numerically check the protocol conditions on a grid over ``[lo, hi]``.
+# ``validate_protocol`` samples gaps at VALIDATION_POINTS even steps over
+# [-VALIDATION_SPAN, VALIDATION_SPAN], 0 among them
+VALIDATION_SPAN = 10.0
+VALIDATION_POINTS = 10001
+# bound on the rate's difference quotients between neighbouring grid points
+SLOPE_BOUND = 1e6
+# largest error of the antiderivative against the rate's integral, relative
+# to the antiderivative at VALIDATION_SPAN
+ANTIDERIVATIVE_RTOL = 1e-7
+# the 4-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 7
+_GAUSS_NODES = np.array(
+    [-0.861136311594052575, -0.339981043584856265, 0.339981043584856265, 0.861136311594052575]
+)
+_GAUSS_WEIGHTS = np.array(
+    [0.347854845137453857, 0.652145154862546143, 0.652145154862546143, 0.347854845137453857]
+)
+
+
+def validate_protocol(protocol: Protocol) -> None:
+    """Numerically check the protocol conditions on the validation grid.
 
     Verifies sign behavior (zero rate for nonpositive gaps, positive rate for
-    positive gaps), bounded difference quotients, and, when an antiderivative
-    is provided, that it vanishes on nonpositive gaps and is nondecreasing.
-    Raises ``ConfigurationError`` on the first failure.
+    positive gaps), difference quotients within ``SLOPE_BOUND``, and that the
+    antiderivative is finite, vanishes on nonpositive gaps and, at every
+    positive grid point ``g``, lies within ``ANTIDERIVATIVE_RTOL`` times its
+    value at ``VALIDATION_SPAN`` of the rate's integral from 0 to ``g``.  The
+    integral is the cumulative composite 4-point Gauss-Legendre rule over the
+    grid's cells; they start at 0, so the kink every rate has there is a cell
+    edge.  Raises ``ConfigurationError`` on the first failure.
     """
-    if not (lo < 0.0 < hi):
-        raise ConfigurationError("validation grid must straddle zero")
-    grid = np.linspace(lo, hi, points)
-    vals = np.asarray(protocol.value(grid), dtype=float)
+    grid = np.linspace(-VALIDATION_SPAN, VALIDATION_SPAN, VALIDATION_POINTS)
+    # the rate may overwrite its argument, and the grid is read again
+    vals = np.asarray(protocol.value(grid.copy()), dtype=float)
     if vals.shape != grid.shape or not np.all(np.isfinite(vals)):
         raise ConfigurationError(f"protocol {protocol.name!r}: rate is not a finite elementwise map")
-    if np.any(vals[grid <= 0] != 0.0):
+    positive = grid > 0.0
+    if np.any(vals[~positive] != 0.0):
         raise ConfigurationError(f"protocol {protocol.name!r}: rate must vanish for gaps <= 0")
-    if np.any(vals[grid > 0] <= 0.0):
+    if np.any(vals[positive] <= 0.0):
         raise ConfigurationError(f"protocol {protocol.name!r}: rate must be positive for gaps > 0")
     quotients = np.abs(np.diff(vals) / np.diff(grid))
-    if quotients.max() > slope_bound:
+    if quotients.max() > SLOPE_BOUND:
         raise ConfigurationError(
             f"protocol {protocol.name!r}: difference quotient {quotients.max():.3g} "
-            f"exceeds bound {slope_bound:.3g}"
+            f"exceeds bound {SLOPE_BOUND:.3g}"
         )
-    if protocol.antiderivative is not None:
-        anti = np.asarray(protocol.antiderivative(grid), dtype=float)
-        if anti.shape != grid.shape or not np.all(np.isfinite(anti)):
-            raise ConfigurationError(
-                f"protocol {protocol.name!r}: antiderivative is not a finite elementwise map"
-            )
-        if np.any(anti[grid <= 0] != 0.0):
-            raise ConfigurationError(
-                f"protocol {protocol.name!r}: antiderivative must vanish for gaps <= 0"
-            )
-        if np.any(np.diff(anti) < 0.0):
-            raise ConfigurationError(
-                f"protocol {protocol.name!r}: antiderivative must be nondecreasing"
-            )
+    anti = np.asarray(protocol.antiderivative(grid), dtype=float)
+    if anti.shape != grid.shape or not np.all(np.isfinite(anti)):
+        raise ConfigurationError(
+            f"protocol {protocol.name!r}: antiderivative is not a finite elementwise map"
+        )
+    if np.any(anti[~positive] != 0.0):
+        raise ConfigurationError(
+            f"protocol {protocol.name!r}: antiderivative must vanish for gaps <= 0"
+        )
+    edges = np.concatenate(((0.0,), grid[positive]))
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GAUSS_NODES
+    integral = np.cumsum(half * (np.asarray(protocol.value(nodes), dtype=float) @ _GAUSS_WEIGHTS))
+    error = np.abs(anti[positive] - integral).max()
+    # written so that a NaN integral fails too
+    if not error <= ANTIDERIVATIVE_RTOL * anti[-1]:
+        raise ConfigurationError(
+            f"protocol {protocol.name!r}: antiderivative is {error:.3g} off the rate's "
+            f"integral, beyond {ANTIDERIVATIVE_RTOL:g} of its value {anti[-1]:.6g} "
+            f"at gap {VALIDATION_SPAN:g}"
+        )
 
 
 PROTOCOLS: dict[str, Callable[[], Protocol]] = {}

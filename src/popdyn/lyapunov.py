@@ -6,10 +6,9 @@ For payoff vectors ``F`` (constraint-discounted, playing population) and
     V(x, mu) = sum_ij x_i * A_rho(F_j - F_i) + sum_kl mu_k * A_phi(G_l - G_k)
 
 where ``A_rho`` is the antiderivative of the revision protocol's rate from
-zero.  ``V`` is nonnegative everywhere and vanishes exactly on states where
-no revision opportunity exists.  Protocols that carry a closed-form
-antiderivative use it; otherwise each entry falls back to adaptive Simpson
-quadrature of the rate.
+zero, which every ``Protocol`` carries and ``validate_protocol`` checks
+against the rate.  ``V`` is nonnegative everywhere and vanishes exactly on
+states where no revision opportunity exists.
 
 ``V`` has one formula, ``_value_batch``, on stacks of states: ``integrate``
 records it, ``monotonicity_audit`` evaluates it over the same row chunks
@@ -19,7 +18,6 @@ records it, ``monotonicity_audit`` evaluates it over the same row chunks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,82 +25,15 @@ from . import core, dynamics
 from .core import ConfigurationError, DualState, GameSpec, PrimalState
 from .dynamics import Protocol, Trajectory
 
-QUADRATURE_TOL = 1e-10
-_MAX_DEPTH = 48
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature fails to reach its tolerance."""
-
-
-def adaptive_simpson(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = QUADRATURE_TOL,
-) -> float:
-    """Integral of ``func`` over ``[lo, hi]`` by adaptive Simpson quadrature.
-
-    Subdivides until the standard error estimate (difference between one and
-    two Simpson panels, divided by 15) drops below the tolerance budget of
-    the subinterval.  Raises ``QuadratureError`` if the recursion depth limit
-    is reached before that happens.
-    """
-    if hi == lo:
-        return 0.0
-    sign = 1.0
-    if hi < lo:
-        lo, hi = hi, lo
-        sign = -1.0
-    mid = 0.5 * (lo + hi)
-    fa, fm, fb = func(lo), func(mid), func(hi)
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return sign * _simpson(func, lo, hi, fa, fm, fb, whole, tol, _MAX_DEPTH)
-
-
-def _simpson(func, a, b, fa, fm, fb, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm, frm = func(lm), func(rm)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"no convergence on [{a:.6g}, {b:.6g}] (estimate error {abs(err) / 15.0:.3g})"
-        )
-    half = 0.5 * tol
-    return _simpson(func, a, mid, fa, flm, fm, left, half, depth - 1) + _simpson(
-        func, mid, b, fm, frm, fb, right, half, depth - 1
-    )
-
 
 def _gap_integral_rowsums(protocol: Protocol, payoffs: np.ndarray) -> np.ndarray:
     """``Gamma[s, i] = sum_j`` of the rate's integral from 0 to ``payoffs[s, j] - payoffs[s, i]``.
 
-    ``payoffs`` is an ``(S, m)`` stack.  The protocol's antiderivative gives
-    every entry at once; without one, each entry is integrated by
-    ``adaptive_simpson``, and a failure names the protocol and the pair.
+    ``payoffs`` is an ``(S, m)`` stack; the protocol's antiderivative gives
+    every entry at once.
     """
     gaps = payoffs[:, None, :] - payoffs[:, :, None]
-    if protocol.antiderivative is not None:
-        return np.asarray(protocol.antiderivative(gaps), dtype=float).sum(axis=2)
-
-    def rate(t):
-        return float(protocol.value(np.asarray(t, dtype=float)))
-
-    out = np.empty_like(gaps)
-    for s, i, j in np.ndindex(*gaps.shape):
-        try:
-            out[s, i, j] = adaptive_simpson(rate, 0.0, float(gaps[s, i, j]))
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"protocol {protocol.name!r}, payoff pair ({i}, {j}): {exc}"
-            ) from exc
-    return out.sum(axis=2)
+    return np.asarray(protocol.antiderivative(gaps), dtype=float).sum(axis=2)
 
 
 def _value_batch(

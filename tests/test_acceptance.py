@@ -14,9 +14,10 @@ import pytest
 import popdyn as pd
 from popdyn import cli
 from popdyn.dynamics import _joint_field
-from popdyn.lyapunov import _value_raw, adaptive_simpson
+from popdyn.lyapunov import _value_raw
 
 from conftest import null_dual, random_simplex
+from quadrature import adaptive_simpson
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:

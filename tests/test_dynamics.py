@@ -16,7 +16,7 @@ import popdyn as pd
 from popdyn import dynamics
 from popdyn.lyapunov import _value_raw
 
-from conftest import masked_gaps, null_dual, random_simplex, reference_integrate
+from conftest import SQUARE, masked_gaps, null_dual, random_simplex, reference_integrate
 from test_field_oracle import generated_games
 
 
@@ -47,30 +47,88 @@ def test_register_protocol_validates_once_on_registration(monkeypatch, smith):
 def test_register_protocol_rejects_an_invalid_protocol(monkeypatch):
     registry = {}
     monkeypatch.setattr(dynamics, "PROTOCOLS", registry)
-    bad = pd.Protocol(name="bad", value=lambda a: np.ones_like(a))
+    bad = pd.Protocol(name="bad", value=lambda a: np.ones_like(a), antiderivative=lambda a: 1.0 * a)
     with pytest.raises(pd.ConfigurationError):
         pd.register_protocol("bad", lambda: bad)
     assert registry == {}
 
 
-def test_validate_protocol_accepts_smith(smith):
-    pd.validate_protocol(smith)
+def test_a_protocol_needs_its_antiderivative(smith):
+    with pytest.raises(TypeError):
+        pd.Protocol("smith", smith.value)
+
+
+# Smith's rate capped at 0.7071: a kink inside a cell of the validation grid
+_CAP = 0.7071
+CAPPED = pd.Protocol(
+    "capped",
+    lambda g: np.minimum(np.maximum(g, 0.0), _CAP),
+    lambda g: np.where(g <= _CAP, 0.5 * np.maximum(g, 0.0) ** 2, _CAP * (g - 0.5 * _CAP)),
+)
+# Smith written over its argument, as the step loop allows
+SMITH_IN_PLACE = pd.Protocol(
+    "smith-in-place", lambda g: np.maximum(g, 0.0, out=g), pd.smith_protocol().antiderivative
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "protocol", [pd.smith_protocol(), SQUARE, CAPPED, SMITH_IN_PLACE], ids=lambda p: p.name
+)
+def test_validate_protocol_accepts_exact_protocols(protocol):
+    pd.validate_protocol(protocol)
+
+
+def test_the_gauss_legendre_literals_are_the_4_point_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    assert np.max(np.abs(dynamics._GAUSS_NODES - nodes)) <= 1e-15
+    assert np.max(np.abs(dynamics._GAUSS_WEIGHTS - weights)) <= 1e-15
+
+
+@pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6], ids=["doubled", "relative-1e-6"])
+def test_an_antiderivative_off_the_rates_integral_is_refused(monkeypatch, smith, factor):
+    # V is built from the antiderivative alone, so a scaled one scales V
+    off = pd.Protocol("off", smith.value, lambda a: factor * smith.antiderivative(a))
+    with pytest.raises(pd.ConfigurationError, match="off the rate's integral"):
+        pd.validate_protocol(off)
+    registry = {}
+    monkeypatch.setattr(dynamics, "PROTOCOLS", registry)
+    with pytest.raises(pd.ConfigurationError, match="off the rate's integral"):
+        pd.register_protocol("off", lambda: off)
+    assert registry == {}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_protocol_reads_its_own_grid_after_an_in_place_rate():
+    # 1 + max(g, 0) written over its argument: the grid must still show the
+    # nonpositive gaps, where this rate fails to vanish
+    shifted = pd.Protocol(
+        "shifted-in-place",
+        lambda g: np.add(np.maximum(g, 0.0, out=g), 1.0, out=g),
+        lambda g: g + 0.5 * np.maximum(g, 0.0) ** 2,
+    )
+    with pytest.raises(pd.ConfigurationError, match="rate must vanish"):
+        pd.validate_protocol(shifted)
 
 
 def test_validate_protocol_rejects_rate_on_nonpositive_gaps():
-    bad = pd.Protocol(name="bad", value=lambda a: np.ones_like(a))
+    bad = pd.Protocol(name="bad", value=lambda a: np.ones_like(a), antiderivative=lambda a: 1.0 * a)
     with pytest.raises(pd.ConfigurationError):
         pd.validate_protocol(bad)
 
 
 def test_validate_protocol_rejects_zero_rate_on_positive_gaps():
-    bad = pd.Protocol(name="flat", value=lambda a: np.zeros_like(a))
+    bad = pd.Protocol(name="flat", value=lambda a: np.zeros_like(a), antiderivative=np.zeros_like)
     with pytest.raises(pd.ConfigurationError):
         pd.validate_protocol(bad)
 
 
 def test_validate_protocol_rejects_nonfinite_rate():
-    bad = pd.Protocol(name="nan", value=lambda a: np.where(a > 5, np.nan, np.maximum(a, 0.0)))
+    bad = pd.Protocol(
+        name="nan",
+        value=lambda a: np.where(a > 5, np.nan, np.maximum(a, 0.0)),
+        antiderivative=lambda a: 0.5 * np.maximum(a, 0.0) ** 2,
+    )
     with pytest.raises(pd.ConfigurationError):
         pd.validate_protocol(bad)
 
@@ -428,28 +486,6 @@ def test_diagnostics_match_scalar_across_chunks(make_game, smith, monkeypatch):
     assert_diagnostics_match_scalar(game, smith, traj)
 
 
-def test_diagnostics_use_quadrature_without_antiderivative(rps, smith, monkeypatch):
-    monkeypatch.setattr(dynamics, "DIAGNOSTICS_CHUNK", 50)
-    numeric = pd.Protocol(name="smith-numeric", value=smith.value)
-    traj = pd.integrate(
-        rps,
-        numeric,
-        pd.sample_simplex(3, 1.0, seed=6),
-        null_dual(rps),
-        pd.SimParams(horizon=0.5, step=0.01),
-    )
-    assert_diagnostics_match_scalar(rps, numeric, traj)
-    closed = pd.integrate(
-        rps,
-        smith,
-        pd.sample_simplex(3, 1.0, seed=6),
-        null_dual(rps),
-        pd.SimParams(horizon=0.5, step=0.01),
-    )
-    assert np.array_equal(closed.primal, traj.primal)
-    assert np.max(np.abs(closed.lyapunov - traj.lyapunov)) <= 1e-9
-
-
 def test_divergence_in_the_update_is_reported_at_the_next_step(rps, smith):
     # the field at the start is finite; one step of h = 1e308 overflows the prices
     x0 = pd.PrimalState(np.array([0.8, 0.1, 0.1]), mass=1.0)
@@ -748,12 +784,11 @@ def test_a_refusal_the_step_by_step_loop_reaches_propagates(smith):
 def test_a_protocol_that_overwrites_its_gaps_matches_smith(congestion, rps, smith, integrator):
     # the kernel hands the protocol the same gap matrix on every call; a rate
     # written over it must not leak into the next evaluation
-    in_place = pd.Protocol("smith-in-place", lambda g: np.maximum(g, 0.0, out=g), smith.antiderivative)
     for game in (congestion, rps):
         x0 = pd.sample_simplex(game.n, game.primal_mass, seed=1)
         params = pd.SimParams(horizon=200.0 if integrator == "euler" else 30.0, integrator=integrator)
         want = pd.integrate(game, smith, x0, null_dual(game), params)
-        assert_same_trajectory(pd.integrate(game, in_place, x0, null_dual(game), params), vars(want))
+        assert_same_trajectory(pd.integrate(game, SMITH_IN_PLACE, x0, null_dual(game), params), vars(want))
 
 
 def test_the_kernel_takes_quadratic_memory(smith):

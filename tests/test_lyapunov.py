@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import popdyn as pd
-from popdyn.lyapunov import adaptive_simpson
 
 from conftest import SQUARE, null_dual, oracle_value, random_simplex
+from quadrature import QuadratureError, adaptive_simpson
 
 
 # --- adaptive quadrature ---
@@ -36,7 +36,7 @@ def test_simpson_integrates_a_kinked_rate():
 
 
 def test_simpson_rejects_nonfinite_integrands():
-    with pytest.raises(pd.QuadratureError):
+    with pytest.raises(QuadratureError):
         adaptive_simpson(lambda t: math.nan, 0.0, 1.0)
 
 
@@ -44,7 +44,7 @@ def test_simpson_reports_depth_exhaustion():
     # a noisy integrand never lets the panel estimates agree, so the
     # recursion must give up at its depth limit
     rng = np.random.default_rng(0)
-    with pytest.raises(pd.QuadratureError):
+    with pytest.raises(QuadratureError):
         adaptive_simpson(lambda t: rng.random(), 0.0, 1.0)
 
 
@@ -83,29 +83,6 @@ def test_value_is_nonnegative_at_random_states(congestion, rps, smith):
             x = pd.PrimalState(random_simplex(rng, game.n, game.primal_mass), game.primal_mass)
             mu = pd.DualState(random_simplex(rng, game.q + 1, game.dual_mass), game.dual_mass)
             assert pd.lyapunov_value(game, smith, smith, x, mu) >= -1e-12
-
-
-def test_value_quadrature_route_matches_closed_form(rps, smith):
-    # same rate with the antiderivative withheld: forces numeric integration
-    numeric = pd.Protocol(name="smith-numeric", value=smith.value)
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        x = pd.PrimalState(random_simplex(rng, 3, 1.0), mass=1.0)
-        mu = pd.DualState(random_simplex(rng, 2, 4.0), mass=4.0)
-        closed = pd.lyapunov_value(rps, smith, smith, x, mu)
-        quad = pd.lyapunov_value(rps, numeric, numeric, x, mu)
-        assert abs(closed - quad) <= 1e-9
-
-
-def test_value_surfaces_quadrature_failures(rps):
-    broken = pd.Protocol(
-        name="broken",
-        value=lambda a: np.full_like(np.asarray(a, dtype=float), np.nan),
-    )
-    x = pd.PrimalState(np.array([0.5, 0.3, 0.2]), mass=1.0)
-    with pytest.raises(pd.QuadratureError) as err:
-        pd.lyapunov_value(rps, broken, broken, x, null_dual(rps))
-    assert "payoff pair" in str(err.value)
 
 
 # --- the rate along the dynamics ---
@@ -175,8 +152,7 @@ def test_audit_evaluates_each_population_protocol_across_chunks(
     # a tiny chunk splits the short runs into many chunks; the audit then
     # evaluates V for protocols other than the recording's, per population
     monkeypatch.setattr(pd.dynamics, "DIAGNOSTICS_CHUNK", 50)
-    numeric = pd.Protocol(name="smith-numeric", value=smith.value)
-    pairs = ((smith, SQUARE), (SQUARE, smith), (numeric, numeric), (SQUARE, numeric))
+    pairs = ((smith, SQUARE), (SQUARE, smith))
     starts = (
         (rps, pd.PrimalState(np.full(3, 1.0 / 3.0), 1.0)),
         (congestion, pd.sample_simplex(congestion.n, congestion.primal_mass, seed=2)),

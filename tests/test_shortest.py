@@ -81,13 +81,14 @@ def test_special_values_and_the_separators():
 
 
 def test_import_popdyn_loads_neither_the_cli_nor_the_renderer(tmp_path):
-    # the CLI and the renderer's tables stay out of a library user's start-up
+    # the CLI, the renderer's tables and numpy.polynomial stay out of a
+    # library user's start-up, which validates the registered protocols
     env = os.environ.copy()
     package_root = str(Path(pd.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     child = (
         "import sys, popdyn; "
-        "loaded = [m for m in ('popdyn.cli', 'popdyn._shortest') if m in sys.modules]; "
+        "loaded = [m for m in ('popdyn.cli', 'popdyn._shortest', 'numpy.polynomial') if m in sys.modules]; "
         "assert not loaded, loaded"
     )
     proc = subprocess.run(
