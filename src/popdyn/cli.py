@@ -7,8 +7,9 @@ simulation converged to an endpoint whose ``g_max`` exceeds ``--report-tol``).
 Output files (trajectory CSV, JSON reports) are byte-deterministic for
 fixed flags and seed.  Trajectory CSV cells are the text ``repr`` gives
 each float (``NaN`` for NaN), computed over whole row chunks by
-``_shortest``; a long trajectory CSV is rendered in row ranges on the usable
-cores by forked children, with the bytes of the serial render.
+``_shortest``.  With a second usable core, one forked child renders the
+trajectory CSV while the trajectory is integrated (``_CsvStream``), with
+the bytes of the serial render.
 The environment variable ``POPDYN_OUT_DIR`` supplies the default output
 root.
 """
@@ -16,14 +17,13 @@ root.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
-import shutil
 import signal
 import sys
-import tempfile
 import warnings
 
 import numpy as np
@@ -50,8 +50,6 @@ DEFAULT_SEED = 0
 # in-process congestion repros the peak RSS read 43.5 MB at 256 rows, 44.3 MB
 # at 512 and 47.3 MB at 1,024, against 43.4 MB when each cell went through repr
 CSV_CHUNK = 256
-# fewest rows worth a forked child of their own when the CSV is split over cores
-CSV_PART_MIN = 8 * CSV_CHUNK
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -272,128 +270,220 @@ def _fit_step(args, params: SimParams, game, protocol, x0, mu0) -> SimParams:
 
 
 def write_trajectory_csv(path: str, game: GameSpec, traj: Trajectory, record_every: int = 1) -> None:
-    """Write the recorded trajectory as deterministic CSV.
+    """Write the recorded trajectory as deterministic CSV, in this process.
 
     Rows are every ``record_every``-th recorded step plus always the final
     one.  Each float is written as ``repr`` writes it (shortest round-trip
     form), NaN as the literal token ``NaN``.  The rows are written
     ``CSV_CHUNK`` at a time, each chunk rendered in one numpy pass by
-    ``_shortest.CsvRows``.
-
-    Where ``os.fork`` and ``os.sched_getaffinity`` exist, a file of at
-    least two ``CSV_PART_MIN`` rows is split into contiguous ranges of whole
-    chunks, one per usable core: this process renders the first and a
-    forked child each later one, and the parts are appended in order.  The
-    chunks, and so the bytes, are those of the serial render.
+    ``_shortest.CsvRows``.  ``_CsvStream`` writes the same bytes while the
+    trajectory is integrated.
     """
     if record_every < 1:
         raise ConfigurationError("--record-every must be at least 1")
-    header = (
-        ["t"]
-        + [f"x_{i}" for i in range(1, game.n + 1)]
-        + [f"mu_{k}" for k in range(game.q + 1)]
-        + ["V", "p", "g_max", "xdot_norm", "mudot_norm"]
-    )
-    # largest value over the real constraints; NaN when there are none
-    if game.q:
-        g_max = traj.constraints[:, 1:].max(axis=1)
-    else:
-        g_max = np.full(len(traj), math.nan)
-    columns = (
-        traj.times,
-        traj.primal,
-        traj.dual,
-        traj.lyapunov,
-        traj.potential,
-        g_max,
-        traj.primal_field_norm,
-        traj.dual_field_norm,
-    )
-    rows = np.arange(0, len(traj), record_every)
-    if rows[-1] != len(traj) - 1:
-        rows = np.append(rows, len(traj) - 1)
-    # whole chunks per part, so that every part renders the serial writer's chunks
-    chunks = -(-rows.size // CSV_CHUNK)
-    size = -(-chunks // _csv_parts(rows.size)) * CSV_CHUNK
-    parts = [rows[lo : lo + size] for lo in range(0, rows.size, size)]
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        if len(parts) == 1:
-            _write_rows(fh, columns, rows)
-        else:
-            _write_parts(fh, path, columns, parts)
+        _CsvRenderer(fh, game, traj, record_every).render(len(traj), final=True)
 
 
-def _csv_parts(rows: int) -> int:
-    """Parts to render ``rows`` CSV rows in: one per usable core, none under ``CSV_PART_MIN`` rows."""
-    most = rows // CSV_PART_MIN
-    if most < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(most, len(os.sched_getaffinity(0)))
+class _CsvRenderer:
+    """Writes the CSV of ``traj`` into the binary file ``fh`` as its rows become final.
 
-
-def _write_rows(fh, columns, rows) -> None:
-    """Write ``rows`` of ``columns`` into the binary file ``fh``, ``CSV_CHUNK`` rows per rendered block."""
-    render = _shortest.CsvRows().render
-    for lo in range(0, rows.size, CSV_CHUNK):
-        chunk = rows[lo : lo + CSV_CHUNK]
-        fh.write(render(np.column_stack([col[chunk] for col in columns])))
-
-
-def _write_parts(fh, path: str, columns, parts: list) -> None:
-    """Render ``parts[0]`` into ``fh`` and each later part in a forked child; append those in order.
-
-    Each child streams its part into an unlinked temporary file opened
-    before the fork and leaves through ``os._exit``.  Every child is reaped
-    before this returns; if this process fails first, it kills them.  A
-    child that exits nonzero raises ``OSError`` naming its part.
+    The header is written at once.  ``render(rows)`` writes every whole
+    ``CSV_CHUNK`` of the CSV rows among the first ``rows`` recorded ones
+    not yet written; with ``final`` it writes the rest, the final recorded
+    row among them.  The chunks are those of one render of the finished
+    trajectory, so the bytes are too.
     """
-    tmps, live = [], []
-    try:
-        for part in parts[1:]:
-            tmps.append(tempfile.TemporaryFile())
+
+    def __init__(self, fh, game: GameSpec, traj: Trajectory, record_every: int):
+        self.fh, self.game, self.traj, self.every = fh, game, traj, record_every
+        self.next = 0
+        self.cells = _shortest.CsvRows().render
+        header = (
+            ["t"]
+            + [f"x_{i}" for i in range(1, game.n + 1)]
+            + [f"mu_{k}" for k in range(game.q + 1)]
+            + ["V", "p", "g_max", "xdot_norm", "mudot_norm"]
+        )
+        fh.write((",".join(header) + "\n").encode())
+
+    def render(self, rows: int, final: bool = False) -> None:
+        pending = np.arange(self.next, rows, self.every)
+        if final:
+            if (rows - 1) % self.every:
+                pending = np.append(pending, rows - 1)
+        else:
+            pending = pending[: pending.size - pending.size % CSV_CHUNK]
+            if pending.size:
+                self.next = int(pending[-1]) + self.every
+        for lo in range(0, pending.size, CSV_CHUNK):
+            self.fh.write(self.cells(self._block(pending[lo : lo + CSV_CHUNK])))
+
+    def _block(self, rows: np.ndarray) -> np.ndarray:
+        traj = self.traj
+        # largest value over the real constraints; NaN when there are none
+        if self.game.q:
+            g_max = traj.constraints[rows, 1:].max(axis=1)
+        else:
+            g_max = np.full(rows.size, math.nan)
+        return np.column_stack(
+            (
+                traj.times[rows],
+                traj.primal[rows],
+                traj.dual[rows],
+                traj.lyapunov[rows],
+                traj.potential[rows],
+                g_max,
+                traj.primal_field_norm[rows],
+                traj.dual_field_norm[rows],
+            )
+        )
+
+
+def _can_stream() -> bool:
+    """Whether a forked renderer can run beside the integration: ``os.fork`` and a second usable core."""
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+class _CsvStream:
+    """The trajectory CSV of one run, rendered by one forked child while ``integrate`` runs.
+
+    Used as a context manager around the run.  ``commit`` is
+    ``integrate``'s row callback: its first call opens a temporary file
+    beside ``path`` and forks the renderer, and every call sends the child
+    the count of complete rows through a pipe.  The child renders them
+    (``_CsvRenderer``) into the temporary file, reading only the shared
+    records; it runs no BLAS product.  ``finish(traj)`` sends the final
+    count, and the child renders the last rows while this process goes on.
+    On leaving the context the stream waits for the child and renames the
+    file into place; a child that failed raises ``OSError`` naming
+    ``path``.  A stream that ``integrate`` never called renders ``traj``
+    here instead (``write_trajectory_csv``).  A run that raises leaves no
+    file: the child is killed and reaped, and the temporary file removed.
+    ``directory``, when given, is created before the CSV is, and removed
+    again with the temporary file if this stream created it.
+    """
+
+    def __init__(self, path: str, game: GameSpec, record_every: int, directory: str | None = None):
+        self.path, self.game, self.every = path, game, record_every
+        self.directory = directory
+        self.made = []
+        self.tmp = self.pid = self.pipe = self.traj = None
+
+    def commit(self, rows: int, record: Trajectory) -> None:
+        if self.pid is None:
+            self._fork(record)
+        self._send(rows)
+
+    def finish(self, traj: Trajectory) -> None:
+        self.traj = traj
+        if self.pid:
+            # the final count is sent negated
+            self._send(-len(traj))
+
+    def _send(self, count: int) -> None:
+        try:
+            os.write(self.pipe, count.to_bytes(8, "little", signed=True))
+        except BrokenPipeError:
+            # the child has ended before the final count, so it failed
+            self._reap()
+            raise
+
+    def _fork(self, record: Trajectory) -> None:
+        if self.directory is not None:
+            self.made = _missing_dirs(self.directory)
+            os.makedirs(self.directory, exist_ok=True)
+        head, tail = os.path.split(self.path)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        fh = open(tmp, "xb")
+        self.tmp = tmp
+        read, self.pipe = os.pipe()
+        try:
             with warnings.catch_warnings():
                 # Python 3.12 warns on a fork in a process with threads (BLAS
                 # starts some).  The child takes no lock they may hold: it
                 # runs no BLAS product, logs and prints nothing, and imports
                 # nothing.
                 warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                _render_in_child(tmps[-1], columns, part)
-            live.append(pid)
-        _write_rows(fh, columns, parts[0])
-        fh.flush()
-        for k, (pid, tmp) in enumerate(zip(list(live), tmps), 2):
-            status = os.waitpid(pid, 0)[1]
-            live.remove(pid)
-            if status:
-                raise OSError(
-                    f"{path}: part {k} of {len(parts)} (rows {parts[k - 1][0]}..{parts[k - 1][-1]}) "
-                    f"failed in its child process (exit code {os.waitstatus_to_exitcode(status)})"
-                )
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh)
-    except BaseException:
-        for pid in live:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid in live:
-            os.waitpid(pid, 0)
-        for tmp in tmps:
-            tmp.close()
+                self.pid = os.fork()
+            if self.pid == 0:
+                self._child(read, fh, record)
+        finally:
+            os.close(read)
+            fh.close()
+
+    def _child(self, fd: int, fh, record: Trajectory) -> None:
+        """In the forked renderer: render ``record``'s complete rows into ``fh`` as the
+        counts arrive on ``fd``, and exit, with 0 once the final count is rendered.
+
+        A pipe closed before the final count means the parent has gone: the
+        temporary file is removed.  Never returns.
+        """
+        status = 1
+        try:
+            os.close(self.pipe)
+            renderer = _CsvRenderer(fh, self.game, record, self.every)
+            while True:
+                # each count is one 8-byte write, which a pipe keeps whole, so
+                # a read holds whole counts; the last is the latest
+                counts = os.read(fd, 1 << 12)
+                if not counts:
+                    os.unlink(self.tmp)
+                    break
+                rows = int.from_bytes(counts[-8:], "little", signed=True)
+                if rows < 0:
+                    renderer.render(-rows, final=True)
+                    fh.flush()
+                    status = 0
+                    break
+                renderer.render(rows)
+        finally:
+            os._exit(status)
+
+    def _reap(self) -> None:
+        os.close(self.pipe)
+        self.pipe = None
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = 0
+        if status:
+            raise OSError(
+                f"{self.path}: rendering failed in its child process "
+                f"(exit code {os.waitstatus_to_exitcode(status)})"
+            )
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        try:
+            if kind is None and self.pid is None:
+                if self.directory is not None:
+                    os.makedirs(self.directory, exist_ok=True)
+                write_trajectory_csv(self.path, self.game, self.traj, self.every)
+            elif kind is None:
+                self._reap()
+                os.replace(self.tmp, self.path)
+                self.tmp, self.made = None, []
+        finally:
+            if self.pid:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            if self.pipe is not None:
+                os.close(self.pipe)
+            if self.tmp is not None:
+                os.unlink(self.tmp)
+            for made in reversed(self.made):
+                with contextlib.suppress(OSError):
+                    os.rmdir(made)
 
 
-def _render_in_child(tmp, columns, rows) -> None:
-    """In a forked child: render ``rows`` into ``tmp`` and exit, with 0 on success.  Never returns."""
-    status = 1
-    try:
-        _write_rows(tmp, columns, rows)
-        tmp.flush()
-        status = 0
-    finally:
-        os._exit(status)
+def _missing_dirs(directory: str) -> list:
+    """The directories ``os.makedirs(directory)`` would create, outermost first."""
+    missing = []
+    while directory and not os.path.isdir(directory):
+        missing.append(directory)
+        directory = os.path.dirname(directory)
+    return missing[::-1]
 
 
 def _dump_json(obj) -> str:
@@ -453,12 +543,15 @@ def cmd_simulate(args) -> int:
     def run_one(seed: int) -> dict:
         x0, mu0, used_seed = _initial_conditions(game, args.x0, args.mu0, seed)
         run_params = _fit_step(args, params, game, protocol, x0, mu0)
-        traj = dynamics.integrate(game, protocol, x0, mu0, run_params)
-        report = equilibrium.in_equilibria_set(
-            game, traj.final_primal, traj.final_dual, tol=args.report_tol
-        )
         path = _seed_path(out_base, seed) if len(seeds) > 1 else out_base
-        write_trajectory_csv(path, game, traj, args.record_every)
+        with _CsvStream(path, game, args.record_every) as csv:
+            traj = dynamics.integrate(
+                game, protocol, x0, mu0, run_params, _committed=csv.commit if _can_stream() else None
+            )
+            csv.finish(traj)
+            report = equilibrium.in_equilibria_set(
+                game, traj.final_primal, traj.final_dual, tol=args.report_tol
+            )
         if traj.converged and report.feasibility_residual > args.report_tol:
             # a Nash point of the joint game can violate a constraint when the
             # dual mass is too small to hold the optimal prices
@@ -571,12 +664,15 @@ def cmd_repro(args) -> int:
     params = _fit_step(args, params, game, protocol, x0, mu0)
     out_dir = args.out_dir or os.path.join(_out_root(), f"repro-{args.experiment}")
 
-    traj = dynamics.integrate(game, protocol, x0, mu0, params)
-    report = equilibrium.in_equilibria_set(game, traj.final_primal, traj.final_dual, tol=REPORT_TOL)
-    audit = monotonicity_audit(game, protocol, protocol, traj, audit_tol=AUDIT_TOL)
-
-    os.makedirs(out_dir, exist_ok=True)
-    write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), game, traj, args.record_every)
+    # the stream makes the output directory
+    with _CsvStream(os.path.join(out_dir, "trajectory.csv"), game, args.record_every, out_dir) as csv:
+        traj = dynamics.integrate(
+            game, protocol, x0, mu0, params, _committed=csv.commit if _can_stream() else None
+        )
+        csv.finish(traj)
+        report = equilibrium.in_equilibria_set(game, traj.final_primal, traj.final_dual, tol=REPORT_TOL)
+        audit = monotonicity_audit(game, protocol, protocol, traj, audit_tol=AUDIT_TOL)
+        checks = _repro_checks(game, traj, report, audit)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(_dump_json(report.as_dict()))
     audit_payload = {
@@ -590,7 +686,6 @@ def cmd_repro(args) -> int:
     with open(os.path.join(out_dir, "audit.json"), "w", encoding="utf-8") as fh:
         fh.write(_dump_json(audit_payload))
 
-    checks = _repro_checks(game, traj, report, audit)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     failed = [name for name, ok, _ in checks if not ok]

@@ -31,8 +31,8 @@ operations over the block, keeping exactly the rows of a step-by-step
 loop.  The flow keeps both populations on their simplexes, so an update
 that takes a share negative is refused with the forward-Euler positivity
 limit of the step.  The diagnostics downstream layers need (potential,
-constraint values, Lyapunov value) are filled after the loop in one
-batched pass over the recorded states.
+constraint values, Lyapunov value) are filled chunk by chunk, in batched
+passes over the recorded states, as soon as their rows are final.
 """
 
 from __future__ import annotations
@@ -239,7 +239,9 @@ class Trajectory:
     ``primal_field_norm``/``dual_field_norm`` hold the infinity norms of the
     two fields evaluated at each recorded state.  ``integrate`` returns
     ``primal`` and ``dual`` as views into one state buffer and the two
-    norms as views into one norm buffer.
+    norms as views into one norm buffer.  ``protocol`` is the protocol
+    ``integrate`` ran and recorded ``lyapunov`` with; ``None`` for a
+    trajectory built otherwise.
     """
 
     times: np.ndarray
@@ -253,6 +255,7 @@ class Trajectory:
     converged: bool
     primal_mass: float
     dual_mass: float
+    protocol: Protocol | None = None
 
     def __len__(self) -> int:
         return self.times.size
@@ -443,39 +446,47 @@ def sample_simplex(n: int, mass: float, seed: int) -> PrimalState:
     return PrimalState(core._uniform_simplex(rng, n, mass), mass)
 
 
+def _chunk_rows(game: GameSpec) -> int:
+    """Rows per chunk of ``_payoff_chunks``: the ``(rows, n, n)`` gap tensor of ``V`` near ``DIAGNOSTICS_CHUNK`` elements."""
+    return max(1, DIAGNOSTICS_CHUNK // max(game.n, game.q + 1) ** 2)
+
+
 def _payoff_chunks(game: GameSpec, primal: np.ndarray, dual: np.ndarray):
     """Yield ``(rows, X, M, P)`` per row chunk: its slice, states and joint payoffs.
 
-    One ``core._joint_payoff_stack`` call per chunk; the chunks keep the
-    ``(rows, n, n)`` gap tensor of ``V`` near ``DIAGNOSTICS_CHUNK`` elements.
+    One ``core._joint_payoff_stack`` call per chunk of ``_chunk_rows`` rows.
     """
-    rows = max(1, DIAGNOSTICS_CHUNK // max(game.n, game.q + 1) ** 2)
+    rows = _chunk_rows(game)
     for lo in range(0, primal.shape[0], rows):
         sl = slice(lo, lo + rows)
         X, M = primal[sl], dual[sl]
         yield sl, X, M, core._joint_payoff_stack(game, np.concatenate((X, M), axis=1))
 
 
-def _diagnostics(game: GameSpec, protocol: Protocol, primal: np.ndarray, dual: np.ndarray):
-    """Potential, constraint values and ``V`` at every recorded state.
+def _fill_diagnostics(game, protocol, primal, dual, pot, cons, lyap) -> None:
+    """Write potential, constraint values and ``V`` at the states ``primal``, ``dual``.
 
     Each chunk of ``_payoff_chunks`` gives ``V`` and, as the G block of its
-    payoffs, the constraint values; ``lyapunov.monotonicity_audit`` walks
-    the same chunks for ``V`` alone.
+    payoffs, the constraint values; ``pot`` is NaN when the game carries no
+    potential.  ``lyapunov.monotonicity_audit`` walks the same chunks for
+    ``V`` alone, so over rows that start at a multiple of ``_chunk_rows``
+    the two agree bitwise.
     """
     # break the import cycle: lyapunov builds on this module's protocols
     from .lyapunov import _value_batch
 
-    T = primal.shape[0]
     n = game.n
-    pot = np.full(T, np.nan)
-    cons = np.empty((T, game.q + 1))
-    lyap = np.empty(T)
     for sl, X, M, P in _payoff_chunks(game, primal, dual):
-        if game.potential is not None:
-            pot[sl] = game.potential.value_batch(X)
+        pot[sl] = np.nan if game.potential is None else game.potential.value_batch(X)
         cons[sl] = P[:, n:]
         lyap[sl] = _value_batch(protocol, protocol, X, M, P[:, :n], P[:, n:])
+
+
+def _diagnostics(game: GameSpec, protocol: Protocol, primal: np.ndarray, dual: np.ndarray):
+    """Potential, constraint values and ``V`` at every recorded state: ``_fill_diagnostics`` on new arrays."""
+    T = primal.shape[0]
+    pot, cons, lyap = np.empty(T), np.empty((T, game.q + 1)), np.empty(T)
+    _fill_diagnostics(game, protocol, primal, dual, pot, cons, lyap)
     return pot, cons, lyap
 
 
@@ -486,7 +497,8 @@ def _record(rows: int, width: int) -> np.ndarray:
     for arrays of 4 MiB and more, so a run that converges long before its
     horizon would keep whole 2 MiB pages of it resident; a mapping of its
     own keeps the pages written.  The arrays of the trajectory are views
-    of it and keep it alive.
+    of it and keep it alive.  The mapping is shared, so a process forked
+    from this one sees the rows written after the fork.
     """
     return np.ndarray((rows, width), dtype=float, buffer=mmap.mmap(-1, rows * width * 8))
 
@@ -497,6 +509,8 @@ def integrate(
     x0: PrimalState,
     mu0: DualState,
     params: SimParams,
+    *,
+    _committed: Callable[[int, Trajectory], None] | None = None,
 ) -> Trajectory:
     """Advance both populations from ``(x0, mu0)`` and record every step.
 
@@ -545,12 +559,18 @@ def integrate(
     An RK4 stage that raises after the row's own field counts that row as
     evaluated.
 
-    Potential, constraint values and ``V`` are filled after the loop in one
-    batched pass over the recorded states, the latter two through the step
-    kernel's payoff operator; they agree with the scalar ``core.potential``,
-    ``core.constraint_values`` and ``lyapunov.lyapunov_value`` to rounding,
-    not bitwise.  ``primal`` and ``dual`` are views past the constant
-    column of the state buffer.
+    Times, potential, constraint values and ``V`` are filled chunk by chunk
+    of ``_payoff_chunks`` as the rows become final, which they are once
+    they lie below the start of the next block; the last chunk, partly
+    filled, after the loop.  Constraint values and ``V`` come through the
+    step kernel's payoff operator; they agree with the scalar
+    ``core.potential``, ``core.constraint_values`` and
+    ``lyapunov.lyapunov_value`` to rounding, not bitwise.  Each record
+    lives in a shared anonymous mapping (``_record``), and ``primal`` and
+    ``dual`` are views past the constant column of the state buffer.
+    ``_committed(rows, record)``, when given, is called after each whole
+    chunk: every field of ``record``, a ``Trajectory`` over the whole
+    horizon, is final in its first ``rows`` rows.
     """
     n = game.n
     h = params.step
@@ -568,6 +588,8 @@ def integrate(
         # row k + 1 holds the update from row k, so the last step's has a row too
         states = _record(T + 1, n + game.q + 2)
         norms = _record(T, 2)
+        times, pot, lyap = _record(3, T)
+        cons = _record(T, game.q + 1)
     except (ValueError, OverflowError, OSError, MemoryError) as exc:
         raise ConfigurationError(f"cannot hold {T:.3g} recorded states: {exc}") from None
     # the constant is written in row 0 only: every update keeps it exactly 1
@@ -581,6 +603,37 @@ def integrate(
     else:
         advance = _rk4_advance(kernel.field, h, states.shape[1])
     index = np.arange(fields.shape[0])
+
+    def first(rows: int, converged: bool = False) -> Trajectory:
+        return Trajectory(
+            times=times[:rows],
+            primal=states[:rows, 1 : n + 1],
+            dual=states[:rows, n + 1 :],
+            potential=pot[:rows],
+            constraints=cons[:rows],
+            lyapunov=lyap[:rows],
+            primal_field_norm=norms[:rows, 0],
+            dual_field_norm=norms[:rows, 1],
+            converged=converged,
+            primal_mass=primal_mass,
+            dual_mass=dual_mass,
+            protocol=protocol,
+        )
+
+    # the diagnostics run with the caller's floating-point error handling
+    caller_errstate = np.geterr()
+
+    def fill(lo: int, hi: int) -> None:
+        sl = slice(lo, hi)
+        times[sl] = np.arange(lo, hi, dtype=float) * h
+        with np.errstate(**caller_errstate):
+            _fill_diagnostics(
+                game, protocol, states[sl, 1 : n + 1], states[sl, n + 1 :], pot[sl], cons[sl], lyap[sl]
+            )
+
+    chunk = _chunk_rows(game)
+    filled = 0
+    record = None if _committed is None else first(T)
 
     quiet = 0
     converged = False
@@ -634,6 +687,13 @@ def integrate(
                 quiet = int(streak[-1])
                 start += evaluated
                 size = min(2 * size, BLOCK_MAX)
+                # the rows below start are final
+                while filled + chunk <= start:
+                    fill(filled, filled + chunk)
+                    filled += chunk
+                    if _committed is not None:
+                        with np.errstate(**caller_errstate):
+                            _committed(filled, record)
                 continue
 
             # row j's checks in the order a step-by-step loop makes them
@@ -669,21 +729,5 @@ def integrate(
             # the rows computed from the unscaled state are discarded
             start = k + 1
 
-    times = np.arange(recorded, dtype=float)
-    times *= h
-    primal = states[:recorded, 1 : n + 1]
-    dual = states[:recorded, n + 1 :]
-    pot, cons, lyap = _diagnostics(game, protocol, primal, dual)
-    return Trajectory(
-        times=times,
-        primal=primal,
-        dual=dual,
-        potential=pot,
-        constraints=cons,
-        lyapunov=lyap,
-        primal_field_norm=norms[:recorded, 0],
-        dual_field_norm=norms[:recorded, 1],
-        converged=converged,
-        primal_mass=primal_mass,
-        dual_mass=dual_mass,
-    )
+    fill(filled, recorded)
+    return first(recorded, converged)

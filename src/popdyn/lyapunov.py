@@ -11,8 +11,9 @@ against the rate.  ``V`` is nonnegative everywhere and vanishes exactly on
 states where no revision opportunity exists.
 
 ``V`` has one formula, ``_value_batch``, on stacks of states: ``integrate``
-records it, ``monotonicity_audit`` evaluates it over the same row chunks
-(``dynamics._payoff_chunks``) and ``lyapunov_value`` on a one-row stack.
+records it, ``monotonicity_audit`` reads that record or evaluates it over
+the same row chunks (``dynamics._payoff_chunks``), and ``lyapunov_value``
+evaluates it on a one-row stack.
 """
 
 from __future__ import annotations
@@ -146,21 +147,25 @@ def monotonicity_audit(
     trajectory: Trajectory,
     audit_tol: float = 1e-8,
 ) -> LyapunovAudit:
-    """Evaluate ``V`` at every recorded state and audit its decrease.
+    """Audit the decrease of ``V`` over the recorded states.
 
-    ``V`` comes from ``_value_batch`` over the same row chunks and payoff
-    stacks that fill ``Trajectory.lyapunov``, so with the protocol
-    ``integrate`` used for both populations the values equal the recorded
-    ones bitwise; with other protocols the audit evaluates their ``V``.  A
-    transition counts as a violation when ``V`` rises by more than
-    ``audit_tol``, which must be finite and nonnegative.
+    When both protocols are the one ``integrate`` ran (``trajectory.protocol``)
+    the audit reads the recorded ``Trajectory.lyapunov``.  Otherwise it
+    evaluates ``V`` with ``_value_batch`` over the same row chunks and
+    payoff stacks that fill that record, so a protocol with the same rate
+    gives the recorded values bitwise.  A transition counts as a violation
+    when ``V`` rises by more than ``audit_tol``, which must be finite and
+    nonnegative.
     """
     if not 0.0 <= audit_tol < np.inf:
         raise ConfigurationError(f"audit tolerance must be in [0, inf), got {audit_tol!r}")
-    n = game.n
-    values = np.empty(len(trajectory))
-    for sl, X, M, P in dynamics._payoff_chunks(game, trajectory.primal, trajectory.dual):
-        values[sl] = _value_batch(primal_protocol, dual_protocol, X, M, P[:, :n], P[:, n:])
+    if primal_protocol is dual_protocol is trajectory.protocol:
+        values = trajectory.lyapunov
+    else:
+        n = game.n
+        values = np.empty(len(trajectory))
+        for sl, X, M, P in dynamics._payoff_chunks(game, trajectory.primal, trajectory.dual):
+            values[sl] = _value_batch(primal_protocol, dual_protocol, X, M, P[:, :n], P[:, n:])
     diffs = np.diff(values)
     return LyapunovAudit(
         values=values,

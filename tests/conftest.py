@@ -239,4 +239,5 @@ def reference_integrate(game, protocol, x0, mu0, params):
         "converged": converged,
         "primal_mass": game.primal_mass,
         "dual_mass": game.dual_mass,
+        "protocol": protocol,
     }

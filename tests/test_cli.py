@@ -164,10 +164,6 @@ def _special_values(game, traj):
     return dataclasses.replace(traj, primal=primal, lyapunov=lyap)
 
 
-def _force_csv_parts(monkeypatch, parts):
-    monkeypatch.setattr(cli, "_csv_parts", lambda rows: parts)
-
-
 def _first_rows(traj, count):
     return dataclasses.replace(
         traj,
@@ -179,13 +175,29 @@ def _first_rows(traj, count):
     )
 
 
+def _stream_csv(path, game, traj, record_every, commits):
+    """Render ``traj`` through ``cli._CsvStream``, committing the row counts ``commits`` first."""
+    with cli._CsvStream(str(path), game, record_every) as stream:
+        for rows in commits:
+            stream.commit(rows, traj)
+        stream.finish(traj)
+
+
+def _inside_a_chunk(rows, record_every):
+    """The least row count from ``rows`` on whose CSV rows end inside a ``CSV_CHUNK``."""
+    while -(-rows // record_every) % cli.CSV_CHUNK == 0:
+        rows += 1
+    return rows
+
+
 @pytest.fixture(scope="module")
 def csv_references():
     # the cell-by-cell reference bytes per (case, record_every), shared by the part counts
     return {}
 
 
-# one part is the serial writer, under the ids the test had before the rows were split
+# one part is the serial writer; with more, the rows reach the forked renderer
+# in that many parts, every commit but the last ending inside a chunk
 @pytest.mark.parametrize(
     "case, record_every, parts",
     [
@@ -196,7 +208,7 @@ def csv_references():
     ],
 )
 def test_csv_matches_the_cell_by_cell_reference(
-    case, record_every, parts, congestion, congestion_run, rps, rps_run, csv_references, out_root, monkeypatch
+    case, record_every, parts, congestion, congestion_run, rps, rps_run, csv_references, out_root
 ):
     if case == "congestion":
         game, traj = congestion, congestion_run
@@ -210,8 +222,11 @@ def test_csv_matches_the_cell_by_cell_reference(
     assert len(range(0, len(traj), record_every)) > cli.CSV_CHUNK + 1
     if case == "rps":
         assert np.isnan(traj.potential).all()
-    _force_csv_parts(monkeypatch, parts)
-    cli.write_trajectory_csv(out_root / "got.csv", game, traj, record_every)
+    if parts == 1:
+        cli.write_trajectory_csv(out_root / "got.csv", game, traj, record_every)
+    else:
+        commits = [_inside_a_chunk(k * len(traj) // parts, record_every) for k in range(1, parts)]
+        _stream_csv(out_root / "got.csv", game, traj, record_every, commits)
     if (case, record_every) not in csv_references:
         reference_trajectory_csv(out_root / "want.csv", game, traj, record_every)
         csv_references[case, record_every] = (out_root / "want.csv").read_bytes()
@@ -219,22 +234,24 @@ def test_csv_matches_the_cell_by_cell_reference(
 
 
 @pytest.mark.parametrize("parts", [2, 3, 4])
-def test_csv_last_part_shorter_than_a_chunk(parts, congestion, congestion_run, out_root, monkeypatch):
-    # parts - 1 whole chunks and a last part of 10 rows
+def test_csv_last_part_shorter_than_a_chunk(parts, congestion, congestion_run, out_root):
+    # parts - 1 commits of a whole chunk each and a final part of 10 rows
     traj = _first_rows(congestion_run, (parts - 1) * cli.CSV_CHUNK + 10)
-    _force_csv_parts(monkeypatch, parts)
-    cli.write_trajectory_csv(out_root / "got.csv", congestion, traj)
+    commits = [k * cli.CSV_CHUNK for k in range(1, parts)]
+    _stream_csv(out_root / "got.csv", congestion, traj, 1, commits)
     reference_trajectory_csv(out_root / "want.csv", congestion, traj)
     assert (out_root / "got.csv").read_bytes() == (out_root / "want.csv").read_bytes()
+    assert sorted(os.listdir(out_root)) == ["got.csv", "want.csv"]
 
 
-def test_csv_parts_follow_the_usable_cores(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert cli._csv_parts(2 * cli.CSV_PART_MIN - 1) == 1
-    assert cli._csv_parts(3 * cli.CSV_PART_MIN) == 3
-    assert cli._csv_parts(100 * cli.CSV_PART_MIN) == 4
+def test_csv_streams_only_with_fork_and_a_second_core(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._can_stream()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not cli._can_stream()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.delattr(os, "fork", raising=False)
-    assert cli._csv_parts(100 * cli.CSV_PART_MIN) == 1
+    assert not cli._can_stream()
 
 
 def _assert_no_child_process():
@@ -242,33 +259,133 @@ def _assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_csv_writer_leaves_no_child_process(congestion, congestion_run, out_root, monkeypatch):
-    _force_csv_parts(monkeypatch, 3)
-    cli.write_trajectory_csv(out_root / "got.csv", congestion, congestion_run)
+@pytest.fixture
+def forks(monkeypatch):
+    """Streams every CLI run, whatever the usable cores, and counts the renderers forked."""
+    started, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_can_stream", lambda: True)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return started
+
+
+def test_csv_writer_leaves_no_child_process(congestion, congestion_run, out_root, forks, capsys):
+    _stream_csv(out_root / "got.csv", congestion, congestion_run, 1, [809, 1618])
+    assert len(forks) == 1
     _assert_no_child_process()
+    code, _, _ = run_cli(["repro", "congestion", "--out-dir", str(out_root / "repro")], capsys)
+    assert code == 0
+    assert len(forks) == 2
+    _assert_no_child_process()
+    assert sorted(os.listdir(out_root / "repro")) == ["audit.json", "report.json", "trajectory.csv"]
 
 
-def test_a_render_failing_in_a_child_is_an_os_error(congestion, congestion_run, out_root, monkeypatch, capsys):
-    parent, write_rows = os.getpid(), cli._write_rows
+def test_the_streamed_csv_is_the_serial_one(congestion, congestion_run, out_root, forks, capsys):
+    # the renderer forks at the first chunk and reads the rows integrate writes after it
+    for every in ("1", "7"):
+        path = out_root / f"every{every}.csv"
+        argv = ["simulate", "--game", "paper-congestion", "--record-every", every, "--out", str(path)]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        cli.write_trajectory_csv(out_root / "want.csv", congestion, congestion_run, int(every))
+        assert path.read_bytes() == (out_root / "want.csv").read_bytes()
+    assert len(forks) == 2
 
-    def fail_in_a_child(fh, columns, rows):
+
+def test_an_unconverged_run_still_writes_the_whole_csv(congestion, smith, out_root, forks, capsys):
+    path = out_root / "short.csv"
+    argv = ["simulate", "--game", "paper-congestion", "--horizon", "20", "--out", str(path)]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 2
+    assert len(forks) == 1
+    x0 = pd.sample_simplex(congestion.n, congestion.primal_mass, seed=0)
+    traj = pd.integrate(congestion, smith, x0, null_dual(congestion), pd.SimParams(horizon=20.0))
+    assert len(traj) == 2001 and not traj.converged
+    reference_trajectory_csv(out_root / "want.csv", congestion, traj)
+    assert path.read_bytes() == (out_root / "want.csv").read_bytes()
+
+
+def _congestion_failing_after(calls, fail):
+    """paper-congestion whose fitness returns ``fail(x)`` from its ``calls``-th call on."""
+    game = pd.paper_congestion()
+    count = [0]
+
+    def fitness(x):
+        count[0] += 1
+        return fail(x) if count[0] >= calls else game.fitness(x)
+
+    failing = dataclasses.replace(game, fitness=pd.CallableFitness(fitness))
+    count[0] = 0  # the game's own checks called it
+    return failing
+
+
+class _FitnessFailed(RuntimeError):
+    pass
+
+
+def _raise(x):
+    raise _FitnessFailed("fitness failed")
+
+
+# each fails after the renderer forked at row 809
+FAILURES = {
+    "fitness-raises": (_raise, None, _FitnessFailed),
+    "diverged": (lambda x: np.full(x.size, np.nan), None, "error: trajectory diverged at step "),
+    "step-refused": (lambda x: 1e4 * np.ones(x.size) - 1e6 * x, "0.01", "error: step 0.01 is too long"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "repro"])
+@pytest.mark.parametrize("failure", list(FAILURES))
+def test_a_run_failing_after_the_fork_leaves_nothing(failure, command, out_root, forks, monkeypatch, capsys):
+    fail, step, outcome = FAILURES[failure]
+    game = _congestion_failing_after(3000, fail)
+    monkeypatch.setattr(cli, "_resolve_game", lambda source: game)
+    monkeypatch.setattr(pd.games, "paper_congestion", lambda: game)
+    out = out_root / "never"
+    if command == "simulate":
+        argv = ["simulate", "--game", "paper-congestion", "--out", str(out)]
+    else:
+        argv = ["repro", "congestion", "--out-dir", str(out)]
+    argv += ["--step", step] if step else []
+    if isinstance(outcome, str):
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith(outcome)
+    else:
+        with pytest.raises(outcome):
+            cli.main(argv)
+    assert len(forks) == 1
+    _assert_no_child_process()
+    # no CSV, no temporary file, and no output directory the run made
+    assert list(out_root.iterdir()) == []
+
+
+def test_a_render_failing_in_a_child_is_an_os_error(out_root, forks, monkeypatch, capsys):
+    parent, render = os.getpid(), cli._CsvRenderer.render
+
+    def fail_in_a_child(self, rows, final=False):
         if os.getpid() != parent:
             raise RuntimeError("render failed")
-        write_rows(fh, columns, rows)
+        render(self, rows, final)
 
-    monkeypatch.setattr(cli, "_write_rows", fail_in_a_child)
-    _force_csv_parts(monkeypatch, 3)
-    with pytest.raises(OSError, match="part 2 of 3"):
-        cli.write_trajectory_csv(out_root / "got.csv", congestion, congestion_run)
-    _assert_no_child_process()
-
-    # 501 rows: two parts
-    argv = ["simulate", "--game", "paper-rps", "--horizon", "5", "--out", str(out_root / "sim.csv")]
+    monkeypatch.setattr(cli._CsvRenderer, "render", fail_in_a_child)
+    path = out_root / "sim.csv"
+    # 2,001 rows: the renderer forks at row 809
+    argv = ["simulate", "--game", "paper-congestion", "--horizon", "20", "--out", str(path)]
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert not out
-    assert err.startswith("error: ") and "in its child process" in err
+    assert err.startswith(f"error: {path}: rendering failed in its child process")
+    assert len(forks) == 1
     _assert_no_child_process()
+    assert list(out_root.iterdir()) == []
 
 
 def test_simulate_short_run_reports_no_convergence(out_root, capsys):

@@ -788,7 +788,8 @@ def test_a_protocol_that_overwrites_its_gaps_matches_smith(congestion, rps, smit
         x0 = pd.sample_simplex(game.n, game.primal_mass, seed=1)
         params = pd.SimParams(horizon=200.0 if integrator == "euler" else 30.0, integrator=integrator)
         want = pd.integrate(game, smith, x0, null_dual(game), params)
-        assert_same_trajectory(pd.integrate(game, SMITH_IN_PLACE, x0, null_dual(game), params), vars(want))
+        got = pd.integrate(game, SMITH_IN_PLACE, x0, null_dual(game), params)
+        assert_same_trajectory(got, {**vars(want), "protocol": SMITH_IN_PLACE})
 
 
 def test_the_kernel_takes_quadratic_memory(smith):

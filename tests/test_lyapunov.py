@@ -135,15 +135,25 @@ def test_audit_confirms_decrease_on_converged_run(congestion, congestion_run, sm
     assert audit.fraction_nonincreasing == 1.0
     assert audit.max_increase <= 1e-8
     assert audit.nonnegativity_ok
-    # with the recording's protocol the audit evaluates V over the same
-    # chunks and payoff stacks as the recording, so it reads the same bits
-    assert np.array_equal(audit.values, congestion_run.lyapunov)
+    # with the recording's protocol the audit reads the recorded V
+    assert audit.values is congestion_run.lyapunov
     # and a sample of rows against the plain-Python double sum
     for i in np.linspace(0, len(congestion_run) - 1, 50).astype(int):
         expected = oracle_value(
             congestion, smith, smith, congestion_run.primal[i], congestion_run.dual[i]
         )
         assert abs(audit.values[i] - expected) <= 1e-12 * max(1.0, abs(expected)), i
+
+
+def test_the_recorded_v_is_the_audit_recompute_bitwise(congestion, congestion_run, rps, rps_run, smith):
+    # a distinct protocol object with the smith rate makes the audit evaluate
+    # V over its own chunks and payoff stacks; the recording took the same ones
+    twin = pd.Protocol("smith-twin", smith.value, smith.antiderivative)
+    for game, traj in ((congestion, congestion_run), (rps, rps_run)):
+        assert traj.protocol is smith
+        recomputed = pd.monotonicity_audit(game, twin, twin, traj).values
+        assert recomputed is not traj.lyapunov
+        assert recomputed.tobytes() == traj.lyapunov.tobytes()
 
 
 def test_audit_evaluates_each_population_protocol_across_chunks(
