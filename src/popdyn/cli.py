@@ -22,7 +22,9 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import signal
+import stat
 import sys
 import warnings
 
@@ -357,9 +359,12 @@ class _CsvStream:
     count, and the child renders the last rows while this process goes on.
     On leaving the context the stream waits for the child and renames the
     file into place; a child that failed raises ``OSError`` naming
-    ``path``.  A stream that ``integrate`` never called renders ``traj``
-    here instead (``write_trajectory_csv``).  A run that raises leaves no
-    file: the child is killed and reaped, and the temporary file removed.
+    ``path``.  A stream that forked no child renders ``traj`` here instead
+    (``write_trajectory_csv``): one ``integrate`` never called, one whose
+    ``path`` a rename would not leave as a write does (``_replaceable``:
+    a device, a FIFO such as ``/dev/stdout``, a symlink), and one whose
+    temporary file cannot be made.  A run that raises leaves no file: the
+    child is killed and reaped, and the temporary file removed.
     ``directory``, when given, is created before the CSV is, and removed
     again with the temporary file if this stream created it.
     """
@@ -367,13 +372,15 @@ class _CsvStream:
     def __init__(self, path: str, game: GameSpec, record_every: int, directory: str | None = None):
         self.path, self.game, self.every = path, game, record_every
         self.directory = directory
+        self.streams = _replaceable(path)
         self.made = []
         self.tmp = self.pid = self.pipe = self.traj = None
 
     def commit(self, rows: int, record: Trajectory) -> None:
-        if self.pid is None:
+        if self.pid is None and self.streams:
             self._fork(record)
-        self._send(rows)
+        if self.pid:
+            self._send(rows)
 
     def finish(self, traj: Trajectory) -> None:
         self.traj = traj
@@ -395,8 +402,16 @@ class _CsvStream:
             os.makedirs(self.directory, exist_ok=True)
         head, tail = os.path.split(self.path)
         tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-        fh = open(tmp, "xb")
+        try:
+            fh = open(tmp, "xb")
+        except OSError:
+            # the write after the run reports what is wrong with the path
+            self.streams = False
+            return
         self.tmp = tmp
+        with contextlib.suppress(FileNotFoundError):
+            # the file renamed over an existing one keeps its permissions
+            shutil.copymode(self.path, tmp)
         read, self.pipe = os.pipe()
         try:
             with warnings.catch_warnings():
@@ -460,6 +475,7 @@ class _CsvStream:
                 if self.directory is not None:
                     os.makedirs(self.directory, exist_ok=True)
                 write_trajectory_csv(self.path, self.game, self.traj, self.every)
+                self.made = []
             elif kind is None:
                 self._reap()
                 os.replace(self.tmp, self.path)
@@ -475,6 +491,22 @@ class _CsvStream:
             for made in reversed(self.made):
                 with contextlib.suppress(OSError):
                     os.rmdir(made)
+
+
+def _replaceable(path: str) -> bool:
+    """Whether a new file renamed over ``path`` leaves what writing ``path`` would.
+
+    It does when ``path`` does not exist, or is a regular file of this user
+    with one link; not for a symlink, which a write follows, nor for a
+    device or a FIFO such as ``/dev/stdout``.
+    """
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        return True
+    except OSError:
+        return False
+    return stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
 
 
 def _missing_dirs(directory: str) -> list:

@@ -150,12 +150,14 @@ def monotonicity_audit(
     """Audit the decrease of ``V`` over the recorded states.
 
     When both protocols are the one ``integrate`` ran (``trajectory.protocol``)
-    the audit reads the recorded ``Trajectory.lyapunov``.  Otherwise it
-    evaluates ``V`` with ``_value_batch`` over the same row chunks and
-    payoff stacks that fill that record, so a protocol with the same rate
-    gives the recorded values bitwise.  A transition counts as a violation
-    when ``V`` rises by more than ``audit_tol``, which must be finite and
-    nonnegative.
+    the audit reads the recorded ``Trajectory.lyapunov``, trusting it to be
+    ``V`` at the recorded states: a trajectory derived by
+    ``dataclasses.replace`` has no protocol, but arrays changed in place
+    are not seen.  Otherwise it evaluates ``V`` with ``_value_batch`` over
+    the same row chunks and payoff stacks that fill that record, so a
+    protocol with the same rate gives the recorded values bitwise.  A
+    transition counts as a violation when ``V`` rises by more than
+    ``audit_tol``, which must be finite and nonnegative.
     """
     if not 0.0 <= audit_tol < np.inf:
         raise ConfigurationError(f"audit tolerance must be in [0, inf), got {audit_tol!r}")

@@ -4,8 +4,10 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +298,51 @@ def test_the_streamed_csv_is_the_serial_one(congestion, congestion_run, out_root
         cli.write_trajectory_csv(out_root / "want.csv", congestion, congestion_run, int(every))
         assert path.read_bytes() == (out_root / "want.csv").read_bytes()
     assert len(forks) == 2
+
+
+SIMULATE = ["simulate", "--game", "paper-congestion", "--out"]
+
+
+def test_a_streamed_csv_keeps_the_mode_of_the_file_it_replaces(out_root, forks, capsys):
+    path = out_root / "sim.csv"
+    path.write_bytes(b"old")
+    path.chmod(0o640)
+    assert run_cli(SIMULATE + [str(path)], capsys)[0] == 0
+    assert len(forks) == 1
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert sorted(os.listdir(out_root)) == ["sim.csv"]
+
+
+def test_a_csv_path_a_rename_would_replace_is_written_after_the_run(
+    congestion, congestion_run, out_root, forks, capsys
+):
+    # a rename over a symlink or a FIFO would replace it, not write through it
+    cli.write_trajectory_csv(out_root / "want.csv", congestion, congestion_run)
+    want = (out_root / "want.csv").read_bytes()
+    target, link, fifo = out_root / "target.csv", out_root / "link.csv", out_root / "fifo.csv"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    assert run_cli(SIMULATE + [str(link)], capsys)[0] == 0
+    assert link.is_symlink() and target.read_bytes() == want
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(SIMULATE + [str(fifo)], capsys)[0] == 0
+    reader.join(timeout=60)
+    assert got == [want]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert forks == []
+    assert sorted(os.listdir(out_root)) == ["fifo.csv", "link.csv", "target.csv", "want.csv"]
+
+
+def test_a_csv_in_a_missing_directory_is_an_error_naming_it(out_root, forks, capsys):
+    path = out_root / "missing" / "sim.csv"
+    code, out, err = run_cli(SIMULATE + [str(path)], capsys)
+    assert code == 1 and not out
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert forks == []
+    assert list(out_root.iterdir()) == []
 
 
 def test_an_unconverged_run_still_writes_the_whole_csv(congestion, smith, out_root, forks, capsys):

@@ -486,6 +486,33 @@ def test_diagnostics_match_scalar_across_chunks(make_game, smith, monkeypatch):
     assert_diagnostics_match_scalar(game, smith, traj)
 
 
+def test_rows_committed_inside_the_loop_are_final_and_the_same_bits(congestion, smith, monkeypatch):
+    # a tiny chunk commits many chunks inside the short run, filled between
+    # blocks; the run without a caller fills the same chunks after the loop
+    monkeypatch.setattr(dynamics, "DIAGNOSTICS_CHUNK", 7 * 81)
+    chunk = dynamics._chunk_rows(congestion)
+    assert chunk == 7
+    x0 = pd.sample_simplex(congestion.n, congestion.primal_mass, seed=2)
+    params = pd.SimParams(horizon=3.0, step=0.01)
+    fields = ("times", "primal", "dual", "potential", "constraints", "lyapunov")
+    fields += ("primal_field_norm", "dual_field_norm")
+    commits = []
+
+    def committed(rows, record):
+        commits.append((rows, {name: getattr(record, name)[:rows].copy() for name in fields}))
+
+    traj = dynamics.integrate(congestion, smith, x0, null_dual(congestion), params, _committed=committed)
+    want = pd.integrate(congestion, smith, x0, null_dual(congestion), params)
+    # blocks of 1, 2, 4, ..., 128 rows end at row 255; the last block ends
+    # the run, and its rows are filled after the loop
+    assert len(traj) == 301
+    assert [rows for rows, _ in commits] == list(range(chunk, 256, chunk))
+    for name in fields:
+        assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name
+        for rows, seen in commits:
+            assert seen[name].tobytes() == getattr(traj, name)[:rows].tobytes(), (name, rows)
+
+
 def test_divergence_in_the_update_is_reported_at_the_next_step(rps, smith):
     # the field at the start is finite; one step of h = 1e308 overflows the prices
     x0 = pd.PrimalState(np.array([0.8, 0.1, 0.1]), mass=1.0)

@@ -1,5 +1,6 @@
 """Quadrature, the candidate function V, its rate, and trajectory audits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -156,20 +157,34 @@ def test_the_recorded_v_is_the_audit_recompute_bitwise(congestion, congestion_ru
         assert recomputed.tobytes() == traj.lyapunov.tobytes()
 
 
+def test_a_trajectory_with_replaced_states_is_audited_afresh(rps, rps_run, smith):
+    # replace keeps the recorded V but not the protocol, so the audit
+    # evaluates V at the new states: run backwards, V rises
+    backwards = dataclasses.replace(rps_run, primal=rps_run.primal[::-1], dual=rps_run.dual[::-1])
+    assert backwards.protocol is None
+    audit = pd.monotonicity_audit(rps, smith, smith, backwards)
+    assert audit.values is not backwards.lyapunov
+    assert audit.values[-1] == pytest.approx(rps_run.lyapunov[0], rel=1e-12)
+    assert audit.max_increase > 0.0
+
+
 def test_audit_evaluates_each_population_protocol_across_chunks(
     congestion, rps, smith, monkeypatch
 ):
-    # a tiny chunk splits the short runs into many chunks; the audit then
-    # evaluates V for protocols other than the recording's, per population
+    # a tiny chunk splits the short runs into many chunks, filled inside the
+    # step loop; the audit evaluates V for protocols other than the
+    # recording's, per population, and with smith's rate gives the record
     monkeypatch.setattr(pd.dynamics, "DIAGNOSTICS_CHUNK", 50)
+    twin = pd.Protocol("smith-twin", smith.value, smith.antiderivative)
     pairs = ((smith, SQUARE), (SQUARE, smith))
     starts = (
         (rps, pd.PrimalState(np.full(3, 1.0 / 3.0), 1.0)),
         (congestion, pd.sample_simplex(congestion.n, congestion.primal_mass, seed=2)),
     )
     for game, x0 in starts:
-        traj = pd.integrate(game, smith, x0, null_dual(game), pd.SimParams(horizon=0.5, step=0.01))
-        assert np.array_equal(pd.monotonicity_audit(game, smith, smith, traj).values, traj.lyapunov)
+        params = pd.SimParams(horizon=0.5, step=0.01)
+        traj = pd.dynamics.integrate(game, smith, x0, null_dual(game), params, _committed=lambda *a: None)
+        assert pd.monotonicity_audit(game, twin, twin, traj).values.tobytes() == traj.lyapunov.tobytes()
         for primal_protocol, dual_protocol in pairs:
             audit = pd.monotonicity_audit(game, primal_protocol, dual_protocol, traj)
             assert audit.values.shape == (len(traj),)
