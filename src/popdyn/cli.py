@@ -7,25 +7,23 @@ simulation converged to an endpoint whose ``g_max`` exceeds ``--report-tol``).
 Output files (trajectory CSV, JSON reports) are byte-deterministic for
 fixed flags and seed.  Trajectory CSV cells are the text ``repr`` gives
 each float (``NaN`` for NaN), computed over whole row chunks by
-``_shortest``.  With a second usable core, one forked child renders the
-trajectory CSV while the trajectory is integrated (``_CsvStream``), with
-the bytes of the serial render.
-The environment variable ``POPDYN_OUT_DIR`` supplies the default output
-root.
+``_shortest``.  With ``os.fork`` and a second usable core, one forked child
+renders the CSV into a temporary file while the trajectory is integrated
+(``_CsvStream``), and the run copies it to the CSV path, whatever kind of
+path it is; otherwise the run renders it at the end, with the same bytes.
+The environment variable ``POPDYN_OUT_DIR`` supplies the default output root.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
 import os
-import shutil
 import signal
-import stat
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -350,34 +348,24 @@ def _can_stream() -> bool:
 class _CsvStream:
     """The trajectory CSV of one run, rendered by one forked child while ``integrate`` runs.
 
-    Used as a context manager around the run.  ``commit`` is
-    ``integrate``'s row callback: its first call opens a temporary file
-    beside ``path`` and forks the renderer, and every call sends the child
-    the count of complete rows through a pipe.  The child renders them
-    (``_CsvRenderer``) into the temporary file, reading only the shared
-    records; it runs no BLAS product.  ``finish(traj)`` sends the final
-    count, and the child renders the last rows while this process goes on.
-    On leaving the context the stream waits for the child and renames the
-    file into place; a child that failed raises ``OSError`` naming
-    ``path``.  A stream that forked no child renders ``traj`` here instead
-    (``write_trajectory_csv``): one ``integrate`` never called, one whose
-    ``path`` a rename would not leave as a write does (``_replaceable``:
-    a device, a FIFO such as ``/dev/stdout``, a symlink), and one whose
-    temporary file cannot be made.  A run that raises leaves no file: the
-    child is killed and reaped, and the temporary file removed.
-    ``directory``, when given, is created before the CSV is, and removed
-    again with the temporary file if this stream created it.
+    ``commit``, ``integrate``'s row callback, opens an unlinked temporary
+    file and forks the renderer at its first call, and sends the child each
+    count of complete rows through a pipe; the child renders them
+    (``_CsvRenderer``) from the shared records, with no BLAS product.
+    ``finish(traj)`` sends the final count, so the last rows render while
+    this process goes on.  ``write()`` waits for the child (``wait()``) and
+    copies its bytes into ``path``, opened as ``write_trajectory_csv`` opens
+    it, so any path is written through; with no child (no ``commit``, or no
+    file, pipe or fork to be had) it renders ``traj`` itself.  Leaving the
+    context kills a child not waited for, as when the run raised.
     """
 
-    def __init__(self, path: str, game: GameSpec, record_every: int, directory: str | None = None):
+    def __init__(self, path: str, game: GameSpec, record_every: int):
         self.path, self.game, self.every = path, game, record_every
-        self.directory = directory
-        self.streams = _replaceable(path)
-        self.made = []
-        self.tmp = self.pid = self.pipe = self.traj = None
+        self.fh = self.pid = self.pipe = self.traj = None
 
     def commit(self, rows: int, record: Trajectory) -> None:
-        if self.pid is None and self.streams:
+        if self.pid is None:
             self._fork(record)
         if self.pid:
             self._send(rows)
@@ -393,27 +381,14 @@ class _CsvStream:
             os.write(self.pipe, count.to_bytes(8, "little", signed=True))
         except BrokenPipeError:
             # the child has ended before the final count, so it failed
-            self._reap()
+            self.wait()
             raise
 
     def _fork(self, record: Trajectory) -> None:
-        if self.directory is not None:
-            self.made = _missing_dirs(self.directory)
-            os.makedirs(self.directory, exist_ok=True)
-        head, tail = os.path.split(self.path)
-        tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        read = None
         try:
-            fh = open(tmp, "xb")
-        except OSError:
-            # the write after the run reports what is wrong with the path
-            self.streams = False
-            return
-        self.tmp = tmp
-        with contextlib.suppress(FileNotFoundError):
-            # the file renamed over an existing one keeps its permissions
-            shutil.copymode(self.path, tmp)
-        read, self.pipe = os.pipe()
-        try:
+            self.fh = tempfile.TemporaryFile()
+            read, self.pipe = os.pipe()
             with warnings.catch_warnings():
                 # Python 3.12 warns on a fork in a process with threads (BLAS
                 # starts some).  The child takes no lock they may hold: it
@@ -421,101 +396,82 @@ class _CsvStream:
                 # nothing.
                 warnings.simplefilter("ignore", DeprecationWarning)
                 self.pid = os.fork()
+        except OSError:
+            # no renderer in this run: write() renders after it
+            self.pid = 0
+            self._close()
+        else:
             if self.pid == 0:
-                self._child(read, fh, record)
+                self._child(read, record)
         finally:
-            os.close(read)
-            fh.close()
+            if read is not None:
+                os.close(read)
 
-    def _child(self, fd: int, fh, record: Trajectory) -> None:
-        """In the forked renderer: render ``record``'s complete rows into ``fh`` as the
-        counts arrive on ``fd``, and exit, with 0 once the final count is rendered.
-
-        A pipe closed before the final count means the parent has gone: the
-        temporary file is removed.  Never returns.
-        """
+    def _child(self, fd: int, record: Trajectory) -> None:
+        """In the forked renderer: render ``record``'s rows as counts arrive on ``fd``, then exit."""
         status = 1
         try:
             os.close(self.pipe)
-            renderer = _CsvRenderer(fh, self.game, record, self.every)
+            renderer = _CsvRenderer(self.fh, self.game, record, self.every)
             while True:
                 # each count is one 8-byte write, which a pipe keeps whole, so
-                # a read holds whole counts; the last is the latest
+                # a read holds whole counts; the last is the latest.  A pipe
+                # closed before the final count means the parent has gone
                 counts = os.read(fd, 1 << 12)
                 if not counts:
-                    os.unlink(self.tmp)
                     break
                 rows = int.from_bytes(counts[-8:], "little", signed=True)
                 if rows < 0:
                     renderer.render(-rows, final=True)
-                    fh.flush()
+                    self.fh.flush()
                     status = 0
                     break
                 renderer.render(rows)
         finally:
             os._exit(status)
 
-    def _reap(self) -> None:
-        os.close(self.pipe)
-        self.pipe = None
-        status = os.waitpid(self.pid, 0)[1]
-        self.pid = 0
-        if status:
-            raise OSError(
-                f"{self.path}: rendering failed in its child process "
-                f"(exit code {os.waitstatus_to_exitcode(status)})"
-            )
+    def wait(self) -> None:
+        """Wait for the renderer; one that failed raises ``OSError`` naming ``path``."""
+        if self.pid:
+            os.close(self.pipe)
+            self.pipe = None
+            status = os.waitpid(self.pid, 0)[1]
+            self.pid = 0
+            if status:
+                raise OSError(
+                    f"{self.path}: rendering failed in its child process "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})"
+                )
+
+    def write(self) -> None:
+        """Write the CSV to ``path``: the finished child's bytes, or else a render of ``traj`` here."""
+        self.wait()
+        if self.fh is None:
+            write_trajectory_csv(self.path, self.game, self.traj, self.every)
+            return
+        with open(self.path, "wb") as out:
+            # the kernel copies the file; sendfile returns 0 at its end
+            offset = 0
+            while sent := os.sendfile(out.fileno(), self.fh.fileno(), offset, 1 << 30):
+                offset += sent
+
+    def _close(self) -> None:
+        if self.pipe is not None:
+            os.close(self.pipe)
+            self.pipe = None
+        if self.fh is not None:
+            self.fh.close()
+            self.fh = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, kind, value, traceback) -> None:
-        try:
-            if kind is None and self.pid is None:
-                if self.directory is not None:
-                    os.makedirs(self.directory, exist_ok=True)
-                write_trajectory_csv(self.path, self.game, self.traj, self.every)
-                self.made = []
-            elif kind is None:
-                self._reap()
-                os.replace(self.tmp, self.path)
-                self.tmp, self.made = None, []
-        finally:
-            if self.pid:
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-            if self.pipe is not None:
-                os.close(self.pipe)
-            if self.tmp is not None:
-                os.unlink(self.tmp)
-            for made in reversed(self.made):
-                with contextlib.suppress(OSError):
-                    os.rmdir(made)
-
-
-def _replaceable(path: str) -> bool:
-    """Whether a new file renamed over ``path`` leaves what writing ``path`` would.
-
-    It does when ``path`` does not exist, or is a regular file of this user
-    with one link; not for a symlink, which a write follows, nor for a
-    device or a FIFO such as ``/dev/stdout``.
-    """
-    try:
-        st = os.lstat(path)
-    except FileNotFoundError:
-        return True
-    except OSError:
-        return False
-    return stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
-
-
-def _missing_dirs(directory: str) -> list:
-    """The directories ``os.makedirs(directory)`` would create, outermost first."""
-    missing = []
-    while directory and not os.path.isdir(directory):
-        missing.append(directory)
-        directory = os.path.dirname(directory)
-    return missing[::-1]
+        if self.pid:
+            # the run raised, so its rows are not wanted
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        self._close()
 
 
 def _dump_json(obj) -> str:
@@ -584,6 +540,7 @@ def cmd_simulate(args) -> int:
             report = equilibrium.in_equilibria_set(
                 game, traj.final_primal, traj.final_dual, tol=args.report_tol
             )
+            csv.write()
         if traj.converged and report.feasibility_residual > args.report_tol:
             # a Nash point of the joint game can violate a constraint when the
             # dual mass is too small to hold the optimal prices
@@ -696,8 +653,7 @@ def cmd_repro(args) -> int:
     params = _fit_step(args, params, game, protocol, x0, mu0)
     out_dir = args.out_dir or os.path.join(_out_root(), f"repro-{args.experiment}")
 
-    # the stream makes the output directory
-    with _CsvStream(os.path.join(out_dir, "trajectory.csv"), game, args.record_every, out_dir) as csv:
+    with _CsvStream(os.path.join(out_dir, "trajectory.csv"), game, args.record_every) as csv:
         traj = dynamics.integrate(
             game, protocol, x0, mu0, params, _committed=csv.commit if _can_stream() else None
         )
@@ -705,6 +661,10 @@ def cmd_repro(args) -> int:
         report = equilibrium.in_equilibria_set(game, traj.final_primal, traj.final_dual, tol=REPORT_TOL)
         audit = monotonicity_audit(game, protocol, protocol, traj, audit_tol=AUDIT_TOL)
         checks = _repro_checks(game, traj, report, audit)
+        # made only once the run and its renderer have succeeded, so a failed run leaves none
+        csv.wait()
+        os.makedirs(out_dir, exist_ok=True)
+        csv.write()
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(_dump_json(report.as_dict()))
     audit_payload = {

@@ -484,14 +484,6 @@ def _fill_diagnostics(game, protocol, primal, dual, pot, cons, lyap) -> None:
         lyap[sl] = _value_batch(protocol, protocol, X, M, P[:, :n], P[:, n:])
 
 
-def _diagnostics(game: GameSpec, protocol: Protocol, primal: np.ndarray, dual: np.ndarray):
-    """Potential, constraint values and ``V`` at every recorded state: ``_fill_diagnostics`` on new arrays."""
-    T = primal.shape[0]
-    pot, cons, lyap = np.empty(T), np.empty((T, game.q + 1)), np.empty(T)
-    _fill_diagnostics(game, protocol, primal, dual, pot, cons, lyap)
-    return pot, cons, lyap
-
-
 def _record(rows: int, width: int) -> np.ndarray:
     """A ``(rows, width)`` float record in an anonymous mapping of its own, zeroed.
 

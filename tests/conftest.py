@@ -149,6 +149,14 @@ def congestion_oracle(congestion):
     return pd.oracle_solve(congestion, resolution=200, refine_iters=2000, seed=0)
 
 
+def reference_diagnostics(game, protocol, primal, dual):
+    """Potential, constraint values and ``V`` at every recorded state, on new arrays."""
+    T = primal.shape[0]
+    pot, cons, lyap = np.empty(T), np.empty((T, game.q + 1)), np.empty(T)
+    pd.dynamics._fill_diagnostics(game, protocol, primal, dual, pot, cons, lyap)
+    return pot, cons, lyap
+
+
 def reference_integrate(game, protocol, x0, mu0, params):
     """The step-by-step loop that ``integrate`` must reproduce bitwise.
 
@@ -226,7 +234,7 @@ def reference_integrate(game, protocol, x0, mu0, params):
             z = np.concatenate((xv, muv))
 
     primal, dual = np.array(primal), np.array(dual)
-    pot, cons, lyap = dynamics._diagnostics(game, protocol, primal, dual)
+    pot, cons, lyap = reference_diagnostics(game, protocol, primal, dual)
     return {
         "times": np.array(times),
         "primal": primal,

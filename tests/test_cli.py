@@ -1,12 +1,14 @@
 """Command-line interface: parsing, outputs, exit codes, determinism."""
 
 import dataclasses
+import errno
 import json
 import math
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -183,6 +185,7 @@ def _stream_csv(path, game, traj, record_every, commits):
         for rows in commits:
             stream.commit(rows, traj)
         stream.finish(traj)
+        stream.write()
 
 
 def _inside_a_chunk(rows, record_every):
@@ -262,8 +265,12 @@ def _assert_no_child_process():
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Streams every CLI run, whatever the usable cores, and counts the renderers forked."""
+def forks(out_root, monkeypatch):
+    """Streams every CLI run, whatever the usable cores, and counts the renderers forked.
+
+    The temporary directory is ``out_root``, so a listing of it shows a
+    temporary file left behind.
+    """
     started, fork = [], os.fork
 
     def counting_fork():
@@ -274,6 +281,7 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(cli, "_can_stream", lambda: True)
     monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(tempfile, "tempdir", str(out_root))
     return started
 
 
@@ -313,10 +321,10 @@ def test_a_streamed_csv_keeps_the_mode_of_the_file_it_replaces(out_root, forks, 
     assert sorted(os.listdir(out_root)) == ["sim.csv"]
 
 
-def test_a_csv_path_a_rename_would_replace_is_written_after_the_run(
+def test_a_symlink_and_a_fifo_are_streamed_and_written_through(
     congestion, congestion_run, out_root, forks, capsys
 ):
-    # a rename over a symlink or a FIFO would replace it, not write through it
+    # the child's bytes are written into the path, so the link and the FIFO stay
     cli.write_trajectory_csv(out_root / "want.csv", congestion, congestion_run)
     want = (out_root / "want.csv").read_bytes()
     target, link, fifo = out_root / "target.csv", out_root / "link.csv", out_root / "fifo.csv"
@@ -332,7 +340,8 @@ def test_a_csv_path_a_rename_would_replace_is_written_after_the_run(
     reader.join(timeout=60)
     assert got == [want]
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-    assert forks == []
+    assert len(forks) == 2
+    _assert_no_child_process()
     assert sorted(os.listdir(out_root)) == ["fifo.csv", "link.csv", "target.csv", "want.csv"]
 
 
@@ -341,8 +350,33 @@ def test_a_csv_in_a_missing_directory_is_an_error_naming_it(out_root, forks, cap
     code, out, err = run_cli(SIMULATE + [str(path)], capsys)
     assert code == 1 and not out
     assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
-    assert forks == []
+    assert len(forks) == 1
+    _assert_no_child_process()
     assert list(out_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("call", ["tempfile.TemporaryFile", "os.pipe", "os.fork"])
+def test_a_renderer_that_cannot_start_leaves_the_csv_to_the_end_of_the_run(
+    call, congestion, congestion_run, out_root, forks, monkeypatch, capsys
+):
+    module, name = call.split(".")
+    tried = []
+
+    def refuse(*args, **kwargs):
+        tried.append(call)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr({"os": os, "tempfile": tempfile}[module], name, refuse)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    path = out_root / "sim.csv"
+    assert run_cli(SIMULATE + [str(path)], capsys)[0] == 0
+    # tried once in the run, and what it opened before the failure is closed
+    assert tried == [call]
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert forks == []
+    _assert_no_child_process()
+    cli.write_trajectory_csv(out_root / "want.csv", congestion, congestion_run)
+    assert path.read_bytes() == (out_root / "want.csv").read_bytes()
 
 
 def test_an_unconverged_run_still_writes_the_whole_csv(congestion, smith, out_root, forks, capsys):
