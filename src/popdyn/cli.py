@@ -17,10 +17,13 @@ The environment variable ``POPDYN_OUT_DIR`` supplies the default output root.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import json
 import math
 import os
+import shutil
 import signal
 import sys
 import tempfile
@@ -36,7 +39,7 @@ from .core import (
     PrimalState,
     UnsupportedOperationError,
 )
-from .dynamics import PROTOCOLS, IntegrationDivergedError, SimParams, Trajectory
+from .dynamics import IntegrationDivergedError, SimParams, Trajectory, smith_protocol
 from .equilibrium import InfeasibleInstanceError, SlaterViolationError
 from .lyapunov import monotonicity_audit
 
@@ -281,8 +284,37 @@ def write_trajectory_csv(path: str, game: GameSpec, traj: Trajectory, record_eve
     """
     if record_every < 1:
         raise ConfigurationError("--record-every must be at least 1")
-    with open(path, "wb") as fh:
+    with _csv_file(path) as fh:
         _CsvRenderer(fh, game, traj, record_every).render(len(traj), final=True)
+
+
+@contextlib.contextmanager
+def _csv_file(path: str):
+    """``path`` opened for writing the CSV; an ``OSError`` raised inside names ``path``.
+
+    When ``path`` is the file behind standard output or standard error (the
+    same device and inode as descriptor 1 or 2), as ``/dev/stdout`` is,
+    that stream is flushed and the CSV goes through its descriptor, at its
+    offset: opening ``path`` anew would truncate a redirected file and write
+    from byte 0, under what the stream writes later.
+    """
+    try:
+        fd = _standard_descriptor(path)
+        with open(path, "wb") if fd is None else open(fd, "wb", closefd=False) as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+def _standard_descriptor(path: str) -> int | None:
+    """1 or 2 when ``path`` is the file behind that descriptor, whose stream is then flushed."""
+    with contextlib.suppress(OSError):
+        target = os.stat(path)
+        for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+            if os.path.samestat(os.fstat(fd), target):
+                stream.flush()
+                return fd
+    return None
 
 
 class _CsvRenderer:
@@ -355,8 +387,9 @@ class _CsvStream:
     ``finish(traj)`` sends the final count, so the last rows render while
     this process goes on.  ``write()`` waits for the child (``wait()``) and
     copies its bytes into ``path``, opened as ``write_trajectory_csv`` opens
-    it, so any path is written through; with no child (no ``commit``, or no
-    file, pipe or fork to be had) it renders ``traj`` itself.  Leaving the
+    it (``_csv_file``), so any path is written through; with no child (no
+    ``commit``, or no file, pipe or fork to be had) it renders ``traj``
+    itself.  Leaving the
     context kills a child not waited for, as when the run raised.
     """
 
@@ -449,11 +482,18 @@ class _CsvStream:
         if self.fh is None:
             write_trajectory_csv(self.path, self.game, self.traj, self.every)
             return
-        with open(self.path, "wb") as out:
+        with _csv_file(self.path) as out:
             # the kernel copies the file; sendfile returns 0 at its end
             offset = 0
-            while sent := os.sendfile(out.fileno(), self.fh.fileno(), offset, 1 << 30):
-                offset += sent
+            try:
+                while sent := os.sendfile(out.fileno(), self.fh.fileno(), offset, 1 << 30):
+                    offset += sent
+            except OSError as exc:
+                # a device with no splice support, or an append-only descriptor
+                if exc.errno not in (errno.EINVAL, errno.ENOSYS):
+                    raise
+                self.fh.seek(offset)
+                shutil.copyfileobj(self.fh, out)
 
     def _close(self) -> None:
         if self.pipe is not None:
@@ -504,7 +544,7 @@ def _seed_path(base: str, seed: int) -> str:
 
 def cmd_simulate(args) -> int:
     game = _resolve_game(args.game)
-    protocol = PROTOCOLS[args.protocol]()
+    protocol = smith_protocol()
     out_base = args.out or os.path.join(_out_root(), "trajectory.csv")
 
     if args.record_every < 1:
@@ -643,7 +683,7 @@ def cmd_repro(args) -> int:
     if args.record_every < 1:
         raise _CliError("--record-every must be at least 1")
     params = SimParams(args.horizon, SimParams.step if args.step is None else args.step)
-    protocol = PROTOCOLS["smith"]()
+    protocol = smith_protocol()
     game = games.paper_congestion() if args.experiment == "congestion" else games.paper_rps()
     seed = DEFAULT_SEED
     if args.seed is not None:
@@ -706,7 +746,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="integrate the coupled dynamics and write a trajectory")
     _add_game_arg(sim)
-    sim.add_argument("--protocol", default="smith", choices=sorted(PROTOCOLS))
     sim.add_argument("--step", type=float, help="integration step (default 0.01, halved as needed)")
     sim.add_argument("--horizon", type=float, default=200.0, help="time horizon (seconds)")
     sim.add_argument("--integrator", default="euler", choices=("euler", "rk4"))

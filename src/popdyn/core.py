@@ -9,17 +9,17 @@ whose payoff is identically zero.  This module holds the instance data
 evaluation operations that the dynamics, Lyapunov, and equilibrium layers
 build on.
 
-The dynamics evaluate payoffs through one route, the payoff operator each
+The dynamics evaluate payoffs through the payoff operator each
 ``GameSpec`` builds on construction and stores once, as
 ``_payoff_homogeneous``: both payoff vectors at the joint state
 ``z = (x, mu)`` as one polynomial of degree at most two,
 ``P(z) = (T x + L) z + c``, written for the homogeneous state
 ``z_hat = (1, x, mu)``, whose constant coordinate lets ``L`` and ``c``
-ride inside the one copy.  ``_payoff_kernel`` evaluates it at one state in
-one matrix product, or two with a quadratic constraint, with nothing added
-after them, and ``_joint_payoff`` is its one-shot form;
-``_joint_payoff_stack`` evaluates it on a stack of states with ``c``,
-``L`` and ``T`` read back out of the same copy.  The public evaluators
+ride inside the one copy.  Two routes read it: ``_payoff_kernel``
+evaluates it at one state in one matrix product, or two with a quadratic
+constraint, with nothing added after them, and ``_joint_payoff_stack``
+evaluates it on a stack of states with ``c``, ``L`` and ``T`` read back
+out of the same copy.  The public evaluators
 (``primal_dual_payoff``, ``constraint_values``, ``constraint_jacobian``)
 go through the fitness rule and the constraint objects; they are the
 reference the operator is tested against.
@@ -472,10 +472,21 @@ class GameSpec:
         self._build_payoff_operator()
 
     def _build_payoff_operator(self):
-        # the joint payoff operator (see _joint_payoff) in the layout that
-        # _payoff_kernel describes: columns for (1, x, mu), the G rows, the
-        # constant's zero row, then the F rows from row F; the 3-d form holds
-        # (c, L) in its [..., 0] plane and T beside it
+        """Store both payoff vectors ``P = (F(x, mu), G(x))`` at ``z = (x, mu)`` as one operator.
+
+        With ``N = n + q + 1`` and an affine fitness rule ``f(x) = J x + f_0``,
+        ``P(z) = (T x + L) z + c``.  ``L`` is ``(N, N)``: its x-block is
+        ``J``, column ``n + k`` of the F rows holds ``-a_k`` and row ``n + k``
+        of the G block holds ``a_k``, the linear part of constraint ``k``.
+        ``c`` holds ``f_0``, then ``0`` for the null strategy and ``-b_k`` or
+        ``-c_k``.  The bilinear tensor ``T`` of shape ``(N, N, n)`` exists
+        only when a quadratic constraint does: ``T[:n, n + k] = -2 Q_k``
+        prices its gradient and ``T[n + k, :n] = Q_k`` gives its value.  A
+        fitness rule with no affine form leaves ``J`` and ``f_0`` zero, and
+        the readers add ``f(x)`` to the F block.  The one stored copy,
+        ``_payoff_homogeneous``, is in the layout ``_payoff_kernel``
+        describes, with the F rows from row ``q + 2``.
+        """
         n, F = self.n, self.q + 2
         size = n + self.q + 2
         quadratic = any(isinstance(con, QuadraticConstraint) for con in self.constraints)
@@ -620,39 +631,11 @@ def _payoff_raw(game: GameSpec, xv: np.ndarray, muv: np.ndarray) -> np.ndarray:
     return f
 
 
-def _joint_payoff(game: GameSpec, z: np.ndarray) -> np.ndarray:
-    """Both payoff vectors ``P = (F(x, mu), G(x))`` at the joint state ``z = (x, mu)``.
-
-    With ``N = n + q + 1`` the game stores, once, in the homogeneous
-    layout ``_payoff_kernel`` describes,
-
-        P(z) = (T x + L) z + c
-
-    for an affine fitness rule ``f(x) = J x + f_0``.  ``L`` is ``(N, N)``:
-    its x-block is ``J``, column ``n + k`` of the F rows holds ``-a_k`` and
-    row ``n + k`` of the G block holds ``a_k``, the linear part of
-    constraint ``k``.  ``c`` holds ``f_0``, then ``0`` for the null
-    strategy and ``-b_k`` or ``-c_k``.  The bilinear tensor ``T`` of shape
-    ``(N, N, n)`` (``N^2 n 8`` bytes) exists only when a quadratic
-    constraint does: ``T[:n, n + k] = -2 Q_k`` prices its gradient and
-    ``T[n + k, :n] = Q_k`` gives its value.  It is contracted with ``x``
-    only.  When the fitness rule has no affine form, ``J`` and ``f_0`` are
-    zero and ``f(x)`` is added to the F block.
-
-    The one-shot form of ``_payoff_kernel``.  Agrees with
-    ``primal_dual_payoff`` and ``constraint_values``, the rule-based
-    reference, to rounding; the summation order differs.
-    """
-    z_hat = np.concatenate(((1.0,), z))
-    GF = _payoff_kernel(game)(z_hat, np.empty(z_hat.size))
-    m = game.q + 1
-    return np.concatenate((GF[m + 1 :], GF[:m]))
-
-
 def _payoff_kernel(game: GameSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``_joint_payoff`` at the homogeneous state ``z_hat = (1, x, mu)``, in
-    the field kernel's order: ``payoff(z_hat, out)`` writes
-    ``(G(x), 0, F(x, mu))`` into ``out`` and returns it.
+    """The payoff operator (``GameSpec._build_payoff_operator``) at the
+    homogeneous state ``z_hat = (1, x, mu)``, in the field kernel's order:
+    ``payoff(z_hat, out)`` writes ``(G(x), 0, F(x, mu))`` into ``out`` and
+    returns it.
 
     The operator is the game's ``_payoff_homogeneous``, the one stored copy:
     ``(c, L)`` with ``c`` in column 0, or with a quadratic constraint the
@@ -694,7 +677,7 @@ def _payoff_kernel(game: GameSpec) -> Callable[[np.ndarray, np.ndarray], np.ndar
 
 
 def _joint_payoff_stack(game: GameSpec, Z: np.ndarray) -> np.ndarray:
-    """``_joint_payoff`` for each row of an ``(S, N)`` stack ``Z``, to rounding.
+    """Both payoff vectors ``P = (F(x, mu), G(x))`` for each row of an ``(S, N)`` stack ``Z``.
 
     ``c``, ``L`` and ``T`` are read from the game's one stored operator,
     ``_payoff_homogeneous``, with one row index that puts its F and G rows
@@ -703,7 +686,9 @@ def _joint_payoff_stack(game: GameSpec, Z: np.ndarray) -> np.ndarray:
     with ``z``; a single three-operand ``einsum`` is several times slower.
     The split parts keep the summation order of a product with ``L``
     alone: a product with the homogeneous operator moves ``V`` and
-    ``g_max`` in the last bits.
+    ``g_max`` in the last bits.  Agrees with ``_payoff_kernel`` and with
+    the rule-based ``primal_dual_payoff`` and ``constraint_values`` to
+    rounding.
     """
     n, m = game.n, game.q + 1
     H = game._payoff_homogeneous[np.r_[m + 1 : m + 1 + n, :m]]
@@ -781,27 +766,22 @@ def check_stable_game(game: GameSpec, samples: int = 200, seed: int = 0) -> Stab
     the largest eigenvalue of the symmetric part of ``Df(x)`` restricted to
     the tangent space ``sum z = 0``: the largest ``z . Df(x) z`` over unit
     tangent ``z``.  ``worst`` is the largest over the states, and the game
-    passes when it stays at or below ``STABLE_TOL``.  For a constant
-    Jacobian the test is exact and proves stability; for a state-dependent
-    one it can only refute it.
+    passes when it stays at or below ``STABLE_TOL``.  A rule with an affine
+    form has a constant Jacobian, so the first state alone is drawn and the
+    test is exact: it proves stability.  For a state-dependent Jacobian it
+    can only refute it.
     """
     if samples < 1:
         raise ConfigurationError("need at least one sample")
-    basis = _tangent_basis(game.n)
+    if game.fitness.affine() is not None:
+        samples = 1
+    n = game.n
+    # orthonormal columns spanning the tangent space
+    basis = np.linalg.qr(np.eye(n)[:, : n - 1] - 1.0 / n)[0]
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(samples):
-        jac = _fitness_jacobian_raw(game, _uniform_simplex(rng, game.n, game.primal_mass))
-        worst = max(worst, _tangent_curvature(jac, basis))
+        jac = _fitness_jacobian_raw(game, _uniform_simplex(rng, n, game.primal_mass))
+        tangent = basis.T @ jac @ basis
+        worst = max(worst, float(np.linalg.eigvalsh(0.5 * (tangent + tangent.T))[-1]))
     return StabilityCheck(worst <= STABLE_TOL, worst)
-
-
-def _tangent_basis(n: int) -> np.ndarray:
-    """Orthonormal columns spanning the tangent space ``sum z = 0``."""
-    return np.linalg.qr(np.eye(n)[:, : n - 1] - 1.0 / n)[0]
-
-
-def _tangent_curvature(jac: np.ndarray, basis: np.ndarray) -> float:
-    """Largest ``z . J z`` over unit ``z`` in the span of ``basis = _tangent_basis(n)``."""
-    tangent = basis.T @ jac @ basis
-    return float(np.linalg.eigvalsh(0.5 * (tangent + tangent.T))[-1])

@@ -175,23 +175,6 @@ def validate_protocol(protocol: Protocol) -> None:
         )
 
 
-PROTOCOLS: dict[str, Callable[[], Protocol]] = {}
-
-
-def register_protocol(name: str, factory: Callable[[], Protocol]) -> None:
-    """Check ``factory()`` with ``validate_protocol``, then add ``factory`` to ``PROTOCOLS``.
-
-    Validation runs here, once per registration, so callers that look a
-    protocol up in ``PROTOCOLS`` need not repeat it.  An invalid protocol
-    raises ``ConfigurationError`` and is not added.
-    """
-    validate_protocol(factory())
-    PROTOCOLS[name] = factory
-
-
-register_protocol("smith", smith_protocol)
-
-
 @dataclass(frozen=True, eq=False)
 class SimParams:
     """Fixed-step integration parameters.

@@ -364,21 +364,20 @@ def optimum_solve(game: GameSpec) -> CertifiedOptimum:
 
 
 def _stable_jacobian(game: GameSpec) -> np.ndarray:
-    """The fitness rule's constant Jacobian, refused unless ``check_stable_game`` would pass it."""
+    """The fitness rule's constant Jacobian, refused unless ``check_stable_game`` passes it."""
     affine = game.fitness.affine()
     if affine is None:
         raise UnsupportedOperationError(
             "the fitness rule has no affine form f(x) = J x + f_0; a stable game with "
             "affine fitness is required"
         )
-    jac = np.asarray(affine[0], dtype=float)
-    top = core._tangent_curvature(jac, core._tangent_basis(game.n))
-    if top > core.STABLE_TOL:
+    check = core.check_stable_game(game)
+    if not check.stable:
         raise ConfigurationError(
-            f"fitness Jacobian has positive eigenvalue {top:.3g} on the tangent space "
+            f"fitness Jacobian has positive eigenvalue {check.worst:.3g} on the tangent space "
             "sum z = 0; a stable game is required"
         )
-    return jac
+    return np.asarray(affine[0], dtype=float)
 
 
 def _certificate(game: GameSpec, x: np.ndarray, lam: np.ndarray, g, jac) -> tuple:

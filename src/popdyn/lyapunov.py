@@ -61,8 +61,8 @@ def _value_raw(
     xv: np.ndarray,
     muv: np.ndarray,
 ) -> float:
-    """``V`` at one validated state pair: ``_value_batch`` on one-row stacks."""
-    P = core._joint_payoff(game, np.concatenate((xv, muv)))[None, :]
+    """``V`` at one validated state pair: ``_value_batch`` on the one-row payoff stack the record uses."""
+    P = core._joint_payoff_stack(game, np.concatenate((xv, muv))[None])
     n = game.n
     V = _value_batch(primal_protocol, dual_protocol, xv[None, :], muv[None, :], P[:, :n], P[:, n:])
     return float(V[0])

@@ -164,7 +164,8 @@ def reference_integrate(game, protocol, x0, mu0, params):
     norms, records the state, tests convergence and the horizon, and then
     either takes the update as is or checks it: a non-finite update
     diverges, one with a negative share is refused with the positivity
-    limit ``1 / max_j out_j`` computed from ``core._joint_payoff`` and
+    limit ``1 / max_j out_j`` computed from the rule-based payoffs
+    (``core._payoff_raw`` and ``core._constraint_values_raw``) and
     ``masked_gaps``, and a mass drift is rescaled away.  Returns the
     ``Trajectory`` fields as a dict; raises what the loop raises.
     """
@@ -218,7 +219,11 @@ def reference_integrate(game, protocol, x0, mu0, params):
             if not np.isfinite(z_new).all():
                 raise pd.IntegrationDivergedError(k + 1)
             if min(x_low, mu_low) < 0.0:
-                gaps = masked_gaps(game, core._joint_payoff(game, z))
+                xv, muv = z[:n], z[n:]
+                P = np.concatenate(
+                    (core._payoff_raw(game, xv, muv), core._constraint_values_raw(game, xv))
+                )
+                gaps = masked_gaps(game, P)
                 limit = 1.0 / protocol.value(gaps).sum(axis=0).max()
                 raise pd.ConfigurationError(
                     f"step {h:g} is too long: the update from step {k} (t = {k * h:g}) "

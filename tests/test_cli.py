@@ -88,6 +88,13 @@ def test_simulate_does_not_revalidate_registered_protocols(out_root, monkeypatch
     assert code == 2
 
 
+def test_simulate_takes_no_protocol_flag(out_root, capsys):
+    # the CLI runs Smith; library callers pass any Protocol to integrate
+    code, _, err = run_cli(["simulate", "--game", "paper-rps", "--protocol", "smith"], capsys)
+    assert code == cli._EXIT_USAGE
+    assert "unrecognized arguments: --protocol smith" in err
+
+
 def test_csv_g_max_is_the_largest_constraint_value(out_root, capsys):
     # both caps stay slack, so g_max is negative and must not see the null strategy's 0
     spec = {
@@ -353,6 +360,57 @@ def test_a_csv_in_a_missing_directory_is_an_error_naming_it(out_root, forks, cap
     assert len(forks) == 1
     _assert_no_child_process()
     assert list(out_root.iterdir()) == []
+
+
+def _popdyn_child(argv, cwd, stream, **kwargs):
+    """``popdyn argv`` in a child process on the package this process imported,
+    with the CSV streamed to a forked renderer or, without ``stream``, rendered
+    after the run."""
+    env = os.environ.copy()
+    package_root = str(Path(pd.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    main = (
+        "import sys; from popdyn import cli; "
+        f"cli._can_stream = lambda: {stream}; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    return subprocess.run([sys.executable, "-c", main, *argv], cwd=cwd, env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("stream", [True, False], ids=["streamed", "serial"])
+def test_a_csv_sent_to_redirected_standard_streams_comes_before_what_they_print(stream, tmp_path):
+    # seed 279 starts beyond the default step's positivity limit, so a note
+    # goes to stderr before the run; a CSV written from byte 0 of the
+    # redirected file would overwrite it, and the summary JSON printed after
+    # the run would overwrite the CSV's head
+    argv = ["simulate", "--game", "paper-congestion", "--seed", "279", "--horizon", "2", "--out"]
+    plain = _popdyn_child(argv + ["o.csv"], tmp_path, stream, capture_output=True)
+    assert plain.returncode == 2
+    want = (tmp_path / "o.csv").read_bytes()
+    assert want.startswith(b"t,x_1,") and plain.stderr.startswith(b"note: step 0.005")
+    with open(tmp_path / "out.txt", "wb") as out:
+        proc = _popdyn_child(argv + ["/dev/stdout"], tmp_path, stream, stdout=out)
+    assert proc.returncode == 2
+    got = (tmp_path / "out.txt").read_bytes()
+    assert got[: len(want)] == want
+    assert json.loads(got[len(want) :])["out"] == "/dev/stdout"
+    with open(tmp_path / "err.txt", "wb") as err:
+        proc = _popdyn_child(
+            argv + ["/dev/stderr"], tmp_path, stream, stdout=subprocess.DEVNULL, stderr=err
+        )
+    assert proc.returncode == 2
+    assert (tmp_path / "err.txt").read_bytes() == plain.stderr + want
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("stream", [True, False], ids=["streamed", "serial"])
+def test_a_csv_write_that_fails_names_the_csv(stream, out_root, forks, monkeypatch, capsys):
+    # /dev/full takes no sendfile, so the streamed copy falls back to writes
+    monkeypatch.setattr(cli, "_can_stream", lambda: stream)
+    code, out, err = run_cli(SIMULATE + ["/dev/full"], capsys)
+    assert code == 1 and not out
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '/dev/full'\n"
+    assert len(forks) == stream
+    _assert_no_child_process()
 
 
 @pytest.mark.parametrize("call", ["tempfile.TemporaryFile", "os.pipe", "os.fork"])

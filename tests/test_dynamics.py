@@ -30,29 +30,6 @@ def test_smith_protocol_rate_and_antiderivative():
     assert np.array_equal(smith.antiderivative(gaps), np.array([0.0, 0.0, 4.5]))
 
 
-def test_protocol_registry_contains_smith():
-    assert "smith" in pd.PROTOCOLS
-    assert pd.PROTOCOLS["smith"]().name == "smith"
-
-
-def test_register_protocol_validates_once_on_registration(monkeypatch, smith):
-    registry = {}
-    monkeypatch.setattr(dynamics, "PROTOCOLS", registry)
-    calls = []
-    monkeypatch.setattr(dynamics, "validate_protocol", lambda p: calls.append(p.name))
-    pd.register_protocol("twin", lambda: smith)
-    assert calls == ["smith"] and registry["twin"]() is smith
-
-
-def test_register_protocol_rejects_an_invalid_protocol(monkeypatch):
-    registry = {}
-    monkeypatch.setattr(dynamics, "PROTOCOLS", registry)
-    bad = pd.Protocol(name="bad", value=lambda a: np.ones_like(a), antiderivative=lambda a: 1.0 * a)
-    with pytest.raises(pd.ConfigurationError):
-        pd.register_protocol("bad", lambda: bad)
-    assert registry == {}
-
-
 def test_a_protocol_needs_its_antiderivative(smith):
     with pytest.raises(TypeError):
         pd.Protocol("smith", smith.value)
@@ -86,16 +63,11 @@ def test_the_gauss_legendre_literals_are_the_4_point_rule():
 
 
 @pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6], ids=["doubled", "relative-1e-6"])
-def test_an_antiderivative_off_the_rates_integral_is_refused(monkeypatch, smith, factor):
+def test_an_antiderivative_off_the_rates_integral_is_refused(smith, factor):
     # V is built from the antiderivative alone, so a scaled one scales V
     off = pd.Protocol("off", smith.value, lambda a: factor * smith.antiderivative(a))
     with pytest.raises(pd.ConfigurationError, match="off the rate's integral"):
         pd.validate_protocol(off)
-    registry = {}
-    monkeypatch.setattr(dynamics, "PROTOCOLS", registry)
-    with pytest.raises(pd.ConfigurationError, match="off the rate's integral"):
-        pd.register_protocol("off", lambda: off)
-    assert registry == {}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,5 +1,6 @@
 """Nash gaps, the equilibria-set report, mass bound, optimum solvers, saddle check."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import popdyn as pd
+from popdyn import core
 
 from conftest import null_dual, random_simplex
 
@@ -357,6 +359,62 @@ def _narrow_unstable_game():
 def test_optimum_solve_refuses(make_game, error, message):
     with pytest.raises(error, match=message):
         pd.optimum_solve(make_game())
+
+
+def sampled_worst(game, samples=200, seed=0):
+    """The largest tangent curvature of ``Df`` over ``samples`` uniform draws,
+    the test ``check_stable_game`` runs on a rule with no affine form."""
+    n = game.n
+    basis = np.linalg.qr(np.eye(n)[:, : n - 1] - 1.0 / n)[0]
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    for _ in range(samples):
+        jac = game.fitness.jacobian(core._uniform_simplex(rng, n, game.primal_mass))
+        tangent = basis.T @ jac @ basis
+        worst = max(worst, float(np.linalg.eigvalsh(0.5 * (tangent + tangent.T))[-1]))
+    return worst
+
+
+@pytest.fixture
+def jacobian_calls(monkeypatch):
+    calls, jacobian = [], core._fitness_jacobian_raw
+
+    def counting(game, xv):
+        calls.append(game)
+        return jacobian(game, xv)
+
+    monkeypatch.setattr(core, "_fitness_jacobian_raw", counting)
+    return calls
+
+
+def _identity_game():
+    # the identity rule of acceptance criterion 8: constant Jacobian, no affine form
+    return pd.GameSpec(
+        n=3,
+        primal_mass=1.0,
+        dual_mass=1.0,
+        fitness=pd.CallableFitness(lambda x: x.copy(), jac=lambda x: np.eye(3)),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_game, evaluations",
+    [(pd.paper_rps, 1), (_identity_game, 200), (lambda: stable_game(5, 7, 1.5, 2, True), 1)],
+    ids=["rps", "identity", "generated"],
+)
+def test_the_stability_test_evaluates_a_constant_jacobian_once(make_game, evaluations, jacobian_calls):
+    # an affine form proves the Jacobian constant, so one state is exact; a
+    # rule without one is still sampled at every state
+    game = make_game()
+    check = pd.check_stable_game(game)
+    assert len(jacobian_calls) == evaluations
+    assert check.worst == sampled_worst(game)
+
+
+def test_optimum_solve_reads_the_stability_test_of_an_unstable_affine_game(jacobian_calls):
+    with pytest.raises(pd.ConfigurationError, match="positive eigenvalue 0.01 on the tangent space"):
+        pd.optimum_solve(_narrow_unstable_game())
+    assert len(jacobian_calls) == 1
 
 
 # --- generated stable games without a potential ---

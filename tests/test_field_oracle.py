@@ -192,12 +192,20 @@ def test_lyapunov_rate_uses_each_population_protocol(congestion, rps):
                 assert abs(got - expected) <= 1e-12 * max(1.0, scale)
 
 
+def kernel_payoffs(game, z):
+    """The field kernel's own ``(F, G)`` at ``z = (x, mu)``, read after a ``field`` call."""
+    kernel = dynamics._field_kernel(game, pd.smith_protocol())
+    z_hat = np.concatenate(((1.0,), z))
+    kernel.field(z_hat, np.empty(z_hat.size))
+    return np.concatenate((kernel.F, kernel.G))
+
+
 def check_joint_payoff(game, states):
-    """``core._joint_payoff`` and its stack form against the rule-based public evaluators.
+    """The payoff operator's two routes against the rule-based public evaluators.
 
     ``states`` is a list of ``(xv, muv)`` pairs; the stack form evaluates
-    them all at once, and each of its rows is held to both the 1-d operator
-    and the rule-based reference.
+    them all at once, and each of its rows is held to the field kernel's
+    payoffs at that state and to the rule-based reference.
     """
     Z = np.array([np.concatenate((xv, muv)) for xv, muv in states])
     stacked = core._joint_payoff_stack(game, Z)
@@ -210,7 +218,7 @@ def check_joint_payoff(game, states):
         expected = np.concatenate(
             (pd.primal_dual_payoff(game, x, mu), pd.constraint_values(game, x))
         )
-        got = core._joint_payoff(game, z)
+        got = kernel_payoffs(game, z)
         bound = 1e-12 * max(1.0, np.max(np.abs(expected)))
         for value, reference in ((got, expected), (row, expected), (row, got)):
             assert value.shape == reference.shape
@@ -280,7 +288,7 @@ def test_joint_payoff_matches_rule_evaluators_on_named_games(congestion, rps):
     # the null strategy's payoff is exactly zero, with and without constraints
     for game in (congestion, rps, _unconstrained_game()):
         z = np.concatenate((np.full(game.n, game.primal_mass / game.n), null_prices(game)))
-        assert core._joint_payoff(game, z)[game.n] == 0.0
+        assert kernel_payoffs(game, z)[game.n] == 0.0
 
 
 def null_prices(game):
