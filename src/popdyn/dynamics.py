@@ -5,37 +5,54 @@ Each strategy ``i`` gains mass from every strategy ``j`` at rate
 revision protocol and ``F`` the relevant payoff vector: the
 constraint-discounted payoff for the playing population and the constraint
 values for the pricing population.  Both populations follow the same
-exchange rule, so one kernel evaluates them together, from BLAS products
-alone, on the homogeneous joint state ``z_hat = (1, x, mu)`` of length
-``n + q + 2``: one payoff vector ``(G, 0, F)`` from the game's precomputed
-payoff operator (``core._payoff_kernel``), whose constant coordinate
-carries the operator's constant terms, one gap matrix whose entries
-pairing a strategy with a price, or the constant with anything, are exact
-zeros, and the net flow, inflow minus outflow.  No mass crosses between
-the populations, the constant's field is an exact zero, a share at zero
-only gains, and each population keeps its mass to rounding (``integrate``
-rescales a drift beyond ``REPAIR_DRIFT``).  The per-population fields are
-slices of that kernel.
+exchange rule, so one kernel evaluates them together on the homogeneous
+joint state ``z_hat = (1, x, mu)`` of length ``N + 1 = n + q + 2``, from
+one payoff vector ``P = (G, 0, F)`` of the game's precomputed payoff
+operator (``core._payoff_kernel``), whose constant coordinate carries the
+operator's constant terms.  No mass crosses between the populations, the
+constant's field is an exact zero, a share at zero only gains, and each
+population keeps its mass to rounding (``integrate`` rescales a drift
+beyond ``REPAIR_DRIFT``).  The per-population fields are slices of that
+kernel.
+
+The kernel has two paths (``_field_kernel``).  The rate path, for every
+protocol, applies the protocol to one gap matrix whose entries pairing a
+strategy with a price, or the constant with anything, are exact zeros,
+and sums inflow minus outflow: BLAS products of at most ``(N + 1) x
+(N + 1)``.  The pattern path is Smith's rate ``max(g, 0)`` where the signs
+of the gaps hold still: there the field is one bilinear form ``(C_S z_hat)
+P``, with a tensor ``C_S`` built once per sign pattern ``S`` and cached on
+the kernel, and a forward-Euler step takes 5 numpy calls instead of 9.  A
+state takes it when it is *decisive*: within each population its payoffs,
+ranked, rise by more than ``tau = 2 (N + 1) eps max|P|`` at each step, a
+margin that keeps the field of an exact-zero share ``>= 0`` (derived in
+``_field_kernel``).  Other states, other protocols and games with ``N +
+1 > PATTERN_SIZE_MAX`` take the rate path: the tensor grows as ``N^3``,
+and at the cap it holds at most ``16 N^2`` doubles.
 
 ``_field_kernel`` binds the kernel once, to work arrays of its own, and
-with it the forward-Euler step: ``integrate`` binds it once per call, so a
-step is one Python call that allocates no array but the protocol's rates,
-and runs that share a game share no buffer.  The one-shot evaluators
-(``_joint_field``, the public fields, the positivity limit,
+with it the steps of the integrator: ``integrate`` binds it once per call,
+so a step is one Python call that allocates no array but the protocol's
+rates, and runs that share a game share no buffer.  The one-shot
+evaluators (``_joint_field``, the public fields, the positivity limit,
 ``lyapunov.lyapunov_rate``) take ``z = (x, mu)``, put the 1 in front and
-bind a kernel for the one state.
+bind a kernel for the one state; the positivity limit reads the rate
+path's out-rates.
 
 ``integrate`` advances the joint state with a fixed-step scheme in
 speculative blocks whose guards are checked together, with array
 operations over the block, keeping exactly the rows of a step-by-step
-loop.  The flow keeps both populations on their simplexes, so an update
-that takes a share negative is refused with the forward-Euler positivity
-limit of the step.  The diagnostics downstream layers need (potential,
-constraint values, Lyapunov value) are filled chunk by chunk, in batched
-passes over the recorded states: after the loop, or as soon as their rows
-are final for a caller that follows the rows as they are committed.
+loop that evaluates ``_joint_field`` at each state.  A block steps on the
+path of its first row, and its guards check, from the payoffs the steps
+wrote, that every row decides that path; the first row that does not ends
+the block and starts the next on its own path.  The flow keeps both
+populations on their simplexes, so an update that takes a share negative
+is refused with the forward-Euler positivity limit of the step.  The
+diagnostics downstream layers need (potential, constraint values,
+Lyapunov value) are filled chunk by chunk, in batched passes over the
+recorded states: after the loop, or as soon as their rows are final for a
+caller that follows the rows as they are committed.
 """
-
 from __future__ import annotations
 
 import math
@@ -54,6 +71,14 @@ REPAIR_DRIFT = 1e-12
 DIAGNOSTICS_CHUNK = 1 << 16
 # longest speculative block of steps ``integrate`` takes before checking their guards
 BLOCK_MAX = 256
+# Smith's rate takes the sign-pattern path on joint states of at most this many coordinates
+PATTERN_SIZE_MAX = 16
+# payoffs up to this magnitude have finite gaps: beyond it the rate path is taken
+PATTERN_PAYOFF_MAX = 2.0**1022
+# sign patterns one kernel caches before it empties its cache
+PATTERNS_MAX = 256
+# a block on a sign pattern ends this many times the rows to its projected change on
+LOOKAHEAD = 1.5
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -260,15 +285,46 @@ class Trajectory:
         return DualState(self.dual[-1], self.dual_mass)
 
 
+class _Path(NamedTuple):
+    """One route to the joint field, bound by ``_field_kernel``: the
+    protocol's rates, a sign pattern's contraction, or the rule that picks
+    one of them at each evaluation.
+
+    ``field(z_hat, out, p)`` writes the field at ``z_hat`` into ``out`` and
+    ``advance(z_hat, f, p, out)`` is the integrator's step: the field at
+    ``z_hat`` into ``f`` and the update into ``out``.  Where the kernel
+    checks its paths, both write the payoffs ``P = (G, 0, F)`` of each
+    evaluation into ``p``, one row per RK4 stage.  ``holds(P)`` tells, for
+    each row of a stack of payoffs, whether the state they were evaluated
+    at takes this path, and ``ahead(P)`` projects from two consecutive rows
+    how many rows after the second one a pattern still holds (``inf``
+    when it is not changing).  ``ahead`` is ``None`` off the pattern paths,
+    and ``holds`` on the checked path and in a kernel with the rate path
+    alone.
+    """
+
+    field: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    advance: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    holds: Callable[[np.ndarray], np.ndarray] | None = None
+    ahead: Callable[[np.ndarray], float] | None = None
+
+
 class _FieldKernel(NamedTuple):
     """The joint field of one game and protocol, bound by ``_field_kernel``.
 
-    ``out_rates``, ``F`` and ``G`` hold the out-rates and the two payoff
-    vectors at the state of the last ``field`` or ``advance`` call.
+    ``field(z_hat, out)`` evaluates the field at one state on the path that
+    the state decides, and ``checked`` is that rule as a ``_Path``.
+    ``rate`` is the rate path.  ``decide(P)`` gives the path that the state
+    with payoffs ``P`` decides; it is ``None`` when the kernel has the rate
+    path alone, and then ``checked`` is ``rate``.  ``out_rates`` holds the
+    out-rates at the state of the last rate-path evaluation, and ``F`` and
+    ``G`` the two payoff vectors at the state of the last ``field`` call.
     """
 
     field: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    advance: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    checked: _Path
+    rate: _Path
+    decide: Callable[[np.ndarray], _Path] | None
     out_rates: np.ndarray
     F: np.ndarray
     G: np.ndarray
@@ -279,13 +335,16 @@ class _FieldEvaluated(Exception):
     row's own field was evaluated, and the stage's exception is the cause."""
 
 
-def _field_kernel(game: GameSpec, protocol: Protocol, h: float = 0.0) -> _FieldKernel:
+def _field_kernel(
+    game: GameSpec, protocol: Protocol, h: float = 0.0, integrator: str = "euler"
+) -> _FieldKernel:
     """Fields of both populations at the homogeneous joint state
-    ``z_hat = (1, x, mu)``, bound once to work arrays of their own.
+    ``z_hat = (1, x, mu)`` of length ``N + 1``, bound once to work arrays
+    of their own, with the steps of length ``h`` of ``integrator``
+    (``"euler"`` or ``"rk4"``).
 
-    ``field(z_hat, out)`` writes the field at ``z_hat`` into ``out`` and
-    returns it: with ``R = rho(gaps)`` the rates of the payoff gaps
-    ``P_i - P_j``,
+    **The rate path.**  With ``R = rho(gaps)`` the rates of the payoff gaps
+    ``P_i - P_j``, the field is
 
         zdot_i = sum_j R_ij z_j - z_i sum_j R_ji,
 
@@ -293,36 +352,81 @@ def _field_kernel(game: GameSpec, protocol: Protocol, h: float = 0.0) -> _FieldK
     column sums ``out_j = (1 R)_j`` (into ``out_rates``), the rate at which
     each unit of ``j``'s mass leaves it.  A share at zero only gains, as its
     outflow term is an exact zero.  Inflow and outflow are summed apart, so
-    each block's field sums to zero to rounding, not exactly.
-    ``advance(z_hat, f, out)`` is the forward-Euler step of length ``h``:
-    it writes the field into ``f``, then ``z_hat + h f`` into ``out``, with
-    the field's code inlined, so a step is one Python call.
+    each block's field sums to zero to rounding, not exactly.  The gap
+    matrix is one rank-4 product ``U^T V`` of two ``(4, N + 1)`` row slices
+    of one work array ``W``.  Split as ``(1, x, mu)``, ``U``'s rows are
+    ``(0, 0, G)``, ``(0, F, 0)``, ``(0, 0, -1)``, ``(0, -1, 0)`` and
+    ``V``'s are ``(0, 0, 1)``, ``(0, 1, 0)``, ``(0, 0, G)``, ``(0, F, 0)``.
+    An entry within a population adds zeros to ``P_i - P_j``, so it is one
+    rounding of the difference; an entry pairing a strategy with a price,
+    or the constant with anything, adds zeros only, so it is an exact zero,
+    its rate too (``rho(0) = 0``), and no mass crosses between the
+    populations.  The field's entry 0 is then an exact zero, and every
+    update keeps the constant exactly 1.  The payoff operator writes
+    ``(G, 0, F)`` straight into the rows ``(0, 0, G)`` and ``(0, F, 0)``,
+    which lie back to back in ``W``.  No product is larger than
+    ``(N + 1) x (N + 1)``, and a forward-Euler step is 9 numpy calls, 10
+    with a quadratic constraint (its payoff is two products).
 
-    The gap matrix is one rank-4 product ``U^T V`` of two ``(4, N + 1)``
-    row slices of one work array ``W``.  Split as ``(1, x, mu)``, ``U``'s
-    rows are ``(0, 0, G)``, ``(0, F, 0)``, ``(0, 0, -1)``, ``(0, -1, 0)``
-    and ``V``'s are ``(0, 0, 1)``, ``(0, 1, 0)``, ``(0, 0, G)``,
-    ``(0, F, 0)``.  An entry within a population adds zeros to
-    ``P_i - P_j``, so it is one rounding of the difference; an entry
-    pairing a strategy with a price, or the constant with anything, adds
-    zeros only, so it is an exact zero, its rate too (``rho(0) = 0``), and
-    no mass crosses between the populations.  The field's entry 0 is then
-    an exact zero, and every update keeps the constant exactly 1.  The
-    payoff operator writes ``(G, 0, F)`` straight into the rows
-    ``(0, 0, G)`` and ``(0, F, 0)``, which lie back to back in ``W``.
+    **The pattern path.**  Smith's rate ``max(g, 0)`` is linear wherever the
+    signs of the gaps hold still.  With ``s_ij = 1`` where ``P_i > P_j``
+    within a population, 0 elsewhere, and ``c_i = sum_j s_ji``,
+
+        zdot_i = P_i (sum_j s_ij z_j + c_i z_i) - sum_k (s_ik z_k + s_ki z_i) P_k,
+
+    one bilinear form ``zdot = (C_S z_hat) P`` with a tensor ``C_S`` of small
+    integers.  A field is the payoff, the product ``C_S z_hat`` into rows 1
+    on of a matrix ``M``, and ``M P``; ``M``'s row 0 stays zero, so the
+    field's entry 0 is an exact zero.  While it takes at most ``16 N^2``
+    doubles, that is for ``N + 1 <= 14``, ``C_S`` is one ``(N (N + 1), N +
+    1)`` matrix, and a forward-Euler step is 5 numpy calls (6 with a
+    quadratic constraint).  Beyond, as ``C_S`` pairs a strategy with
+    strategies of its own population only, it is one block of shape ``(m
+    (N + 1), m)`` per population of ``m`` strategies, each a product of its
+    own: at most ``N^2 (N + 1)`` doubles, ``16 N^2`` at the size cap, and
+    two more calls.  The tensor of each pattern is built at its first use
+    and cached on the kernel, never on the game; past ``PATTERNS_MAX``
+    patterns the cache is emptied.
+
+    The pattern path applies at a *decisive* state: ``max|P| <=
+    PATTERN_PAYOFF_MAX``, so that every gap is finite, and within each
+    population the payoffs, ranked, rise by more than ``tau = 2 (N + 1) eps
+    max|P|`` at each step, each step one rounding of ``P_hi - P_lo``.  Then
+    every within-population gap exceeds ``tau / (1 + eps)`` exactly and
+    ``tau`` once rounded.  The margin keeps the field of an exact-zero
+    share ``>= 0``, as on the rate path.  With ``z_i = 0`` and ``a =
+    sum_k s_ik z_k``, row ``i`` of ``M`` holds ``a`` (one sum of ``m <= N``
+    nonnegative terms) against ``P_i`` and the exact ``-z_k`` against each
+    better ``P_k``.  The ``N + 1`` term product ``M P`` then errs by at
+    most ``(gamma_N + 2 gamma_(N+1)) a max|P|``, ``gamma_k ~ k eps / 2``:
+    less than ``1.5 (N + 1) eps a max|P|`` to first order.  Its exact value
+    is at least ``a tau / (1 + eps)``, so the rounded one is not negative
+    (for products in the normal range).  Elsewhere the two paths agree to
+    the rounding of their sums.  The field takes the rate path at a state
+    that is not decisive, under every other protocol, and for ``N + 1 >
+    PATTERN_SIZE_MAX``, where the blocks, which grow as ``N^3``, would make
+    the step slower than the rate path's.
+
+    ``field`` decides the path from the payoffs at each state.  A step on a
+    given path skips that decision, and the path's ``holds`` makes it after
+    the fact from the payoffs that the step wrote: for a pattern it checks
+    the steps of that pattern's ranking, which is the same rule, as a state
+    that ranks its payoffs otherwise has a step that does not rise.
+    ``integrate`` keeps only the rows whose every evaluation took the path
+    of its own state.
 
     A call allocates no array but the protocol's rates (and the fitness
-    rule's value when it has no affine form), and no product is larger than
-    ``(N + 1) x (N + 1)``.  The work arrays belong to the kernel, never to
-    the game, so runs on one game share no buffer.
+    rule's value when it has no affine form).  The work arrays belong to
+    the kernel, never to the game, so runs on one game share no buffer.
     """
-    n = game.n
-    size = n + game.q + 2
+    n, q1 = game.n, game.q + 1
+    size = n + q1 + 1
     W = np.zeros((6, size))
     W[0, n + 1 :] = W[1, 1 : n + 1] = 1.0
     W[4, n + 1 :] = W[5, 1 : n + 1] = -1.0
     # W[2] = (0, 0, G) and W[3] = (0, F, 0): G ends one row where the constant's 0 starts the next
     GF = W[2:4].reshape(2 * size)[n + 1 : n + 1 + size]
+    F, G = W[3, 1 : n + 1], W[2, n + 1 :]
     payoff = core._payoff_kernel(game)
     gaps_dot, V = W[2:].T.dot, W[:4]
     gaps = np.empty((size, size))
@@ -333,55 +437,207 @@ def _field_kernel(game: GameSpec, protocol: Protocol, h: float = 0.0) -> _FieldK
     hv, hf = np.full(size, h), np.empty(size)
     ones_dot = np.ones(size).dot
     value = protocol.value
-    add, dot, multiply, subtract = np.add, np.dot, np.multiply, np.subtract
+    add, copyto, dot, multiply, subtract = np.add, np.copyto, np.dot, np.multiply, np.subtract
+    checking = value is _smith_rate and size <= PATTERN_SIZE_MAX
+    rk4 = _rk4_stages(h, size) if integrator == "rk4" else None
 
-    def field(z, out):
+    def stepped(field, advance, holds=None, ahead=None):
+        return _Path(field, advance if rk4 is None else rk4(field), holds, ahead)
+
+    def rate_field(z, out, p):
         payoff(z, GF)
+        if checking:
+            copyto(p, GF)
         # the protocol may overwrite the gaps: the product rewrites them all
         rates = value(gaps_dot(V, gaps))
         ones_dot(rates, out_rates)
         dot(rates, z, out)
         return subtract(out, multiply(z, out_rates, outflow), out)
 
-    def advance(z, f, out):
+    def rate_advance(z, f, p, out):
         payoff(z, GF)
+        if checking:
+            copyto(p, GF)
         rates = value(gaps_dot(V, gaps))
         ones_dot(rates, out_rates)
         dot(rates, z, f)
         subtract(f, multiply(z, out_rates, outflow), f)
         return add(z, multiply(f, hv, hf), out)
 
-    return _FieldKernel(field, advance, out_rates, W[3, 1 : n + 1], W[2, n + 1 :])
+    if not checking:
+        rate = stepped(rate_field, rate_advance)
+
+        def rate_only(z, out):
+            return rate_field(z, out, None)
+
+        return _FieldKernel(rate_only, rate, rate, None, out_rates, F, G)
+
+    # (offset in z_hat, offset in P = (G, 0, F), strategies) of each population
+    populations = ((1, q1 + 1, n), (n + 1, 0, q1))
+    margin = 2.0 * size * np.finfo(float).eps
+    M = np.zeros((size, size))
+    M_dot = M.dot
+    M_rows = M[1:].reshape((size - 1) * size)
+    (xs, Mx), (ms, Mm) = [
+        (slice(zo, zo + m), M[zo : zo + m].reshape(m * size)) for zo, _, m in populations
+    ]
+    # one tensor over both populations while it takes at most 16 N^2 doubles
+    joint = size * size <= 16 * (size - 1)
+
+    def rises(P, lo, hi, ends):
+        """Whether the payoffs ``P`` (one vector, or a stack with one per row)
+        rise by more than ``tau`` at each step ``(lo[k], hi[k])``, with
+        ``max|P|``, read at ``ends``, within ``PATTERN_PAYOFF_MAX``."""
+        Pt = P.T
+        top = np.maximum.reduce(np.abs(Pt[ends]), axis=0)
+        low = np.minimum.reduce(Pt[hi] - Pt[lo], axis=0, initial=np.inf)
+        return (top <= PATTERN_PAYOFF_MAX) & (low > margin * top)
+
+    def decisive(P):
+        """``rises`` for each row of the stack ``P`` along that row's own ranking."""
+        top = np.abs(P).max(axis=1)
+        low = np.full(len(P), np.inf)
+        for _, po, m in populations:
+            steps = np.diff(np.sort(P[:, po : po + m], axis=1), axis=1)
+            np.minimum(low, steps.min(axis=1, initial=np.inf), out=low)
+        return (top <= PATTERN_PAYOFF_MAX) & (low > margin * top)
+
+    rate = stepped(rate_field, rate_advance, lambda P: ~decisive(P))
+
+    def ranking(orders):
+        """``(lo, hi, ends)``: the steps between neighbours, and the two ends,
+        of each population's strategies ranked by ``orders`` (indices within
+        it, lowest payoff first), as indices into ``P``."""
+        ranked = [po + order for (_, po, _), order in zip(populations, orders)]
+        parts = zip(*[(r[:-1], r[1:], r[[0, -1]]) for r in ranked])
+        return tuple(np.concatenate(part) for part in parts)
+
+    def pattern(orders, lo, hi, ends):
+        """The path of the pattern of ``ranking(orders)``."""
+        blocks = []
+        for (zo, po, m), order in zip(populations, orders):
+            rank = np.empty(m, dtype=np.intp)
+            rank[order] = np.arange(m)
+            S = (rank[:, None] > rank).astype(float)
+            C, r = np.zeros((m, size, m)), np.arange(m)
+            C[r, po + r, :] += S  # P_i s_ij z_j
+            C[r[:, None], po + r, r] -= S  # -s_ik z_k P_k
+            C[r[:, None], po + r, r[:, None]] -= S.T  # -s_ki z_i P_k
+            C[r, po + r, r] += S.sum(axis=0)  # c_i z_i P_i
+            blocks.append((zo, m, C))
+        if joint:
+            # one block over rows 1 on of M and all of z_hat: one product, no slices
+            C = np.zeros((size - 1, size, size))
+            for zo, m, block in blocks:
+                C[zo - 1 : zo - 1 + m, :, zo : zo + m] = block
+            C_dot = C.reshape((size - 1) * size, size).dot
+
+            def field(z, out, p):
+                payoff(z, p)
+                C_dot(z, M_rows)
+                return M_dot(p, out)
+
+            def advance(z, f, p, out):
+                payoff(z, p)
+                C_dot(z, M_rows)
+                M_dot(p, f)
+                return add(z, multiply(f, hv, hf), out)
+
+        else:
+            Cx_dot, Cm_dot = (block.reshape(m * size, m).dot for _, m, block in blocks)
+
+            def field(z, out, p):
+                payoff(z, p)
+                Cx_dot(z[xs], Mx)
+                Cm_dot(z[ms], Mm)
+                return M_dot(p, out)
+
+            def advance(z, f, p, out):
+                payoff(z, p)
+                Cx_dot(z[xs], Mx)
+                Cm_dot(z[ms], Mm)
+                M_dot(p, f)
+                return add(z, multiply(f, hv, hf), out)
+
+        def holds(P):
+            return rises(P, lo, hi, ends)
+
+        def ahead(P):
+            # each step's shrink from one row to the next, extrapolated linearly
+            steps = P[:, hi] - P[:, lo]
+            shrink = steps[0] - steps[1]
+            closing = shrink > 0.0
+            return float((steps[1][closing] / shrink[closing]).min(initial=math.inf))
+
+        return stepped(field, advance, holds, ahead)
+
+    patterns = {}
+
+    def decide(P):
+        orders = [np.argsort(P[po : po + m], kind="stable") for _, po, m in populations]
+        key = b"".join(order.tobytes() for order in orders)
+        found = patterns.get(key)
+        if found is not None:
+            return found if found.holds(P) else rate
+        # ties rank in index order, and a tie is a step that does not rise
+        steps = ranking(orders)
+        if not rises(P, *steps):
+            return rate
+        if len(patterns) >= PATTERNS_MAX:
+            patterns.clear()
+        found = patterns[key] = pattern(orders, *steps)
+        return found
+
+    def field(z, out):
+        payoff(z, GF)
+        return decide(GF).field(z, out, GF)
+
+    def checked_field(z, out, p):
+        field(z, out)
+        copyto(p, GF)
+        return out
+
+    def checked_advance(z, f, p, out):
+        field(z, f)
+        copyto(p, GF)
+        return add(z, multiply(f, hv, hf), out)
+
+    checked = stepped(checked_field, checked_advance)
+    return _FieldKernel(field, checked, rate, decide, out_rates, F, G)
 
 
-def _rk4_advance(field, h: float, size: int):
-    """``advance(z, k1, out)`` writes the field at ``z`` into ``k1`` and the
-    classic RK4 update from ``z`` into ``out``.
+def _rk4_stages(h: float, size: int):
+    """``rk4(field)`` composes the classic RK4 step ``advance(z, k1, p, out)``
+    from a field ``field(z, out, p)``: the field at ``z`` into ``k1``, the
+    payoffs of stage ``s`` into ``p[s]`` and the update into ``out``.
 
     An exception from the field at ``z`` propagates as it is; one from a
     later stage is raised as ``_FieldEvaluated`` from it, as ``k1`` is then
-    the field at ``z``.
+    the field at ``z``.  The steps share one set of work arrays.
     """
     k2, k3, k4, zt = np.empty((4, size))
     add, multiply = np.add, np.multiply
     # the factors as arrays, as the field kernel binds h
     half, hv, sixth, two = np.array([[0.5 * h], [h], [h / 6.0], [2.0]]).repeat(size, axis=1)
 
-    def advance(z, k1, out):
-        field(z, k1)
-        try:
-            field(add(z, multiply(k1, half, out=zt), out=zt), k2)
-            field(add(z, multiply(k2, half, out=zt), out=zt), k3)
-            field(add(z, multiply(k3, hv, out=zt), out=zt), k4)
-        except Exception as exc:
-            raise _FieldEvaluated from exc
-        # k1 + 2 k2 + 2 k3 + k4, summed left to right
-        add(k1, multiply(k2, two, out=k2), out=k2)
-        add(k2, multiply(k3, two, out=k3), out=k2)
-        add(k2, k4, out=k2)
-        return add(z, multiply(k2, sixth, out=k2), out=out)
+    def rk4(field):
+        def advance(z, k1, p, out):
+            field(z, k1, p[0])
+            try:
+                field(add(z, multiply(k1, half, out=zt), out=zt), k2, p[1])
+                field(add(z, multiply(k2, half, out=zt), out=zt), k3, p[2])
+                field(add(z, multiply(k3, hv, out=zt), out=zt), k4, p[3])
+            except Exception as exc:
+                raise _FieldEvaluated from exc
+            # k1 + 2 k2 + 2 k3 + k4, summed left to right
+            add(k1, multiply(k2, two, out=k2), out=k2)
+            add(k2, multiply(k3, two, out=k3), out=k2)
+            add(k2, k4, out=k2)
+            return add(z, multiply(k2, sixth, out=k2), out=out)
 
-    return advance
+        return advance
+
+    return rk4
 
 
 def _joint_field(game: GameSpec, protocol: Protocol, z: np.ndarray) -> np.ndarray:
@@ -399,7 +655,7 @@ def _positivity_limit(game: GameSpec, protocol: Protocol, z: np.ndarray) -> floa
     kernel = _field_kernel(game, protocol)
     z_hat = np.concatenate(((1.0,), z))
     with np.errstate(all="ignore"):
-        kernel.field(z_hat, np.empty(z_hat.size))
+        kernel.rate.field(z_hat, np.empty(z_hat.size), np.empty(z_hat.size))
     top = float(kernel.out_rates.max())
     return 1.0 / top if top > 0.0 else math.inf
 
@@ -492,10 +748,10 @@ def integrate(
     """Advance both populations from ``(x0, mu0)`` and record every step.
 
     The loop steps the homogeneous joint state ``z_hat = (1, x, mu)``, one
-    row of one state buffer per step, with forward Euler (the kernel's
-    bound ``advance``) or classic RK4 (composed from its ``field``) at
-    fixed step ``params.step``.  The constant is written in row 0 only: the
-    field's entry 0 is an exact zero, so every update keeps it exactly 1.
+    row of one state buffer per step, with forward Euler or classic RK4
+    (the ``advance`` of a kernel path) at fixed step ``params.step``.  The
+    constant is written in row 0 only: the field's entry 0 is an exact
+    zero, so every update keeps it exactly 1.
     Recorded times are ``k * step`` exactly as computed by that product.
 
     Steps are taken in speculative blocks.  Inside a block a step is one
@@ -506,6 +762,21 @@ def integrate(
     doubles after each clean block, stops at the horizon and, once the
     field has been quiet for ``quiet`` steps, ends ``window - quiet`` steps
     on, where the streak would converge.
+
+    Where the kernel has the pattern path, a block steps every row on one
+    path: the path of the row before it, or the one its first row decides
+    when that row is checked (``_FieldKernel.checked``: the first block,
+    and the row after one that raised).  The path's ``holds`` then decides,
+    from the payoffs each step wrote, whether each row's state takes that
+    path (for RK4, at every stage), by the rule ``field`` applies; the
+    first row that does not ends the block before it, and the next block
+    starts at that row on the path its payoffs decide, or checked when a
+    later RK4 stage alone left the path.  So every kept row's field is the
+    one ``_joint_field`` gives at its state.  On a pattern, the block after
+    a clean one, or after one that a change of pattern cut short, ends
+    ``LOOKAHEAD`` times the rows at which the pattern's closest step is
+    projected to close, extrapolated from the last two rows' payoffs (a
+    block cut short on the rate path starts its doubling over at 1).
 
     The guards are array operations over the block: the two field norms
     of each row (from column 1 on, past the constant), the quiet streak
@@ -528,8 +799,11 @@ def integrate(
     with the same length.
 
     The loop runs with numpy's floating-point warnings off: the guards above
-    report every non-finite value, and discarded rows must not warn.  An
-    exception from the field or the fitness at a speculative state ends the
+    report every non-finite value, and discarded rows must not warn.  Where
+    the kernel checks paths, an exception at a row that took the block's
+    path ends the block before that row, and a checked row starts the next
+    one.  Otherwise an exception from the field or the fitness at a
+    speculative state ends the
     block there; it propagates only if every earlier row passed its checks
     without stopping, that is, only if a step-by-step loop would have
     reached that state, and is dropped with the discarded rows otherwise.
@@ -577,12 +851,16 @@ def integrate(
     states[0, 0] = 1.0
     states[0, 1 : n + 1] = core._check_primal(game, x0)
     states[0, n + 1 :] = core._check_dual(game, mu0)
-    fields = np.empty((min(T, BLOCK_MAX), states.shape[1]))
-    kernel = _field_kernel(game, protocol, h)
-    if params.integrator == "euler":
-        advance = kernel.advance
-    else:
-        advance = _rk4_advance(kernel.field, h, states.shape[1])
+    width = states.shape[1]
+    fields = np.empty((min(T, BLOCK_MAX), width))
+    kernel = _field_kernel(game, protocol, h, params.integrator)
+    checked, checking = kernel.checked, kernel.decide is not None
+    path = checked
+    # the payoffs of each step's evaluations, one row per RK4 stage
+    stages = () if params.integrator == "euler" else (4,)
+    payoffs = np.empty((fields.shape[0], *stages, width))
+    # the payoffs at each row's own state
+    leading = payoffs if params.integrator == "euler" else payoffs[:, 0]
     index = np.arange(fields.shape[0])
 
     def first(rows: int, converged: bool = False) -> Trajectory:
@@ -631,17 +909,44 @@ def integrate(
                 K = min(K, window - quiet)
             evaluated = updated = K
             error = None
-            z = states[start]
+            z, out = states[start], states[start + 1]
+            # a checked first row decides its own path, and the rows after it
+            # take the block's path, which the scan below checks
+            lead = int(checking and path is checked)
+            after = None
             try:
-                for f, out in zip(fields[:K], states[start + 1 : start + 1 + K]):
-                    z = advance(z, f, out)
+                if lead:
+                    z = path.advance(z, fields[0], payoffs[0], out)
+                    path = kernel.decide(leading[0])
+                advance = path.advance
+                updates = states[start + 1 + lead : start + 1 + K]
+                for f, p, out in zip(fields[lead:K], payoffs[lead:K], updates):
+                    z = advance(z, f, p, out)
             except Exception as exc:  # user code in the field; the scan decides if it propagates
                 # the row whose step raised, from the offset of the update it was writing
                 updated = (out.ctypes.data - states.ctypes.data) // states.strides[0] - start - 1
-                if isinstance(exc, _FieldEvaluated):
+                if checking and updated >= lead:
+                    # the row took the block's path, which its state may not decide:
+                    # the block ends before it, and a checked row starts the next
+                    evaluated, after = updated, checked
+                elif isinstance(exc, _FieldEvaluated):
                     error, evaluated = exc.__cause__, updated + 1
                 else:
                     error, evaluated = exc, updated
+            if checking and evaluated > lead:
+                held = path.holds(payoffs[lead:evaluated].reshape(-1, width))
+                missed = np.flatnonzero(~held.reshape(evaluated - lead, -1).all(axis=1))
+                if missed.size:
+                    # the first row whose state decides another path ends the
+                    # block, and the next starts there on the path its payoffs
+                    # decide, or checked when they decide this one (a later
+                    # RK4 stage took another)
+                    evaluated = updated = lead + int(missed[0])
+                    after = kernel.decide(leading[evaluated])
+                    after = checked if after is path else after
+            if not evaluated and error is None:
+                path = after
+                continue
 
             rows = norms[start : start + evaluated]
             # the maximum propagates NaN, so finite norms mean a finite field
@@ -668,7 +973,19 @@ def integrate(
                     raise error  # the field at the row after the last raised
                 quiet = int(streak[-1])
                 start += evaluated
-                size = min(2 * size, BLOCK_MAX)
+                if after is None:
+                    size = min(2 * size, BLOCK_MAX)
+                    last = evaluated - 1
+                else:
+                    # the next block takes the path of the row that cut this one
+                    path, size, last = after, BLOCK_MAX, evaluated
+                if checking and last > 0 and path.ahead is not None:
+                    # end it past the row where its ranking is projected to change
+                    ahead = path.ahead(leading[last - 1 : last + 1])
+                    if ahead < BLOCK_MAX:
+                        size = min(size, max(1, math.ceil(LOOKAHEAD * ahead)))
+                elif after is not None:
+                    size = 1
                 # the rows below start are final
                 while _committed is not None and filled + chunk <= start:
                     fill(filled, filled + chunk)

@@ -17,7 +17,7 @@ from popdyn import dynamics
 from popdyn.lyapunov import _value_raw
 
 from conftest import SQUARE, masked_gaps, null_dual, random_simplex, reference_integrate
-from test_field_oracle import generated_games
+from test_field_oracle import generated_games, sparse_simplex
 
 
 # --- protocols ---
@@ -219,6 +219,73 @@ def test_fields_reject_foreign_states(congestion, rps, smith):
         pd.primal_field(congestion, smith, x, null_dual(congestion))
     with pytest.raises(pd.ConfigurationError):
         pd.dual_field(rps, smith, x, null_dual(congestion))
+
+
+def pattern_field_at(game, xv, muv):
+    """At ``(xv, muv)``, the field that ``field`` takes and the rate path's,
+    both on ``z_hat``, and whether the state took the pattern path.
+
+    Where it did, each population's fields agree within ``4 (N + 1)^2 eps
+    mass max|P|``, a bound fixed from the error of both sums, every
+    exact-zero share gets a field ``>= 0`` and entry 0 is an exact zero.
+    """
+    kernel = dynamics._field_kernel(game, pd.smith_protocol())
+    z = np.concatenate(((1.0,), xv, muv))
+    field = kernel.field(z, np.empty(z.size))
+    P = np.concatenate((kernel.G, [0.0], kernel.F))
+    if kernel.decide(P) is kernel.rate:
+        return False
+    rate = kernel.rate.field(z, np.empty(z.size), np.empty(z.size))
+    eps, top, n = np.finfo(float).eps, np.abs(P).max(), game.n
+    for block, mass in ((slice(1, n + 1), game.primal_mass), (slice(n + 1, None), game.dual_mass)):
+        deviation = np.abs(field[block] - rate[block]).max()
+        assert deviation <= 4.0 * z.size**2 * eps * mass * top, (deviation, top)
+    assert field[0] == 0.0
+    assert (field[z == 0.0] >= 0.0).all()
+    return True
+
+
+def test_the_pattern_field_matches_the_rate_field_on_builtin_games(congestion, rps):
+    for game in (congestion, rps):
+        rng = np.random.default_rng(3)
+        taken = [
+            [
+                pattern_field_at(
+                    game,
+                    sparse_simplex(rng, game.n, game.primal_mass, empty),
+                    sparse_simplex(rng, game.q + 1, game.dual_mass, empty),
+                )
+                for _ in range(25)
+            ]
+            for empty in range(4)
+        ]
+        # two or more empty roads tie the values of their capacity constraints
+        assert all(taken[0]) and any(taken[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    generated=generated_games(kinds=("matrix", "potential", "callable")),
+    empty=st.integers(0, 3),
+)
+def test_the_pattern_field_matches_the_rate_field_on_generated_games(generated, empty):
+    # affine and quadratic constraints, q = 0 and callable fitness rules
+    game, rng = generated
+    taken = [
+        pattern_field_at(
+            game,
+            sparse_simplex(rng, game.n, game.primal_mass, empty),
+            sparse_simplex(rng, game.q + 1, game.dual_mass, empty),
+        )
+        for _ in range(5)
+    ]
+    assert any(taken)
+
+
+def test_a_tie_takes_the_rate_path(rps):
+    # at the barycenter the three payoffs of paper-rps are equal
+    x = np.full(3, 1.0 / 3.0)
+    assert not pattern_field_at(rps, x, np.array([rps.dual_mass, 0.0]))
 
 
 # --- integration ---
@@ -475,10 +542,11 @@ def test_rows_committed_inside_the_loop_are_final_and_the_same_bits(congestion, 
 
     traj = dynamics.integrate(congestion, smith, x0, null_dual(congestion), params, _committed=committed)
     want = pd.integrate(congestion, smith, x0, null_dual(congestion), params)
-    # blocks of 1, 2, 4, ..., 128 rows end at row 255; the last block ends
-    # the run, and its rows are filled after the loop
+    # the run's ranking of payoffs changes often early on, cutting blocks
+    # short; the last block starts at row 265, where it changes once more,
+    # and ends the run, and its rows are filled after the loop
     assert len(traj) == 301
-    assert [rows for rows, _ in commits] == list(range(chunk, 256, chunk))
+    assert [rows for rows, _ in commits] == list(range(chunk, 265, chunk))
     for name in fields:
         assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name
         for rows, seen in commits:
@@ -505,8 +573,8 @@ def record_gaps(game, x0, mu0, params, seen):
     kernels = []
     bind = dynamics._field_kernel
 
-    def recording_bind(game, protocol, h=0.0):
-        kernels.append(bind(game, protocol, h))
+    def recording_bind(game, protocol, h=0.0, integrator="euler"):
+        kernels.append(bind(game, protocol, h, integrator))
         return kernels[-1]
 
     def value(gaps):
@@ -576,35 +644,55 @@ def test_the_constant_coordinate_stays_exactly_one(generated, integrator):
     mu0 = pd.DualState(random_simplex(rng, game.q + 1, game.dual_mass), game.dual_mass)
     params = pd.SimParams(horizon=0.5, step=0.01, integrator=integrator)
     seen = []  # (constant at the state, field's entry 0) per evaluation
-    updates = []  # the constant of each Euler update
-    bind = dynamics._field_kernel
+    updates = []  # the constant of each update
+    bind, stages = dynamics._field_kernel, dynamics._rk4_stages
 
-    def recording_bind(game, protocol, h=0.0):
-        kernel = bind(game, protocol, h)
+    def recording_stages(h, size):
+        rk4 = stages(h, size)
 
-        def field(z, out):
-            kernel.field(z, out)
-            seen.append((z[0], out[0]))
-            return out
+        def recording_rk4(field):
+            def stage(z, out, p):
+                field(z, out, p)
+                seen.append((z[0], out[0]))
+                return out
 
-        def advance(z, f, out):
-            kernel.advance(z, f, out)
-            seen.append((z[0], f[0]))
-            updates.append(out[0])
-            return out
+            return rk4(stage)
 
-        return kernel._replace(field=field, advance=advance)
+        return recording_rk4
 
-    dynamics._field_kernel = recording_bind
+    def recording_bind(game, protocol, h=0.0, integrator="euler"):
+        kernel = bind(game, protocol, h, integrator)
+
+        def recording(path):
+            def advance(z, f, p, out):
+                path.advance(z, f, p, out)
+                if integrator == "euler":
+                    seen.append((z[0], f[0]))
+                updates.append(out[0])
+                return out
+
+            return path._replace(advance=advance)
+
+        # each path the kernel decides, kept alive beside its recording form
+        paths = {}
+
+        def decide(P):
+            path = kernel.decide(P)
+            return paths.setdefault(id(path), (path, recording(path)))[1]
+
+        return kernel._replace(checked=recording(kernel.checked), decide=decide)
+
+    dynamics._field_kernel, dynamics._rk4_stages = recording_bind, recording_stages
     try:
         traj = pd.integrate(game, pd.smith_protocol(), x0, mu0, params)
     except pd.ConfigurationError:
         traj = None  # a step too long for this game: the rows before still count
     finally:
-        dynamics._field_kernel = bind
+        dynamics._field_kernel, dynamics._rk4_stages = bind, stages
     assert seen and all(c == 1.0 and f == 0.0 for c, f in seen)
-    assert all(c == 1.0 for c in updates)
-    assert (integrator == "euler") == bool(updates)
+    assert updates and all(c == 1.0 for c in updates)
+    # every RK4 update follows its four stages
+    assert len(seen) >= (1 if integrator == "euler" else 4) * len(updates)
     if traj is not None:
         # the recorded states are views past the constant column of one buffer
         states = traj.primal.base
@@ -685,7 +773,7 @@ REFERENCE_CASES = {
             "convergence_window": 3 * dynamics.BLOCK_MAX,
         },
     ),
-    # a quiet streak of 14 rows carried into the block at row 767, where it converges
+    # a quiet streak of 76 rows carried into the block at row 829, where it converges
     "rps-carried-streak": (
         pd.paper_rps,
         _barycenter,
@@ -702,9 +790,9 @@ REFERENCE_CASES = {
     # the first block is row 0 alone; the horizon cuts the second to row 1
     "rps-horizon-one-step": (pd.paper_rps, _seeded(1), {"horizon": 0.01, "step": 0.01}),
     "rps-h0.5": (pd.paper_rps, _seeded(1), {"horizon": 100.0, "step": 0.5}),
-    # refused inside a block: at step 4 of the block of steps 3..6
+    # refused inside a block: at step 4 of the block of steps 3..4
     "rps-h0.3-in-block": (pd.paper_rps, _seeded(1), {"horizon": 100.0, "step": 0.3}),
-    # refused at step 3, where the block of steps 3..6 starts
+    # refused at step 3, where the block of steps 3..4 starts
     "rps-h0.4-in-block": (pd.paper_rps, _seeded(2), {"horizon": 100.0, "step": 0.4}),
     # the field overflows at the start
     "diverged-field": (_overflowing_game, _barycenter, {"horizon": 1.0}),
@@ -752,7 +840,7 @@ def test_integrate_matches_the_step_by_step_reference(case, smith):
 
 def test_a_refused_speculative_state_is_dropped_with_its_block(smith):
     # at h = 0.3 the update from step 4 leaves the simplex; the step-by-step
-    # loop refuses it before the fitness sees it, but the block of steps 3..6
+    # loop refuses it before the fitness sees it, but the block from step 2
     # evaluates the field at the unrefused state first
     refused = []
     game = _refusing_rps(refused)
@@ -763,6 +851,32 @@ def test_a_refused_speculative_state_is_dropped_with_its_block(smith):
     assert refused == []
     assert assert_integrate_matches_reference(game, smith, x0, params) is None
     assert refused
+
+
+def test_a_row_stepped_on_a_stale_pattern_is_not_kept(smith):
+    # with the check of each block's path forced to pass, a block keeps the
+    # rows it steps on a ranking of payoffs that has changed, and the run
+    # leaves the step-by-step reference
+    game = pd.paper_congestion()
+    x0, params = pd.sample_simplex(game.n, game.primal_mass, seed=0), pd.SimParams(horizon=20.0)
+    want = reference_integrate(game, smith, x0, null_dual(game), params)
+    assert_same_trajectory(pd.integrate(game, smith, x0, null_dual(game), params), want)
+    bind = dynamics._field_kernel
+
+    def blind(path):
+        return path._replace(holds=lambda P: np.ones(len(P), dtype=bool))
+
+    def unchecked(*args):
+        kernel = bind(*args)
+        return kernel._replace(decide=lambda P: blind(kernel.decide(P)))
+
+    dynamics._field_kernel = unchecked
+    try:
+        # a stale pattern's rates may also take a share negative
+        with pytest.raises((AssertionError, pd.ConfigurationError)):
+            assert_same_trajectory(pd.integrate(game, smith, x0, null_dual(game), params), want)
+    finally:
+        dynamics._field_kernel = bind
 
 
 def test_a_refusal_the_step_by_step_loop_reaches_propagates(smith):
@@ -779,40 +893,64 @@ def test_a_refusal_the_step_by_step_loop_reaches_propagates(smith):
 # --- the kernel's work arrays ---
 
 
+# Smith's rate through a function of its own, so that the kernel takes the rate path
+SMITH_RATE_PATH = pd.Protocol(
+    "smith-rate-path", lambda g: np.maximum(g, 0.0), pd.smith_protocol().antiderivative
+)
+
+
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
-def test_a_protocol_that_overwrites_its_gaps_matches_smith(congestion, rps, smith, integrator):
+def test_a_protocol_that_overwrites_its_gaps_matches_smith(congestion, rps, integrator):
     # the kernel hands the protocol the same gap matrix on every call; a rate
     # written over it must not leak into the next evaluation
     for game in (congestion, rps):
         x0 = pd.sample_simplex(game.n, game.primal_mass, seed=1)
         params = pd.SimParams(horizon=200.0 if integrator == "euler" else 30.0, integrator=integrator)
-        want = pd.integrate(game, smith, x0, null_dual(game), params)
+        want = pd.integrate(game, SMITH_RATE_PATH, x0, null_dual(game), params)
         got = pd.integrate(game, SMITH_IN_PLACE, x0, null_dual(game), params)
         assert_same_trajectory(got, {**vars(want), "protocol": SMITH_IN_PLACE})
 
 
 def test_the_kernel_takes_quadratic_memory(smith):
+    def traced(n, q):
+        """Peak traced bytes of building the game and binding and calling its
+        kernel, the call's own peak above where it started, and the kernel."""
+        N = n + q + 1
+        rng = np.random.default_rng(0)
+        A, rows = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(0.0, 1.0, (q, n))
+        z = np.concatenate(((1.0,), np.full(n, 1.0 / n), np.full(q + 1, 2.0 / (q + 1))))
+        tracemalloc.start()
+        try:
+            game = pd.GameSpec(
+                n=n,
+                primal_mass=1.0,
+                dual_mass=2.0,
+                fitness=pd.MatrixFitness(A),
+                constraints=tuple(pd.AffineConstraint(a, 0.5) for a in rows),
+            )
+            kernel = dynamics._field_kernel(game, smith)
+            bound, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            kernel.field(z, np.empty(N + 1))
+            call = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return max(peak, call), call - bound, kernel
+
     # building the game and binding and calling its kernel at N = 200 peaks
     # near 5 N^2 doubles; an (N^2, N) operator would add N^3 of them, 64 MB
-    n, q = 196, 3
-    N = n + q + 1
-    rng = np.random.default_rng(0)
-    A, rows = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(0.0, 1.0, (q, n))
-    z = np.concatenate(((1.0,), np.full(n, 1.0 / n), np.full(q + 1, 2.0 / (q + 1))))
-    tracemalloc.start()
-    try:
-        game = pd.GameSpec(
-            n=n,
-            primal_mass=1.0,
-            dual_mass=2.0,
-            fitness=pd.MatrixFitness(A),
-            constraints=tuple(pd.AffineConstraint(a, 0.5) for a in rows),
-        )
-        dynamics._field_kernel(game, smith).field(z, np.empty(N + 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    N = 196 + 3 + 1
+    peak, _, kernel = traced(196, 3)
     assert peak <= 16 * N * N * 8
+    assert kernel.decide is None  # past the size cap: the rate path alone
+    # at N + 1 = 16, the size cap, the call takes the pattern path and builds
+    # its blocks, (n^2 + (q + 1)^2) (N + 1) doubles; building the game and
+    # binding the kernel alone take 70% of the bound there, so the bound
+    # holds the call's own peak
+    N = 9 + 5 + 1
+    _, call, kernel = traced(9, 5)
+    assert call <= 16 * N * N * 8
+    assert kernel.decide(np.concatenate((kernel.G, [0.0], kernel.F))) is not kernel.rate
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
