@@ -803,10 +803,10 @@ def integrate(
     the kernel checks paths, an exception at a row that took the block's
     path ends the block before that row, and a checked row starts the next
     one.  Otherwise an exception from the field or the fitness at a
-    speculative state ends the
-    block there; it propagates only if every earlier row passed its checks
-    without stopping, that is, only if a step-by-step loop would have
-    reached that state, and is dropped with the discarded rows otherwise.
+    speculative state ends the block there; it propagates only if every
+    earlier row passed its checks without stopping, that is, only if a
+    step-by-step loop would have reached that state, and is dropped with
+    the discarded rows otherwise.
     An RK4 stage that raises after the row's own field counts that row as
     evaluated.
 
