@@ -23,12 +23,14 @@ and sums inflow minus outflow: BLAS products of at most ``(N + 1) x
 of the gaps hold still: there the field is one bilinear form ``(C_S z_hat)
 P``, with a tensor ``C_S`` built once per sign pattern ``S`` and cached on
 the kernel, and a forward-Euler step takes 5 numpy calls instead of 9.  A
-state takes it when it is *decisive*: within each population its payoffs,
-ranked, rise by more than ``tau = 2 (N + 1) eps max|P|`` at each step, a
-margin that keeps the field of an exact-zero share ``>= 0`` (derived in
-``_field_kernel``).  Other states, other protocols and games with ``N +
-1 > PATTERN_SIZE_MAX`` take the rate path: the tensor grows as ``N^3``,
-and at the cap it holds at most ``16 N^2`` doubles.
+state takes it when it is *decisive*: ``max|P|`` lies in a range that
+keeps the path's sums finite and its margin normal, and within each
+population its payoffs, ranked, rise by more than ``tau = 2 (N + 1) eps
+max|P|`` at each step, a margin that keeps the field of an exact-zero
+share ``>= 0`` (derived in ``_field_kernel``).  Other states, other
+protocols and games with ``N + 1 > PATTERN_SIZE_MAX`` take the rate path:
+the tensor grows as ``N^3``, and up to the cap it holds at most ``16 N^2``
+doubles.
 
 ``_field_kernel`` binds the kernel once, to work arrays of its own, and
 with it the steps of the integrator: ``integrate`` binds it once per call,
@@ -72,13 +74,13 @@ DIAGNOSTICS_CHUNK = 1 << 16
 # longest speculative block of steps ``integrate`` takes before checking their guards
 BLOCK_MAX = 256
 # Smith's rate takes the sign-pattern path on joint states of at most this many coordinates
-PATTERN_SIZE_MAX = 16
-# payoffs up to this magnitude have finite gaps: beyond it the rate path is taken
-PATTERN_PAYOFF_MAX = 2.0**1022
+PATTERN_SIZE_MAX = 14
+# the pattern path takes payoffs with max|P| from PATTERN_PAYOFF_MIN up to PATTERN_PAYOFF_MAX
+# over N + 1 times the larger population mass: its margin, gaps and products stay in range
+PATTERN_PAYOFF_MIN = 2.0**-500
+PATTERN_PAYOFF_MAX = 2.0**1021
 # sign patterns one kernel caches before it empties its cache
 PATTERNS_MAX = 256
-# a block on a sign pattern ends this many times the rows to its projected change on
-LOOKAHEAD = 1.5
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -296,24 +298,24 @@ class _Path(NamedTuple):
     checks its paths, both write the payoffs ``P = (G, 0, F)`` of each
     evaluation into ``p``, one row per RK4 stage.  ``holds(P)`` tells, for
     each row of a stack of payoffs, whether the state they were evaluated
-    at takes this path, and ``ahead(P)`` projects from two consecutive rows
-    how many rows after the second one a pattern still holds (``inf``
-    when it is not changing).  ``ahead`` is ``None`` off the pattern paths,
-    and ``holds`` on the checked path and in a kernel with the rate path
-    alone.
+    at takes this path, and ``contract(z_hat, out)`` writes the field at
+    ``z_hat`` into ``out`` from the payoffs that the kernel's ``field``
+    has written at it.  Both are ``None`` on the checked path, and
+    ``holds`` in a kernel with the rate path alone.
     """
 
     field: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     advance: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     holds: Callable[[np.ndarray], np.ndarray] | None = None
-    ahead: Callable[[np.ndarray], float] | None = None
+    contract: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 class _FieldKernel(NamedTuple):
     """The joint field of one game and protocol, bound by ``_field_kernel``.
 
     ``field(z_hat, out)`` evaluates the field at one state on the path that
-    the state decides, and ``checked`` is that rule as a ``_Path``.
+    the state decides, with one payoff evaluation, and ``checked`` is that
+    rule as a ``_Path``.
     ``rate`` is the rate path.  ``decide(P)`` gives the path that the state
     with payoffs ``P`` decides; it is ``None`` when the kernel has the rate
     path alone, and then ``checked`` is ``rate``.  ``out_rates`` holds the
@@ -375,37 +377,41 @@ def _field_kernel(
         zdot_i = P_i (sum_j s_ij z_j + c_i z_i) - sum_k (s_ik z_k + s_ki z_i) P_k,
 
     one bilinear form ``zdot = (C_S z_hat) P`` with a tensor ``C_S`` of small
-    integers.  A field is the payoff, the product ``C_S z_hat`` into rows 1
-    on of a matrix ``M``, and ``M P``; ``M``'s row 0 stays zero, so the
-    field's entry 0 is an exact zero.  While it takes at most ``16 N^2``
-    doubles, that is for ``N + 1 <= 14``, ``C_S`` is one ``(N (N + 1), N +
-    1)`` matrix, and a forward-Euler step is 5 numpy calls (6 with a
-    quadratic constraint).  Beyond, as ``C_S`` pairs a strategy with
-    strategies of its own population only, it is one block of shape ``(m
-    (N + 1), m)`` per population of ``m`` strategies, each a product of its
-    own: at most ``N^2 (N + 1)`` doubles, ``16 N^2`` at the size cap, and
-    two more calls.  The tensor of each pattern is built at its first use
-    and cached on the kernel, never on the game; past ``PATTERNS_MAX``
-    patterns the cache is emptied.
+    integers, one ``(N (N + 1), N + 1)`` matrix.  A field is the payoff,
+    the product ``C_S z_hat`` into rows 1 on of a matrix ``M``, and ``M P``;
+    ``M``'s row 0 stays zero, so the field's entry 0 is an exact zero.  A
+    forward-Euler step is 5 numpy calls (6 with a quadratic constraint).
+    The tensor of each pattern is built at its first use and cached on the
+    kernel, never on the game; past ``PATTERNS_MAX`` patterns the cache is
+    emptied.
 
-    The pattern path applies at a *decisive* state: ``max|P| <=
-    PATTERN_PAYOFF_MAX``, so that every gap is finite, and within each
-    population the payoffs, ranked, rise by more than ``tau = 2 (N + 1) eps
-    max|P|`` at each step, each step one rounding of ``P_hi - P_lo``.  Then
-    every within-population gap exceeds ``tau / (1 + eps)`` exactly and
-    ``tau`` once rounded.  The margin keeps the field of an exact-zero
-    share ``>= 0``, as on the rate path.  With ``z_i = 0`` and ``a =
-    sum_k s_ik z_k``, row ``i`` of ``M`` holds ``a`` (one sum of ``m <= N``
-    nonnegative terms) against ``P_i`` and the exact ``-z_k`` against each
-    better ``P_k``.  The ``N + 1`` term product ``M P`` then errs by at
-    most ``(gamma_N + 2 gamma_(N+1)) a max|P|``, ``gamma_k ~ k eps / 2``:
-    less than ``1.5 (N + 1) eps a max|P|`` to first order.  Its exact value
-    is at least ``a tau / (1 + eps)``, so the rounded one is not negative
-    (for products in the normal range).  Elsewhere the two paths agree to
-    the rounding of their sums.  The field takes the rate path at a state
-    that is not decisive, under every other protocol, and for ``N + 1 >
-    PATTERN_SIZE_MAX``, where the blocks, which grow as ``N^3``, would make
-    the step slower than the rate path's.
+    The pattern path applies at a *decisive* state.  First, ``max|P|``
+    lies between ``PATTERN_PAYOFF_MIN`` and ``PATTERN_PAYOFF_MAX / ((N + 1)
+    m_max)``, with ``m_max`` the larger population mass (at least 1).  The
+    entries of row ``i`` of ``M`` sum in absolute value to at most ``2 m``
+    times the mass of ``i``'s population of ``m`` strategies, so every
+    partial sum of ``M P`` is at most ``2^1022`` and finite; and ``tau``
+    below is a normal number.  Second, within each population the payoffs, ranked, rise by
+    more than ``tau = 2 (N + 1) eps max|P|`` at each step, each step one
+    rounding of ``P_hi - P_lo``.  Then every within-population gap exceeds
+    ``tau / (1 + eps)`` exactly and ``tau`` once rounded.  The margin keeps
+    the field of an exact-zero share ``>= 0``, as on the rate path.  With
+    ``z_i = 0`` and ``a = sum_k s_ik z_k``, row ``i`` of ``M`` holds ``a``
+    (one sum of ``m <= N`` nonnegative terms) against ``P_i`` and the exact
+    ``-z_k`` against each better ``P_k``.  The ``N + 1`` term product ``M
+    P`` then errs by at most ``(gamma_N + 2 gamma_(N+1)) a max|P|``,
+    ``gamma_k ~ k eps / 2``: less than ``1.5 (N + 1) eps a max|P|`` to first
+    order.  Its exact value is at least ``a tau / (1 + eps)``, so the
+    rounded one is not negative.  That holds while the products of ``a``
+    with the payoffs are normal numbers, which the floor on ``max|P|``
+    keeps for every ``a`` of at least ``2^-521``; a sum of shares below
+    that, reached only by a decay of 157 orders of magnitude, can leave the
+    field a few subnormal units, ``(N + 1) 2^-1075``, below zero.
+    Elsewhere the two paths agree to the rounding of their sums.  The field
+    takes the rate path at a state that is not decisive, under every other
+    protocol, and for ``N + 1 > PATTERN_SIZE_MAX``: ``C_S``, which grows as
+    ``N^3``, takes at most ``16 N^2`` doubles up to the cap, and past it
+    the step soon gets slower than the rate path's.
 
     ``field`` decides the path from the payoffs at each state.  A step on a
     given path skips that decision, and the path's ``holds`` makes it after
@@ -441,18 +447,21 @@ def _field_kernel(
     checking = value is _smith_rate and size <= PATTERN_SIZE_MAX
     rk4 = _rk4_stages(h, size) if integrator == "rk4" else None
 
-    def stepped(field, advance, holds=None, ahead=None):
-        return _Path(field, advance if rk4 is None else rk4(field), holds, ahead)
+    def stepped(field, advance, holds=None, contract=None):
+        return _Path(field, advance if rk4 is None else rk4(field), holds, contract)
 
-    def rate_field(z, out, p):
-        payoff(z, GF)
-        if checking:
-            copyto(p, GF)
+    def rate_contract(z, out):
         # the protocol may overwrite the gaps: the product rewrites them all
         rates = value(gaps_dot(V, gaps))
         ones_dot(rates, out_rates)
         dot(rates, z, out)
         return subtract(out, multiply(z, out_rates, outflow), out)
+
+    def rate_field(z, out, p):
+        payoff(z, GF)
+        if checking:
+            copyto(p, GF)
+        return rate_contract(z, out)
 
     def rate_advance(z, f, p, out):
         payoff(z, GF)
@@ -475,23 +484,19 @@ def _field_kernel(
     # (offset in z_hat, offset in P = (G, 0, F), strategies) of each population
     populations = ((1, q1 + 1, n), (n + 1, 0, q1))
     margin = 2.0 * size * np.finfo(float).eps
+    top_max = PATTERN_PAYOFF_MAX / max(1.0, size * max(game.primal_mass, game.dual_mass))
     M = np.zeros((size, size))
     M_dot = M.dot
     M_rows = M[1:].reshape((size - 1) * size)
-    (xs, Mx), (ms, Mm) = [
-        (slice(zo, zo + m), M[zo : zo + m].reshape(m * size)) for zo, _, m in populations
-    ]
-    # one tensor over both populations while it takes at most 16 N^2 doubles
-    joint = size * size <= 16 * (size - 1)
 
     def rises(P, lo, hi, ends):
         """Whether the payoffs ``P`` (one vector, or a stack with one per row)
         rise by more than ``tau`` at each step ``(lo[k], hi[k])``, with
-        ``max|P|``, read at ``ends``, within ``PATTERN_PAYOFF_MAX``."""
+        ``max|P|``, read at ``ends``, in the pattern path's range."""
         Pt = P.T
         top = np.maximum.reduce(np.abs(Pt[ends]), axis=0)
         low = np.minimum.reduce(Pt[hi] - Pt[lo], axis=0, initial=np.inf)
-        return (top <= PATTERN_PAYOFF_MAX) & (low > margin * top)
+        return (top >= PATTERN_PAYOFF_MIN) & (top <= top_max) & (low > margin * top)
 
     def decisive(P):
         """``rises`` for each row of the stack ``P`` along that row's own ranking."""
@@ -500,9 +505,9 @@ def _field_kernel(
         for _, po, m in populations:
             steps = np.diff(np.sort(P[:, po : po + m], axis=1), axis=1)
             np.minimum(low, steps.min(axis=1, initial=np.inf), out=low)
-        return (top <= PATTERN_PAYOFF_MAX) & (low > margin * top)
+        return (top >= PATTERN_PAYOFF_MIN) & (top <= top_max) & (low > margin * top)
 
-    rate = stepped(rate_field, rate_advance, lambda P: ~decisive(P))
+    rate = stepped(rate_field, rate_advance, lambda P: ~decisive(P), rate_contract)
 
     def ranking(orders):
         """``(lo, hi, ends)``: the steps between neighbours, and the two ends,
@@ -514,62 +519,38 @@ def _field_kernel(
 
     def pattern(orders, lo, hi, ends):
         """The path of the pattern of ``ranking(orders)``."""
-        blocks = []
+        # rows 1 on of M against z_hat; a strategy pairs with its own population only
+        C = np.zeros((size - 1, size, size))
         for (zo, po, m), order in zip(populations, orders):
             rank = np.empty(m, dtype=np.intp)
             rank[order] = np.arange(m)
             S = (rank[:, None] > rank).astype(float)
-            C, r = np.zeros((m, size, m)), np.arange(m)
-            C[r, po + r, :] += S  # P_i s_ij z_j
-            C[r[:, None], po + r, r] -= S  # -s_ik z_k P_k
-            C[r[:, None], po + r, r[:, None]] -= S.T  # -s_ki z_i P_k
-            C[r, po + r, r] += S.sum(axis=0)  # c_i z_i P_i
-            blocks.append((zo, m, C))
-        if joint:
-            # one block over rows 1 on of M and all of z_hat: one product, no slices
-            C = np.zeros((size - 1, size, size))
-            for zo, m, block in blocks:
-                C[zo - 1 : zo - 1 + m, :, zo : zo + m] = block
-            C_dot = C.reshape((size - 1) * size, size).dot
+            B, r = C[zo - 1 : zo - 1 + m, :, zo : zo + m], np.arange(m)
+            B[r, po + r, :] += S  # P_i s_ij z_j
+            B[r[:, None], po + r, r] -= S  # -s_ik z_k P_k
+            B[r[:, None], po + r, r[:, None]] -= S.T  # -s_ki z_i P_k
+            B[r, po + r, r] += S.sum(axis=0)  # c_i z_i P_i
+        C_dot = C.reshape((size - 1) * size, size).dot
 
-            def field(z, out, p):
-                payoff(z, p)
-                C_dot(z, M_rows)
-                return M_dot(p, out)
+        def contract(z, out):
+            C_dot(z, M_rows)
+            return M_dot(GF, out)
 
-            def advance(z, f, p, out):
-                payoff(z, p)
-                C_dot(z, M_rows)
-                M_dot(p, f)
-                return add(z, multiply(f, hv, hf), out)
+        def field(z, out, p):
+            payoff(z, p)
+            C_dot(z, M_rows)
+            return M_dot(p, out)
 
-        else:
-            Cx_dot, Cm_dot = (block.reshape(m * size, m).dot for _, m, block in blocks)
-
-            def field(z, out, p):
-                payoff(z, p)
-                Cx_dot(z[xs], Mx)
-                Cm_dot(z[ms], Mm)
-                return M_dot(p, out)
-
-            def advance(z, f, p, out):
-                payoff(z, p)
-                Cx_dot(z[xs], Mx)
-                Cm_dot(z[ms], Mm)
-                M_dot(p, f)
-                return add(z, multiply(f, hv, hf), out)
+        def advance(z, f, p, out):
+            payoff(z, p)
+            C_dot(z, M_rows)
+            M_dot(p, f)
+            return add(z, multiply(f, hv, hf), out)
 
         def holds(P):
             return rises(P, lo, hi, ends)
 
-        def ahead(P):
-            # each step's shrink from one row to the next, extrapolated linearly
-            steps = P[:, hi] - P[:, lo]
-            shrink = steps[0] - steps[1]
-            closing = shrink > 0.0
-            return float((steps[1][closing] / shrink[closing]).min(initial=math.inf))
-
-        return stepped(field, advance, holds, ahead)
+        return stepped(field, advance, holds, contract)
 
     patterns = {}
 
@@ -590,7 +571,7 @@ def _field_kernel(
 
     def field(z, out):
         payoff(z, GF)
-        return decide(GF).field(z, out, GF)
+        return decide(GF).contract(z, out)
 
     def checked_field(z, out, p):
         field(z, out)
@@ -772,11 +753,8 @@ def integrate(
     first row that does not ends the block before it, and the next block
     starts at that row on the path its payoffs decide, or checked when a
     later RK4 stage alone left the path.  So every kept row's field is the
-    one ``_joint_field`` gives at its state.  On a pattern, the block after
-    a clean one, or after one that a change of pattern cut short, ends
-    ``LOOKAHEAD`` times the rows at which the pattern's closest step is
-    projected to close, extrapolated from the last two rows' payoffs (a
-    block cut short on the rate path starts its doubling over at 1).
+    one ``_joint_field`` gives at its state.  A block cut short by a change
+    of path starts the doubling of block lengths over at 1.
 
     The guards are array operations over the block: the two field norms
     of each row (from column 1 on, past the constant), the quiet streak
@@ -945,7 +923,8 @@ def integrate(
                     after = kernel.decide(leading[evaluated])
                     after = checked if after is path else after
             if not evaluated and error is None:
-                path = after
+                # cut at its first row: the next block starts there on that row's path
+                path, size = after, 1
                 continue
 
             rows = norms[start : start + evaluated]
@@ -975,17 +954,9 @@ def integrate(
                 start += evaluated
                 if after is None:
                     size = min(2 * size, BLOCK_MAX)
-                    last = evaluated - 1
                 else:
                     # the next block takes the path of the row that cut this one
-                    path, size, last = after, BLOCK_MAX, evaluated
-                if checking and last > 0 and path.ahead is not None:
-                    # end it past the row where its ranking is projected to change
-                    ahead = path.ahead(leading[last - 1 : last + 1])
-                    if ahead < BLOCK_MAX:
-                        size = min(size, max(1, math.ceil(LOOKAHEAD * ahead)))
-                elif after is not None:
-                    size = 1
+                    path, size = after, 1
                 # the rows below start are final
                 while _committed is not None and filled + chunk <= start:
                     fill(filled, filled + chunk)

@@ -46,6 +46,10 @@ CAPPED = pd.Protocol(
 SMITH_IN_PLACE = pd.Protocol(
     "smith-in-place", lambda g: np.maximum(g, 0.0, out=g), pd.smith_protocol().antiderivative
 )
+# Smith's rate through a function of its own, so that the kernel takes the rate path
+SMITH_RATE_PATH = pd.Protocol(
+    "smith-rate-path", lambda g: np.maximum(g, 0.0), pd.smith_protocol().antiderivative
+)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -286,6 +290,61 @@ def test_a_tie_takes_the_rate_path(rps):
     # at the barycenter the three payoffs of paper-rps are equal
     x = np.full(3, 1.0 / 3.0)
     assert not pattern_field_at(rps, x, np.array([rps.dual_mass, 0.0]))
+
+
+def test_a_field_evaluates_the_fitness_once(rps, smith):
+    calls = []
+
+    def fitness(x):
+        calls.append(x.copy())
+        return rps.fitness(x)
+
+    game = pd.GameSpec(
+        n=3,
+        primal_mass=rps.primal_mass,
+        dual_mass=rps.dual_mass,
+        fitness=pd.CallableFitness(fitness),
+        constraints=rps.constraints,
+    )
+    mu = null_dual(game)
+    # the barycenter ties and takes the rate path; the other state a pattern
+    for xv in (np.full(3, 1.0 / 3.0), np.array([0.6, 0.3, 0.1])):
+        calls.clear()
+        pd.primal_field(game, smith, pd.PrimalState(xv, 1.0), mu)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "scale, offset, pattern",
+    [
+        # max|P| near 1e307 and gaps near 1e305: M P would overflow at these masses
+        (1e305, 1e307, False),
+        # tau and the products would be subnormal
+        (1e-155, 0.0, False),
+        (1e-140, 0.0, True),
+        (1.0, 0.0, True),
+        (1e300, 0.0, True),
+    ],
+)
+def test_payoffs_outside_the_pattern_range_take_the_rate_path(scale, offset, pattern):
+    # a callable fitness and an affine constraint, all scaled, on masses 20 and 10
+    W = np.array([[0.0, 2.0, -1.0], [-1.0, 0.0, 2.0], [2.0, -1.0, 0.0]])
+    game = pd.GameSpec(
+        n=3,
+        primal_mass=20.0,
+        dual_mass=10.0,
+        fitness=pd.CallableFitness(lambda x: offset + scale * (W @ x / 20.0 + [0.0, 0.3, 0.7])),
+        constraints=(pd.AffineConstraint(scale * np.array([0.05, 0.02, 0.0]), scale * 0.25),),
+    )
+    xv, muv = np.array([14.0, 0.0, 6.0]), np.array([4.0, 6.0])
+    assert pattern_field_at(game, xv, muv) == pattern
+    kernel = dynamics._field_kernel(game, pd.smith_protocol())
+    z = np.concatenate(((1.0,), xv, muv))
+    field = kernel.field(z, np.empty(z.size))
+    rate = kernel.rate.field(z, np.empty(z.size), np.empty(z.size))
+    assert np.isfinite(field).all() and np.isfinite(rate).all()
+    if not pattern:
+        assert field.tobytes() == rate.tobytes()
 
 
 # --- integration ---
@@ -543,10 +602,11 @@ def test_rows_committed_inside_the_loop_are_final_and_the_same_bits(congestion, 
     traj = dynamics.integrate(congestion, smith, x0, null_dual(congestion), params, _committed=committed)
     want = pd.integrate(congestion, smith, x0, null_dual(congestion), params)
     # the run's ranking of payoffs changes often early on, cutting blocks
-    # short; the last block starts at row 265, where it changes once more,
-    # and ends the run, and its rows are filled after the loop
+    # short; it changes once more at row 265, where the doubling starts
+    # over, and the block from row 296 ends the run, its rows filled after
+    # the loop
     assert len(traj) == 301
-    assert [rows for rows, _ in commits] == list(range(chunk, 265, chunk))
+    assert [rows for rows, _ in commits] == list(range(chunk, 296, chunk))
     for name in fields:
         assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name
         for rows, seen in commits:
@@ -742,7 +802,7 @@ def _barycenter(game):
 REFERENCE_CASES = {
     "rps-h0.01": (pd.paper_rps, _barycenter, {"horizon": 200.0, "step": 0.01}),
     "congestion-seed0": (pd.paper_congestion, _seeded(0), {"horizon": 200.0}),
-    # seed 4 takes the mass rescale once
+    # seed 4 takes the mass rescale, from rows 3725 and 3726
     "congestion-seed4": (pd.paper_congestion, _seeded(4), {"horizon": 200.0}),
     # the first update leaves the simplex: refused at step 0
     "congestion-h0.05": (pd.paper_congestion, _seeded(0), {"horizon": 200.0, "step": 0.05}),
@@ -773,26 +833,28 @@ REFERENCE_CASES = {
             "convergence_window": 3 * dynamics.BLOCK_MAX,
         },
     ),
-    # a quiet streak of 76 rows carried into the block at row 829, where it converges
+    # a quiet streak of 24 rows carried into the block at row 673, where it converges
     "rps-carried-streak": (
         pd.paper_rps,
         _barycenter,
-        {"horizon": 200.0, "step": 0.01, "convergence_tol": 0.1},
+        {"horizon": 200.0, "step": 0.01, "convergence_tol": 0.12},
     ),
-    # rows 6292..6297 are quiet; the updates from 6297 and 6298 are rescaled,
+    # rows 3718..3726 are quiet; the updates from 3725 and 3726 are rescaled,
     # so the streak is carried across two rescales into the block that converges
     "congestion-streak-across-rescale": (
         pd.paper_congestion,
         _seeded(4),
-        {"horizon": 200.0, "convergence_tol": 1.198e-6},
+        {"horizon": 200.0, "convergence_tol": 1.162e-5},
     ),
     "congestion-window-1": (pd.paper_congestion, _seeded(0), {"horizon": 200.0, "convergence_window": 1}),
     # the first block is row 0 alone; the horizon cuts the second to row 1
     "rps-horizon-one-step": (pd.paper_rps, _seeded(1), {"horizon": 0.01, "step": 0.01}),
     "rps-h0.5": (pd.paper_rps, _seeded(1), {"horizon": 100.0, "step": 0.5}),
-    # refused inside a block: at step 4 of the block of steps 3..4
+    # refused at step 4; Smith's ranking of payoffs changes at every row, so
+    # its blocks are one row long, and on the rate path (below) the refusal
+    # lies inside the block of steps 3..6
     "rps-h0.3-in-block": (pd.paper_rps, _seeded(1), {"horizon": 100.0, "step": 0.3}),
-    # refused at step 3, where the block of steps 3..4 starts
+    # refused at step 3, where the block of steps 3..6 starts on the rate path
     "rps-h0.4-in-block": (pd.paper_rps, _seeded(2), {"horizon": 100.0, "step": 0.4}),
     # the field overflows at the start
     "diverged-field": (_overflowing_game, _barycenter, {"horizon": 1.0}),
@@ -838,18 +900,27 @@ def test_integrate_matches_the_step_by_step_reference(case, smith):
     assert_integrate_matches_reference(game, smith, start(game), pd.SimParams(**kwargs))
 
 
-def test_a_refused_speculative_state_is_dropped_with_its_block(smith):
+@pytest.mark.parametrize("case", ["rps-h0.3-in-block", "rps-h0.4-in-block"])
+def test_a_refusal_inside_a_rate_path_block_matches_the_reference(case):
+    build, start, kwargs = REFERENCE_CASES[case]
+    game = build()
+    params = pd.SimParams(**kwargs)
+    assert_integrate_matches_reference(game, SMITH_RATE_PATH, start(game), params)
+
+
+def test_a_refused_speculative_state_is_dropped_with_its_block():
     # at h = 0.3 the update from step 4 leaves the simplex; the step-by-step
-    # loop refuses it before the fitness sees it, but the block from step 2
-    # evaluates the field at the unrefused state first
+    # loop refuses it before the fitness sees it, but the block of steps 3..6
+    # evaluates the field at the unrefused state first (on the rate path:
+    # Smith's own blocks are one row long in this run)
     refused = []
     game = _refusing_rps(refused)
     x0 = pd.sample_simplex(3, 1.0, seed=1)
     params = pd.SimParams(horizon=100.0, step=0.3)
     with pytest.raises(pd.ConfigurationError, match="from step 4 "):
-        reference_integrate(game, smith, x0, null_dual(game), params)
+        reference_integrate(game, SMITH_RATE_PATH, x0, null_dual(game), params)
     assert refused == []
-    assert assert_integrate_matches_reference(game, smith, x0, params) is None
+    assert assert_integrate_matches_reference(game, SMITH_RATE_PATH, x0, params) is None
     assert refused
 
 
@@ -893,12 +964,6 @@ def test_a_refusal_the_step_by_step_loop_reaches_propagates(smith):
 # --- the kernel's work arrays ---
 
 
-# Smith's rate through a function of its own, so that the kernel takes the rate path
-SMITH_RATE_PATH = pd.Protocol(
-    "smith-rate-path", lambda g: np.maximum(g, 0.0), pd.smith_protocol().antiderivative
-)
-
-
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
 def test_a_protocol_that_overwrites_its_gaps_matches_smith(congestion, rps, integrator):
     # the kernel hands the protocol the same gap matrix on every call; a rate
@@ -912,44 +977,45 @@ def test_a_protocol_that_overwrites_its_gaps_matches_smith(congestion, rps, inte
 
 
 def test_the_kernel_takes_quadratic_memory(smith):
-    def traced(n, q):
-        """Peak traced bytes of building the game and binding and calling its
-        kernel, the call's own peak above where it started, and the kernel."""
-        N = n + q + 1
+    def affine_game(n, q):
+        """A random affine game with ``q`` affine constraints, and a state."""
         rng = np.random.default_rng(0)
         A, rows = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(0.0, 1.0, (q, n))
         z = np.concatenate(((1.0,), np.full(n, 1.0 / n), np.full(q + 1, 2.0 / (q + 1))))
-        tracemalloc.start()
-        try:
-            game = pd.GameSpec(
-                n=n,
-                primal_mass=1.0,
-                dual_mass=2.0,
-                fitness=pd.MatrixFitness(A),
-                constraints=tuple(pd.AffineConstraint(a, 0.5) for a in rows),
-            )
-            kernel = dynamics._field_kernel(game, smith)
-            bound, peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            kernel.field(z, np.empty(N + 1))
-            call = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return max(peak, call), call - bound, kernel
+        game = pd.GameSpec(
+            n=n,
+            primal_mass=1.0,
+            dual_mass=2.0,
+            fitness=pd.MatrixFitness(A),
+            constraints=tuple(pd.AffineConstraint(a, 0.5) for a in rows),
+        )
+        return game, z
 
     # building the game and binding and calling its kernel at N = 200 peaks
     # near 5 N^2 doubles; an (N^2, N) operator would add N^3 of them, 64 MB
     N = 196 + 3 + 1
-    peak, _, kernel = traced(196, 3)
+    tracemalloc.start()
+    try:
+        game, z = affine_game(196, 3)
+        kernel = dynamics._field_kernel(game, smith)
+        kernel.field(z, np.empty(N + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= 16 * N * N * 8
     assert kernel.decide is None  # past the size cap: the rate path alone
-    # at N + 1 = 16, the size cap, the call takes the pattern path and builds
-    # its blocks, (n^2 + (q + 1)^2) (N + 1) doubles; building the game and
-    # binding the kernel alone take 70% of the bound there, so the bound
-    # holds the call's own peak
-    N = 9 + 5 + 1
-    _, call, kernel = traced(9, 5)
-    assert call <= 16 * N * N * 8
+    # at N + 1 = 14, the size cap, the call takes the pattern path and keeps
+    # its tensor, N (N + 1)^2 doubles; nothing it keeps is larger
+    N = 8 + 4 + 1
+    game, z = affine_game(8, 4)
+    kernel = dynamics._field_kernel(game, smith)
+    tracemalloc.start()
+    try:
+        kernel.field(z, np.empty(N + 1))
+        kept = [stat.size for stat in tracemalloc.take_snapshot().statistics("lineno")]
+    finally:
+        tracemalloc.stop()
+    assert N * (N + 1) ** 2 * 8 <= max(kept) <= 16 * N * N * 8
     assert kernel.decide(np.concatenate((kernel.G, [0.0], kernel.F))) is not kernel.rate
 
 
